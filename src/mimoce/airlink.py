@@ -140,19 +140,16 @@ def simulate_blocks(
     tau_p = pilot_book.tau_p
     amp = np.sqrt(powers)[None, :, :, None]  # (1, L, K, 1)
     weighted = (channels * amp).reshape(b_blocks, cells * ues, n)
+    weighted_t = weighted.transpose(0, 2, 1)  # (B, N, L*K)
 
     seq = pilot_book.sequences[pilot_indices.reshape(b_blocks, cells * ues)]
-    pilot_rx = np.einsum("bun,bup->bnp", weighted, seq)
-    pilot_rx += np.einsum(
-        "nm,bmp->bnp", noise_factor, complex_normal(rng, (b_blocks, n, tau_p))
-    )
+    pilot_rx = weighted_t @ seq
+    pilot_rx += noise_factor @ complex_normal(rng, (b_blocks, n, tau_p))
 
     if tau_u > 0:
         phases = rng.uniform(0.0, 2.0 * np.pi, size=(b_blocks, cells * ues, tau_u))
-        data_rx = np.einsum("bun,but->bnt", weighted, np.exp(1j * phases))
-        data_rx += np.einsum(
-            "nm,bmt->bnt", noise_factor, complex_normal(rng, (b_blocks, n, tau_u))
-        )
+        data_rx = weighted_t @ np.exp(1j * phases)
+        data_rx += noise_factor @ complex_normal(rng, (b_blocks, n, tau_u))
     else:
         data_rx = np.zeros((b_blocks, n, 0), dtype=complex)
     return pilot_rx, data_rx
@@ -200,4 +197,4 @@ def despread_batch(
 ) -> np.ndarray:
     """Despread a batch (B, N, tau_p) with a per-block pilot index (B,)."""
     seq = pilot_book.sequences[np.asarray(b)]
-    return np.einsum("bnp,bp->bn", pilot_rx, np.conj(seq))
+    return (pilot_rx @ np.conj(seq)[..., None])[..., 0]

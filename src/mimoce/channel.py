@@ -231,7 +231,7 @@ def sample_channels(
     squeeze = blocks is None
     b = 1 if blocks is None else blocks
     z = complex_normal(rng, (b, *lead, n))
-    h = np.einsum("...nm,b...m->b...n", factors, z)
+    h = (factors @ z[..., None])[..., 0]
     return h[0] if squeeze else h
 
 

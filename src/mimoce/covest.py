@@ -116,7 +116,7 @@ def estimate_pilot_cov(
     if y.ndim != 2:
         raise ValueError("expected despread vectors of shape (T, N)")
     t_used, n = y.shape
-    raw = hermitize(np.einsum("tn,tm->nm", y, y.conj())) / (t_used * tau_p)
+    raw = hermitize(y.T @ y.conj()) / (t_used * tau_p)
     loading = float(loading_factor) * np.trace(raw).real / n
     matrix = raw + loading * np.eye(n)
     return PilotCovEstimate(matrix=matrix, t_used=t_used, loading=loading)

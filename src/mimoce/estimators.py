@@ -46,8 +46,12 @@ class MmseFilter:
     clamped: bool = False
 
     def apply(self, y_pilot: np.ndarray) -> np.ndarray:
-        """Estimate channels from despread vectors of shape (..., N)."""
-        return np.einsum("nm,...n->...m", self.w.conj(), y_pilot)
+        """Estimate channels from despread vectors of shape (..., N).
+
+        The product y @ conj(w) is w^H y for every vector at once; the
+        sweep harness applies stacks of per-UE filters the same way.
+        """
+        return np.asarray(y_pilot) @ self.w.conj()
 
 
 def mmse_optimal_filter(
@@ -95,8 +99,8 @@ def approx_mmse_estimate(
     if lowrank.rank_effective == 0:
         return np.zeros_like(y_pilot)
     v = lowrank.lam / lowrank.sigma
-    z = v * np.einsum("nr,...n->...r", lowrank.x.conj(), y_pilot)
-    return np.einsum("nr,...r->...n", lowrank.q, z) / np.sqrt(power)
+    z = v * (y_pilot @ lowrank.x.conj())
+    return (z @ lowrank.q.T) / np.sqrt(power)
 
 
 def improved_mmse_filter(

@@ -24,6 +24,7 @@ from .airlink import (
     make_pilot_book,
     simulate_blocks,
 )
+from .blas import single_threaded_blas
 from .channel import (
     bs_covariances,
     build_geometry,
@@ -328,7 +329,7 @@ class _RunState:
             h = sample_channels(
                 self.factors, self.rngs["eval_channels"], blocks=stop - start
             )
-            h_center = h[:, 0]  # (B, K, N)
+            h_center = np.moveaxis(h[:, 0], 0, 1)  # (K, B, N)
             d_random = d_fixed = None
             if need_random:
                 rows = rand_alloc.indices[start:stop]
@@ -337,9 +338,8 @@ class _RunState:
                     self.rngs["eval_signals_random"], 0,
                 )
                 d_random = np.stack(
-                    [despread_batch(pilot_rx, self.book, rows[:, 0, k]) for k in range(ues)],
-                    axis=1,
-                )  # (B, K, N)
+                    [despread_batch(pilot_rx, self.book, rows[:, 0, k]) for k in range(ues)]
+                )  # (K, B, N)
             if need_fixed:
                 frows = fixed_alloc.indices[start:stop]
                 pilot_rx, _ = simulate_blocks(
@@ -347,8 +347,7 @@ class _RunState:
                     self.rngs["eval_signals_fixed"], 0,
                 )
                 d_fixed = np.stack(
-                    [despread_batch(pilot_rx, self.book, frows[:, 0, k]) for k in range(ues)],
-                    axis=1,
+                    [despread_batch(pilot_rx, self.book, frows[:, 0, k]) for k in range(ues)]
                 )
 
             for spec in self.config.estimators:
@@ -361,10 +360,10 @@ class _RunState:
                 else:
                     w = self.static_filters[spec.label]  # (K, N, N)
                     d = d_fixed if spec.kind in _FIXED_ALLOC else d_random
-                    h_hat = np.einsum("knm,bkn->bkm", w.conj(), d)
+                    h_hat = d @ w.conj()  # as MmseFilter.apply, one filter per UE
                 sq = np.abs(h_hat - h_center) ** 2
                 err[spec.label] += float(
-                    (sq.sum(axis=2) / self.center_traces[None, :]).sum()
+                    (sq.sum(axis=2) / self.center_traces[:, None]).sum()
                 )
         total = eval_blocks * ues
         return {label: value / total for label, value in err.items()}
@@ -372,14 +371,14 @@ class _RunState:
     def _improved_estimates(
         self, rank: int, label: str, rows: np.ndarray, d_random: np.ndarray
     ) -> np.ndarray:
-        b_blocks, ues, n = d_random.shape
+        ues, b_blocks, _ = d_random.shape
         h_hat = np.empty_like(d_random)
         for b in range(b_blocks):
             center_row = rows[b, 0]
             for k in range(ues):
                 mask = tuple(bool(v) for v in center_row == center_row[k])
                 w = self.improved_filter(rank, label, k, mask)
-                h_hat[b, k] = w.conj().T @ d_random[b, k]
+                h_hat[k, b] = d_random[k, b] @ w.conj()
         return h_hat
 
 
@@ -410,7 +409,9 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[NmseResult]:
     """Run the full sweep-values x estimators x Monte-Carlo-runs grid.
 
     Per-run results are averaged in a fixed order keyed by run index, so
-    the aggregate is bitwise-identical regardless of `workers`.
+    the aggregate is bitwise-identical regardless of `workers`.  BLAS runs
+    single-threaded for the duration of the sweep, so `workers` is the
+    only source of parallelism.
     """
     config.validate()
     jobs = [
@@ -422,21 +423,23 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[NmseResult]:
     def execute(job):
         sweep_index, sweep_value, run_index = job
         # Streams are keyed by run index only, so run r sees the same
-        # geometry, training blocks and evaluation blocks at every sweep
-        # point: sweep curves are paired comparisons, and a T-sweep
-        # estimates from nested windows of one block stream.
+        # geometry and evaluation blocks at every sweep point: sweep curves
+        # are paired comparisons.  Training windows of a T-sweep are not
+        # nested: samplers draw whole batch shapes, so the first training
+        # blocks at T=75 and T=150 already differ.
         seed = (config.master_seed, run_index)
         return (sweep_index, run_index), run_single(config, sweep_value, seed)
 
     store: dict[tuple[int, int], list[RunContribution]] = {}
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for key, contribs in pool.map(execute, jobs):
+    with single_threaded_blas():
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                for key, contribs in pool.map(execute, jobs):
+                    store[key] = contribs
+        else:
+            for job in jobs:
+                key, contribs = execute(job)
                 store[key] = contribs
-    else:
-        for job in jobs:
-            key, contribs = execute(job)
-            store[key] = contribs
 
     results = []
     for sweep_index, sweep_value in enumerate(config.sweep.values):

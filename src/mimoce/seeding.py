@@ -2,7 +2,10 @@
 
 All randomness in the package flows through numpy Generators derived from
 a single master seed with explicit integer keys, so that runs are
-reproducible and independent of thread scheduling or batch sizes.
+reproducible and independent of thread scheduling.  Samplers draw whole
+batch shapes at once, so the values a stream yields depend on how the
+consumer splits its draws: equal keys and equal draw shapes give equal
+values, but a prefix of a larger batch is not a smaller batch.
 """
 
 from __future__ import annotations
@@ -34,5 +37,8 @@ def complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarr
     Unit variance per complex entry: real and imaginary parts each have
     variance 1/2.
     """
-    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return z * np.sqrt(0.5)
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    z *= np.sqrt(0.5)
+    return z
