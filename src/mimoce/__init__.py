@@ -7,9 +7,9 @@ Monte-Carlo NMSE experiment harness with a CLI front end.
 
 __version__ = "0.1.0"
 
-from .linalg import GevdResult, NotPositiveDefinite, ConvergenceFailure
+from .linalg import GevdResult, NotPositiveDefinite
 from .channel import NetworkGeometry, UnsupportedLayout, InvalidSpread
-from .airlink import PilotBook, PilotAllocation, BlockSignals
+from .airlink import PilotBook, PilotAllocation
 from .covest import (
     PilotCovEstimate,
     AllCovEstimate,
@@ -23,13 +23,11 @@ from .harness import NmseResult, ZeroTraceCovariance
 __all__ = [
     "GevdResult",
     "NotPositiveDefinite",
-    "ConvergenceFailure",
     "NetworkGeometry",
     "UnsupportedLayout",
     "InvalidSpread",
     "PilotBook",
     "PilotAllocation",
-    "BlockSignals",
     "PilotCovEstimate",
     "AllCovEstimate",
     "LowRankCovEstimate",

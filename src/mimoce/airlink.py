@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import psd_factor
 from .seeding import complex_normal, ensure_rng
 
 
@@ -38,14 +37,6 @@ class PilotAllocation:
 
     mode: str  # "random" | "fixed_cyclic"
     indices: np.ndarray  # (T, L, K) integer
-
-
-@dataclass
-class BlockSignals:
-    """Received baseband samples at one BS for one coherence block."""
-
-    pilot_rx: np.ndarray  # (N, tau_p)
-    data_rx: np.ndarray  # (N, tau_u)
 
 
 def make_pilot_book(tau_p: int) -> PilotBook:
@@ -155,46 +146,15 @@ def simulate_blocks(
     return pilot_rx, data_rx
 
 
-def simulate_block(
-    channels: np.ndarray,
-    pilot_indices: np.ndarray,
-    pilot_book: PilotBook,
-    powers: np.ndarray,
-    noise_cov: np.ndarray,
-    rng: int | np.random.Generator | None = None,
-    tau_u: int = 0,
-) -> BlockSignals:
-    """Single-block convenience wrapper around simulate_blocks.
-
-    Takes the noise covariance directly and factorizes it internally.
-    """
-    rng = ensure_rng(rng)
-    noise_factor = psd_factor(np.asarray(noise_cov, dtype=complex))
-    pilot_rx, data_rx = simulate_blocks(
-        channels[None],
-        np.asarray(pilot_indices)[None],
-        pilot_book,
-        np.asarray(powers, dtype=float),
-        noise_factor,
-        rng,
-        tau_u,
-    )
-    return BlockSignals(pilot_rx=pilot_rx[0], data_rx=data_rx[0])
-
-
-def despread(pilot_rx: np.ndarray, pilot_book: PilotBook, b: int) -> np.ndarray:
-    """Correlate the pilot-phase signal with the conjugate of pilot b.
-
-    Returns sum_p pilot_rx[:, p] * conj(s_b(p)); a UE that transmitted
-    pilot b at power p contributes sqrt(p) * tau_p * h, while UEs on
-    orthogonal pilots cancel exactly.
-    """
-    return np.asarray(pilot_rx) @ np.conj(pilot_book.sequences[b])
-
-
 def despread_batch(
     pilot_rx: np.ndarray, pilot_book: PilotBook, b: np.ndarray
 ) -> np.ndarray:
-    """Despread a batch (B, N, tau_p) with a per-block pilot index (B,)."""
+    """Correlate each block's pilot-phase signal with its conjugate pilot.
+
+    pilot_rx has shape (B, N, tau_p) and b holds one pilot index per block;
+    returns (B, N) with rows sum_p pilot_rx[t, :, p] * conj(s_b[t](p)).  A
+    UE that transmitted pilot b[t] at power p contributes sqrt(p) * tau_p * h,
+    while UEs on orthogonal pilots cancel exactly.
+    """
     seq = pilot_book.sequences[np.asarray(b)]
     return (pilot_rx @ np.conj(seq)[..., None])[..., 0]

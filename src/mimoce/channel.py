@@ -196,13 +196,7 @@ def covariance_factors(covariances: np.ndarray) -> np.ndarray:
     Accepts shape (..., N, N); negative eigenvalues from quadrature noise
     are clamped to zero.
     """
-    covariances = np.asarray(covariances, dtype=complex)
-    n = covariances.shape[-1]
-    flat = covariances.reshape(-1, n, n)
-    factors = np.empty_like(flat)
-    for i, r in enumerate(flat):
-        factors[i] = psd_factor(r)
-    return factors.reshape(covariances.shape)
+    return psd_factor(covariances)
 
 
 def sample_channels(

@@ -44,14 +44,46 @@ def _coerce(value: str):
     return yaml.safe_load(value)
 
 
-def _build_section(cls, data: dict, section: str):
+# Python types a YAML value may have for each numeric field annotation of
+# the config dataclasses; bool is rejected separately (it subclasses int).
+_NUMERIC_TYPES = {
+    "int": (int,),
+    "float": (int, float),
+    "int | None": (int, type(None)),
+    "list[int]": (int,),
+}
+
+
+def _check_numeric(cls, data: dict, prefix: str) -> None:
+    """Reject values of the wrong type for the numeric fields of cls."""
+    for f in dataclasses.fields(cls):
+        if f.name not in data or f.type not in _NUMERIC_TYPES:
+            continue
+        value = data[f.name]
+        items = value if f.type.startswith("list") else [value]
+        if not isinstance(items, list) or any(
+            isinstance(v, bool) or not isinstance(v, _NUMERIC_TYPES[f.type])
+            for v in items
+        ):
+            raise ConfigParseError(f"{prefix}{f.name} must be {f.type}, got {value!r}")
+
+
+def _build_section(cls, data, section: str):
+    if not isinstance(data, dict):
+        raise ConfigParseError(
+            f"section {section!r} must be a mapping, got {type(data).__name__}"
+        )
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - known
     if unknown:
         raise ConfigParseError(
             f"unknown key(s) in section {section!r}: {', '.join(sorted(unknown))}"
         )
-    return cls(**data)
+    _check_numeric(cls, data, f"{section}.")
+    try:
+        return cls(**data)
+    except TypeError as exc:
+        raise ConfigParseError(f"section {section!r}: {exc}") from exc
 
 
 def parse_config(path: str | Path, overrides: list[str] | None = None) -> ExperimentConfig:
@@ -84,24 +116,28 @@ def parse_config(path: str | Path, overrides: list[str] | None = None) -> Experi
     if unknown:
         raise ConfigParseError(f"unknown top-level key(s): {', '.join(sorted(unknown))}")
 
-    kwargs = {}
+    kwargs = {
+        key: data[key]
+        for key in ("monte_carlo_runs", "eval_blocks", "master_seed")
+        if key in data
+    }
+    _check_numeric(ExperimentConfig, kwargs, "")
     if "system" in data:
-        kwargs["system"] = _build_section(SystemConfig, dict(data["system"]), "system")
+        kwargs["system"] = _build_section(SystemConfig, data["system"], "system")
     if "sweep" in data:
-        kwargs["sweep"] = _build_section(SweepSpec, dict(data["sweep"]), "sweep")
+        kwargs["sweep"] = _build_section(SweepSpec, data["sweep"], "sweep")
     if "estimators" in data:
-        specs = []
-        for i, entry in enumerate(data["estimators"]):
-            specs.append(_build_section(EstimatorSpec, dict(entry), f"estimators[{i}]"))
-        kwargs["estimators"] = specs
-    for key in ("monte_carlo_runs", "eval_blocks", "master_seed"):
-        if key in data:
-            kwargs[key] = data[key]
+        entries = data["estimators"]
+        if not isinstance(entries, list):
+            raise ConfigParseError(
+                f"estimators must be a list of mappings, got {type(entries).__name__}"
+            )
+        kwargs["estimators"] = [
+            _build_section(EstimatorSpec, entry, f"estimators[{i}]")
+            for i, entry in enumerate(entries)
+        ]
 
-    try:
-        config = ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigParseError(str(exc)) from exc
+    config = ExperimentConfig(**kwargs)
     config.validate()
     return config
 
@@ -141,7 +177,7 @@ def emit_results(results: list[NmseResult], output_dir: str | Path, config: Expe
 
 
 def validate_config(config: ExperimentConfig) -> str:
-    """Dry-run diagnostics: invariants, geometry, memory/runtime estimates."""
+    """Dry-run diagnostics: invariants, geometry, block count and memory."""
     findings = []
     try:
         config.validate()
@@ -164,10 +200,6 @@ def validate_config(config: ExperimentConfig) -> str:
         (v if config.sweep.variable == "T" else sysc.blocks) + config.eval_blocks
         for v in config.sweep.values
     ) * config.monte_carlo_runs
-    # Crude cost model: flop count of the batched signal synthesis at an
-    # assumed 2 Gflop/s, plus fixed per-batch overhead.
-    flops = blocks * matrices * sysc.antennas * (sysc.tau_p + sysc.tau_u) * 8.0
-    runtime_s = flops / 2e9 + 0.02 * blocks * sysc.ues_per_cell / 256
 
     lines = [
         "OK" if not findings else "ISSUES FOUND:",
@@ -175,7 +207,6 @@ def validate_config(config: ExperimentConfig) -> str:
         f"covariance storage: {matrices} matrices of {sysc.antennas}x{sysc.antennas} "
         f"(~{cov_mb:.1f} MB)",
         f"total simulated blocks: {blocks}",
-        f"rough runtime estimate: {runtime_s:.0f} s",
     ]
     return "\n".join(lines)
 
@@ -197,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--workers", type=int, default=1, help="parallel Monte-Carlo workers")
 
-    val = sub.add_parser("validate", help="check a config and estimate resources")
+    val = sub.add_parser("validate", help="check a config and report its size")
     val.add_argument("--config", required=True)
     val.add_argument(
         "--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE"

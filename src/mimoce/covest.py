@@ -17,14 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import GevdResult, NotPositiveDefinite, gevd, hermitize
+from .linalg import FALLBACK_LOADING, NotPositiveDefinite, gevd, hermitize, load_diagonal
 
 # Eigenvalues this close to 1 carry no usable signal power and are never kept.
 SIGMA_ONE_TOL = 1e-9
-
-# Relative diagonal loading applied to the pencil's right-hand matrix when
-# its Cholesky factorization fails.
-GEVD_FALLBACK_LOADING = 1e-3
 
 
 class DegeneratePilotCount(ValueError):
@@ -117,8 +113,8 @@ def estimate_pilot_cov(
         raise ValueError("expected despread vectors of shape (T, N)")
     t_used, n = y.shape
     raw = hermitize(y.T @ y.conj()) / (t_used * tau_p)
-    loading = float(loading_factor) * np.trace(raw).real / n
-    matrix = raw + loading * np.eye(n)
+    matrix = load_diagonal(raw, float(loading_factor))
+    loading = float(np.trace(matrix - raw).real) / n
     return PilotCovEstimate(matrix=matrix, t_used=t_used, loading=loading)
 
 
@@ -164,7 +160,10 @@ def gevd_lowrank_estimator(
     n = a.shape[0]
     if not 1 <= rank <= n:
         raise ValueError(f"rank must be in [1, {n}], got {rank}")
-    result = _gevd_with_loading(a, b)
+    try:
+        result = gevd(a, b)
+    except NotPositiveDefinite:
+        result = gevd(a, load_diagonal(b, FALLBACK_LOADING))
 
     above_one = result.eigenvalues > 1.0 + SIGMA_ONE_TOL
     rank_effective = int(min(rank, above_one.sum()))
@@ -182,12 +181,3 @@ def gevd_lowrank_estimator(
         sigma=sigma,
         lam=lam,
     )
-
-
-def _gevd_with_loading(a: np.ndarray, b: np.ndarray) -> GevdResult:
-    try:
-        return gevd(a, b)
-    except NotPositiveDefinite:
-        n = b.shape[0]
-        loaded = b + GEVD_FALLBACK_LOADING * (np.trace(b).real / n) * np.eye(n)
-        return gevd(a, loaded)

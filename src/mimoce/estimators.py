@@ -16,10 +16,6 @@ import numpy as np
 from .covest import LowRankCovEstimate, PilotCovEstimate, _matrix_of
 from .linalg import NotPositiveDefinite, hermitize, solve_hermitian
 
-# One-shot diagonal loading (relative to mean diagonal) used when an
-# estimated filter matrix fails its Cholesky factorization.
-FILTER_FALLBACK_LOADING = 1e-3
-
 # Spectral handling of the improved filter's corrected pilot covariance,
 # which is assembled from noisy estimates and is frequently indefinite at
 # practical training lengths.  Eigenvalues are left untouched while the

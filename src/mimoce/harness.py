@@ -40,14 +40,13 @@ from .covest import (
     subtraction_estimator,
 )
 from .estimators import (
-    FILTER_FALLBACK_LOADING,
     approx_mmse_filter,
     improved_mmse_filter,
     ls_estimate,
     mmse_fixed_filter,
     mmse_optimal_filter,
 )
-from .linalg import NotPositiveDefinite, psd_factor
+from .linalg import FALLBACK_LOADING, NotPositiveDefinite, load_diagonal, psd_factor
 from .seeding import derive_rng
 
 # Blocks simulated per vectorized batch; a fixed constant so that the
@@ -98,14 +97,18 @@ class RunContribution:
     fallbacks: int
 
 
-def nmse(h_true: np.ndarray, h_hat: np.ndarray, covariance) -> float:
-    """Squared estimation error of one realization, normalized by tr(R)."""
+def nmse(h_true: np.ndarray, h_hat: np.ndarray, covariance) -> np.ndarray:
+    """Squared estimation error ||h_hat - h_true||^2 / tr(R) per realization.
+
+    Channel vectors have shape (..., N) and covariances (..., N, N); leading
+    axes broadcast, so one call scores a whole batch of UEs and blocks.
+    """
     matrix = covariance.matrix if hasattr(covariance, "matrix") else covariance
-    trace = float(np.trace(np.asarray(matrix)).real)
-    if trace <= 0:
+    trace = np.trace(np.asarray(matrix), axis1=-2, axis2=-1).real
+    if np.any(trace <= 0):
         raise ZeroTraceCovariance("covariance trace must be positive")
-    diff = np.asarray(h_hat) - np.asarray(h_true)
-    return float(np.vdot(diff, diff).real) / trace
+    sq = np.abs(np.asarray(h_hat) - np.asarray(h_true)) ** 2
+    return sq.sum(axis=-1) / trace
 
 
 def _streams(run_seed) -> dict[str, np.random.Generator]:
@@ -113,17 +116,13 @@ def _streams(run_seed) -> dict[str, np.random.Generator]:
     return {name: derive_rng(*keys, i) for name, i in _STREAMS.items()}
 
 
-def _loaded(matrix: np.ndarray) -> np.ndarray:
-    n = matrix.shape[0]
-    return matrix + FILTER_FALLBACK_LOADING * (np.trace(matrix).real / n) * np.eye(n)
-
-
 def _mmse_form_filter(pilot_matrix, target, power, kind):
     """MMSE-form filter sqrt(p) pilot^{-1} target with one loading retry."""
     try:
         return mmse_optimal_filter(pilot_matrix, target, power, kind=kind), 0
     except NotPositiveDefinite:
-        return mmse_optimal_filter(_loaded(pilot_matrix), target, power, kind=kind), 1
+        loaded = load_diagonal(pilot_matrix, FALLBACK_LOADING)
+        return mmse_optimal_filter(loaded, target, power, kind=kind), 1
 
 
 class _RunState:
@@ -155,7 +154,6 @@ class _RunState:
             geometry, 0, sysc.antennas, math.radians(sysc.half_spread_deg)
         )
         self.factors = covariance_factors(self.covs)
-        self.center_traces = np.einsum("knn->k", self.covs[0]).real
 
         jammer = None
         if sysc.jammer_power > 0:
@@ -280,32 +278,6 @@ class _RunState:
                 continue  # ls_fixed needs no filter; gevd_impr is per block
             self.static_filters[spec.label] = np.stack(w)
 
-    def improved_filter(self, rank: int, label: str, k: int, share_mask: tuple) -> np.ndarray:
-        """Per-block improved filter, cached by the intra-cell sharing pattern."""
-        key = (rank, k, share_mask)
-        cached = self._impr_cache.get(key)
-        if cached is None:
-            # Only collisions with UE k matter, so a synthetic pilot row
-            # reproducing the sharing pattern is sufficient.
-            pilot_row = np.where(np.asarray(share_mask), 0, 1)
-            try:
-                filt = improved_mmse_filter(
-                    self.pilot_covs[k],
-                    self.lowranks[rank],
-                    pilot_row,
-                    k,
-                    self.system.tau_p,
-                    self.power,
-                )
-                cached = (filt.w, filt.clamped)
-            except NotPositiveDefinite:
-                cached = (approx_mmse_filter(self.lowranks[rank][k], self.power).w, True)
-            self._impr_cache[key] = cached
-        w, degraded = cached
-        if degraded:
-            self.fallbacks[label] += 1
-        return w
-
     def evaluate(self, eval_blocks: int) -> dict[str, float]:
         """Mean NMSE per estimator over fresh held-out blocks."""
         sysc = self.system
@@ -361,9 +333,8 @@ class _RunState:
                     w = self.static_filters[spec.label]  # (K, N, N)
                     d = d_fixed if spec.kind in _FIXED_ALLOC else d_random
                     h_hat = d @ w.conj()  # as MmseFilter.apply, one filter per UE
-                sq = np.abs(h_hat - h_center) ** 2
                 err[spec.label] += float(
-                    (sq.sum(axis=2) / self.center_traces[:, None]).sum()
+                    nmse(h_center, h_hat, self.covs[0][:, None]).sum()
                 )
         total = eval_blocks * ues
         return {label: value / total for label, value in err.items()}
@@ -371,14 +342,45 @@ class _RunState:
     def _improved_estimates(
         self, rank: int, label: str, rows: np.ndarray, d_random: np.ndarray
     ) -> np.ndarray:
-        ues, b_blocks, _ = d_random.shape
+        """Apply the per-block improved filters to despread vectors (K, B, N).
+
+        A filter depends on the block only through which center-cell UEs
+        share UE k's pilot, so blocks are grouped by that pattern and each
+        filter is built once per run (cached) and applied once per batch.
+        Fallbacks count degraded filters per (block, UE) use.
+        """
+        center = rows[:, 0]  # (B, K)
         h_hat = np.empty_like(d_random)
-        for b in range(b_blocks):
-            center_row = rows[b, 0]
-            for k in range(ues):
-                mask = tuple(bool(v) for v in center_row == center_row[k])
-                w = self.improved_filter(rank, label, k, mask)
-                h_hat[k, b] = d_random[k, b] @ w.conj()
+        for k in range(center.shape[1]):
+            patterns, first, group = np.unique(
+                center == center[:, k : k + 1],
+                axis=0,
+                return_index=True,
+                return_inverse=True,
+            )
+            for g, pattern in enumerate(patterns):
+                key = (rank, k, pattern.tobytes())
+                cached = self._impr_cache.get(key)
+                if cached is None:
+                    try:
+                        filt = improved_mmse_filter(
+                            self.pilot_covs[k],
+                            self.lowranks[rank],
+                            center[first[g]],
+                            k,
+                            self.system.tau_p,
+                            self.power,
+                        )
+                        cached = (filt.w, filt.clamped)
+                    except NotPositiveDefinite:
+                        lowrank = self.lowranks[rank][k]
+                        cached = (approx_mmse_filter(lowrank, self.power).w, True)
+                    self._impr_cache[key] = cached
+                w, degraded = cached
+                blocks = np.flatnonzero(group == g)
+                h_hat[k, blocks] = d_random[k, blocks] @ w.conj()
+                if degraded:
+                    self.fallbacks[label] += len(blocks)
         return h_hat
 
 

@@ -1,9 +1,13 @@
 """Dense complex Hermitian linear algebra.
 
-Provides Cholesky factorization, Hermitian eigendecomposition and the
+Provides Cholesky factorization with a scale-aware definiteness check,
+Hermitian solves, PSD square factors, relative diagonal loading, and the
 generalized eigenvalue decomposition (GEVD) of a Hermitian-definite matrix
-pencil {A, B}, normalized so that X^H B X = I.  All routines operate on
-plain complex ndarrays and are pure functions of their inputs.
+pencil {A, B}.  The GEVD is LAPACK's Hermitian-definite solver (zhegvd,
+through scipy.linalg.eigh), which normalizes X^H B X = I; the pencil is
+first screened with `cholesky` so that a numerically singular B raises
+NotPositiveDefinite.  All routines operate on plain complex ndarrays and
+are pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -22,8 +26,9 @@ class NotPositiveDefinite(np.linalg.LinAlgError):
     """
 
 
-class ConvergenceFailure(np.linalg.LinAlgError):
-    """Raised when an eigenvalue iteration fails to converge."""
+# Relative diagonal loading applied once when a matrix that must be
+# positive definite fails its Cholesky factorization.
+FALLBACK_LOADING = 1e-3
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -78,39 +83,30 @@ def cholesky(h: np.ndarray) -> np.ndarray:
     return lower
 
 
-def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    Returns (eigenvalues, eigenvectors) with h = V diag(w) V^H and V unitary.
-    """
-    try:
-        w, v = np.linalg.eigh(np.asarray(h, dtype=complex))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure("eigenvalue iteration did not converge") from exc
-    return w[::-1], v[:, ::-1]
+def load_diagonal(m: np.ndarray, factor: float) -> np.ndarray:
+    """Return m + factor * tr(m) / n * I: loading relative to the mean diagonal."""
+    n = m.shape[-1]
+    return m + (factor * np.trace(m).real / n) * np.eye(n)
 
 
 def gevd(a: np.ndarray, b: np.ndarray) -> GevdResult:
     """Generalized eigenvalue decomposition of the pencil {a, b}.
 
     Solves a x = sigma b x for Hermitian a and Hermitian positive definite
-    b by whitening with the Cholesky factor of b: with b = L L^H the
-    whitened matrix L^{-1} a L^{-H} is eigendecomposed and the result is
-    transformed back.  Eigenvalues are returned in descending order.
+    b with LAPACK, which returns X normalized to X^H b X = I; then
+    b X = X^{-H}, so Q = b X.  Eigenvalues are returned in descending order.
 
     Raises
     ------
     NotPositiveDefinite
-        Propagated from the factorization of b.
+        If b fails `cholesky`, whose pivot floor is stricter than LAPACK's.
     """
     a = np.asarray(a, dtype=complex)
-    lower = cholesky(b)
-    tmp = scipy.linalg.solve_triangular(lower, a, lower=True)
-    whitened = scipy.linalg.solve_triangular(lower, tmp.conj().T, lower=True).conj().T
-    w, u = hermitian_eig(hermitize(whitened))
-    x = scipy.linalg.solve_triangular(lower.conj().T, u, lower=False)
-    q = lower @ u
-    return GevdResult(eigenvalues=w, X=x, Q=q)
+    b = np.asarray(b, dtype=complex)
+    cholesky(b)
+    w, x = scipy.linalg.eigh(a, b)
+    x = x[:, ::-1]
+    return GevdResult(eigenvalues=w[::-1], X=x, Q=b @ x)
 
 
 def solve_hermitian(h: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -120,14 +116,15 @@ def solve_hermitian(h: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def psd_factor(r: np.ndarray) -> np.ndarray:
-    """Square factor F with F F^H = r for a Hermitian PSD matrix r.
+    """Square factors F with F F^H = r for Hermitian PSD matrices (..., N, N).
 
     Eigenvalues within machine noise of zero (including the tiny negatives
     produced by quadrature or accumulation error) are clamped to exactly
-    zero, so low-rank inputs yield genuinely low-rank factors.
+    zero, so low-rank inputs yield genuinely low-rank factors.  The noise
+    level is taken per matrix from its own largest eigenvalue.
     """
     r = np.asarray(r, dtype=complex)
     w, v = np.linalg.eigh(r)
-    floor = r.shape[0] * np.finfo(float).eps * max(w[-1], 0.0)
+    floor = r.shape[-1] * np.finfo(float).eps * np.maximum(w[..., -1:], 0.0)
     w = np.where(w > floor, w, 0.0)
-    return v * np.sqrt(w)
+    return v * np.sqrt(w)[..., None, :]

@@ -5,11 +5,9 @@ import pytest
 
 from mimoce.airlink import (
     allocate_pilots,
-    despread,
     despread_batch,
     make_noise_covariance,
     make_pilot_book,
-    simulate_block,
     simulate_blocks,
 )
 from mimoce.linalg import psd_factor
@@ -91,6 +89,11 @@ class TestNoiseCovariance:
         assert abs(np.trace(r).real - (0.3 * n + 0.7 * n)) < 1e-10
 
 
+def despread_one(rx, book, b):
+    """Despread one block (N, tau_p) through the batch API."""
+    return despread_batch(rx[None], book, np.array([b]))[0]
+
+
 class TestDespreading:
     def test_clean_single_ue_recovery(self):
         tau_p, n, power = 4, 6, 2.25
@@ -99,10 +102,11 @@ class TestDespreading:
         h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         b = 2
         rx = np.sqrt(power) * np.outer(h, book.sequences[b])
-        recovered = despread(rx, book, b)
+        recovered = despread_one(rx, book, b)
+        assert recovered.shape == (n,)
         assert np.linalg.norm(recovered - np.sqrt(power) * tau_p * h) <= 1e-12 * np.linalg.norm(h)
         # orthogonal pilot sees nothing
-        assert np.linalg.norm(despread(rx, book, 1)) <= 1e-12 * np.linalg.norm(h)
+        assert np.linalg.norm(despread_one(rx, book, 1)) <= 1e-12 * np.linalg.norm(h)
 
     def test_superposition(self):
         tau_p, n = 5, 3
@@ -111,7 +115,7 @@ class TestDespreading:
         h1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         h2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         rx = np.outer(h1, book.sequences[0]) + np.outer(h2, book.sequences[3])
-        out1 = despread(rx, book, 0)
+        out1 = despread_one(rx, book, 0)
         assert np.linalg.norm(out1 - tau_p * h1) <= 1e-11 * np.linalg.norm(h1)
 
     def test_linearity(self):
@@ -120,8 +124,8 @@ class TestDespreading:
         y1 = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         y2 = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         alpha = 1.7 - 0.3j
-        lhs = despread(alpha * y1 + y2, book, 1)
-        rhs = alpha * despread(y1, book, 1) + despread(y2, book, 1)
+        lhs = despread_one(alpha * y1 + y2, book, 1)
+        rhs = alpha * despread_one(y1, book, 1) + despread_one(y2, book, 1)
         assert np.allclose(lhs, rhs)
 
     def test_batch_matches_loop(self):
@@ -130,32 +134,37 @@ class TestDespreading:
         y = rng.standard_normal((6, 5, 4)) + 1j * rng.standard_normal((6, 5, 4))
         b = rng.integers(0, 4, size=6)
         batch = despread_batch(y, book, b)
+        assert batch.shape == (6, 5)
         for t in range(6):
-            assert np.allclose(batch[t], despread(y[t], book, b[t]))
+            expected = (y[t] * np.conj(book.sequences[b[t]])).sum(axis=1)
+            assert np.allclose(batch[t], expected)
 
 
 class TestSimulation:
     def test_zero_channels_zero_noise_limit(self):
         book = make_pilot_book(2)
-        h = np.zeros((1, 1, 3), dtype=complex)
-        signals = simulate_block(
-            h, np.zeros((1, 1), dtype=int), book, np.ones((1, 1)),
-            1e-30 * np.eye(3), rng=0, tau_u=4,
+        h = np.zeros((1, 1, 1, 3), dtype=complex)
+        pilot_rx, data_rx = simulate_blocks(
+            h, np.zeros((1, 1, 1), dtype=int), book, np.ones((1, 1)),
+            psd_factor(1e-30 * np.eye(3)), ensure_rng(0), 4,
         )
-        assert np.allclose(signals.pilot_rx, 0.0, atol=1e-12)
-        assert np.allclose(signals.data_rx, 0.0, atol=1e-12)
+        assert pilot_rx.shape == (1, 3, 2)
+        assert data_rx.shape == (1, 3, 4)
+        assert np.allclose(pilot_rx, 0.0, atol=1e-12)
+        assert np.allclose(data_rx, 0.0, atol=1e-12)
 
     def test_single_ue_noise_free_pilot(self):
         tau_p, n, power = 2, 4, 3.0
         book = make_pilot_book(tau_p)
         rng = np.random.default_rng(8)
-        h = rng.standard_normal((1, 1, n)) + 1j * rng.standard_normal((1, 1, n))
-        signals = simulate_block(
-            h, np.array([[1]]), book, np.full((1, 1), power),
-            1e-30 * np.eye(n), rng=9, tau_u=0,
+        h = rng.standard_normal((1, 1, 1, n)) + 1j * rng.standard_normal((1, 1, 1, n))
+        pilot_rx, data_rx = simulate_blocks(
+            h, np.array([[[1]]]), book, np.full((1, 1), power),
+            psd_factor(1e-30 * np.eye(n)), ensure_rng(9), 0,
         )
-        expected = np.sqrt(power) * np.outer(h[0, 0], book.sequences[1])
-        assert np.allclose(signals.pilot_rx, expected, atol=1e-12)
+        assert data_rx.shape == (1, n, 0)
+        expected = np.sqrt(power) * np.outer(h[0, 0, 0], book.sequences[1])
+        assert np.allclose(pilot_rx[0], expected, atol=1e-12)
 
     def test_noise_despreading_power(self):
         # noise-only blocks: E{n_pilot n_pilot^H} = tau_p * R_nn

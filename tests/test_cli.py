@@ -145,7 +145,7 @@ class TestValidate:
         report = validate_config(ExperimentConfig())
         assert report.startswith("OK")
         assert "covariance storage" in report
-        assert "runtime estimate" in report
+        assert "total simulated blocks" in report
 
     def test_unsupported_layout_flagged(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -173,6 +173,24 @@ class TestMain:
         path.write_text("system:\n  tau_p: 0\n")
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG_ERROR
         assert "tau_p >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override, named",
+        [
+            ("system=5", "system"),
+            ("estimators=5", "estimators"),
+            ("system.antennas=abc", "system.antennas"),
+            ("sweep.values=[10, abc]", "sweep.values"),
+            ("monte_carlo_runs=abc", "monte_carlo_runs"),
+            ("estimators=[5]", "estimators[0]"),
+            ("estimators=[{rank: 2}]", "estimators[0]"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_malformed_value_exit_code(self, fast_config_path, capsys, command, override, named):
+        argv = [command, "--config", str(fast_config_path), "--set", override]
+        assert main(argv) == EXIT_CONFIG_ERROR
+        assert named in capsys.readouterr().err
 
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "nope.yaml")]) == EXIT_CONFIG_ERROR

@@ -5,14 +5,19 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mimoce.airlink import allocate_pilots
 from mimoce.config import EstimatorSpec, ExperimentConfig, SweepSpec, SystemConfig
+from mimoce.estimators import approx_mmse_filter, improved_mmse_filter
 from mimoce.harness import (
     NmseResult,
     ZeroTraceCovariance,
+    _RunState,
+    _streams,
     nmse,
     run_single,
     run_sweep,
 )
+from mimoce.linalg import NotPositiveDefinite
 
 
 def small_config(**overrides):
@@ -68,6 +73,77 @@ class TestNmse:
     def test_zero_trace_rejected(self):
         with pytest.raises(ZeroTraceCovariance):
             nmse(np.ones(2), np.ones(2), np.zeros((2, 2)))
+
+    def test_batched_matches_per_vector(self):
+        rng = np.random.default_rng(1)
+        ues, blocks, n = 3, 5, 4
+        h = rng.standard_normal((ues, blocks, n)) + 1j * rng.standard_normal((ues, blocks, n))
+        h_hat = h + 0.3 * rng.standard_normal((ues, blocks, n))
+        covs = np.stack([(k + 1.0) * np.eye(n, dtype=complex) for k in range(ues)])
+        batched = nmse(h, h_hat, covs[:, None])
+        assert batched.shape == (ues, blocks)
+        for k in range(ues):
+            for b in range(blocks):
+                diff = h_hat[k, b] - h[k, b]
+                expected = np.vdot(diff, diff).real / np.trace(covs[k]).real
+                assert batched[k, b] == pytest.approx(expected, rel=1e-14)
+
+    def test_zero_trace_in_stack_rejected(self):
+        covs = np.stack([np.eye(2), np.zeros((2, 2)), np.eye(2)])
+        with pytest.raises(ZeroTraceCovariance):
+            nmse(np.ones((3, 2)), np.zeros((3, 2)), covs)
+
+
+def improved_reference(state, rank, rows, d_random):
+    """Per-(block, UE) loop: one improved filter built and applied per vector."""
+    ues, b_blocks, _ = d_random.shape
+    h_hat = np.empty_like(d_random)
+    fallbacks = 0
+    for b in range(b_blocks):
+        center_row = rows[b, 0]
+        for k in range(ues):
+            try:
+                filt = improved_mmse_filter(
+                    state.pilot_covs[k], state.lowranks[rank], center_row, k,
+                    state.system.tau_p, state.power,
+                )
+                w, degraded = filt.w, filt.clamped
+            except NotPositiveDefinite:
+                w = approx_mmse_filter(state.lowranks[rank][k], state.power).w
+                degraded = True
+            h_hat[k, b] = d_random[k, b] @ w.conj()
+            fallbacks += degraded
+    return h_hat, fallbacks
+
+
+class TestImprovedEstimates:
+    def test_grouped_matches_per_vector_loop(self):
+        # tau_p = 2 with 4 UEs per cell: sharing patterns repeat across
+        # blocks, and the short training window makes many filters clamped.
+        system = SystemConfig(
+            cells=7, ues_per_cell=4, antennas=8, tau_p=2, tau_u=6, blocks=20,
+            noise_power=0.2,
+        )
+        spec = EstimatorSpec("gevd_impr", rank=3)
+        config = small_config(system=system, estimators=[spec])
+        state = _RunState(config, system, _streams((3, 0)))
+        rng = np.random.default_rng(2)
+        shape = (system.ues_per_cell, 30, system.antennas)
+        d_random = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        rows = allocate_pilots(30, 7, system.ues_per_cell, system.tau_p, "random", rng).indices
+
+        expected, expected_fallbacks = improved_reference(state, 3, rows, d_random)
+        # two batches, so the second one is served from the filter cache
+        got = np.concatenate(
+            [
+                state._improved_estimates(3, spec.label, rows[:17], d_random[:, :17]),
+                state._improved_estimates(3, spec.label, rows[17:], d_random[:, 17:]),
+            ],
+            axis=1,
+        )
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert 0 < expected_fallbacks < d_random.shape[0] * d_random.shape[1]
+        assert state.fallbacks[spec.label] == expected_fallbacks
 
 
 class TestRunSingle:

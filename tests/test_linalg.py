@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from mimoce.linalg import (
-    ConvergenceFailure,
     GevdResult,
     NotPositiveDefinite,
     cholesky,
     gevd,
-    hermitian_eig,
     hermitize,
+    load_diagonal,
     psd_factor,
     solve_hermitian,
 )
@@ -57,33 +56,6 @@ class TestCholesky:
             cholesky(np.outer(a, a).astype(complex))
 
 
-class TestHermitianEig:
-    def test_identity(self):
-        w, v = hermitian_eig(np.eye(3, dtype=complex))
-        assert np.allclose(w, 1.0)
-        assert np.allclose(v @ v.conj().T, np.eye(3))
-
-    def test_diagonal_sorted_descending(self):
-        w, v = hermitian_eig(np.diag([5.0, 2.0, -1.0]).astype(complex))
-        assert np.allclose(w, [5.0, 2.0, -1.0])
-        # eigenvectors are signed unit vectors permuted to the sort order
-        assert np.allclose(np.abs(v), np.eye(3)[:, [0, 1, 2]])
-
-    def test_rank_one(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        w, _ = hermitian_eig(np.outer(a, a.conj()))
-        assert abs(w[0] - np.vdot(a, a).real) <= 1e-10 * np.vdot(a, a).real
-        assert np.all(np.abs(w[1:]) <= 1e-10 * np.vdot(a, a).real)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(6)
-        h = random_hermitian(rng, 10)
-        w, v = hermitian_eig(h)
-        assert rel_err(v @ np.diag(w) @ v.conj().T, h) <= 1e-10
-        assert np.linalg.norm(v.conj().T @ v - np.eye(10)) <= 1e-10 * 10
-
-
 class TestGevd:
     def check_invariants(self, a, b, res: GevdResult, tol=1e-9):
         n = a.shape[0]
@@ -107,8 +79,7 @@ class TestGevd:
         rng = np.random.default_rng(3)
         a = random_hermitian(rng, 9)
         res = gevd(a, np.eye(9, dtype=complex))
-        w, _ = hermitian_eig(a)
-        assert np.allclose(res.eigenvalues, w, atol=1e-10)
+        assert np.allclose(res.eigenvalues, np.linalg.eigvalsh(a)[::-1], atol=1e-10)
 
     def test_rank_structured_pencil(self):
         # a = b + w w^H forces all eigenvalues >= 1 with exactly
@@ -137,6 +108,12 @@ class TestGevd:
     def test_propagates_not_positive_definite(self):
         with pytest.raises(NotPositiveDefinite):
             gevd(np.eye(3, dtype=complex), np.diag([1.0, 0.0, 1.0]).astype(complex))
+
+    def test_rejects_b_below_pivot_floor(self):
+        # LAPACK factorizes this b (its pivot is positive), but the pivot
+        # lies below the scale-aware floor of `cholesky`.
+        with pytest.raises(NotPositiveDefinite):
+            gevd(np.eye(3, dtype=complex), np.diag([1.0, 1e-17, 1.0]).astype(complex))
 
     @pytest.mark.parametrize("n", [4, 16, 33])
     def test_random_pencils(self, n):
@@ -178,3 +155,31 @@ class TestPsdFactor:
         f = psd_factor(h)
         assert np.all(np.isfinite(f))
         assert rel_err(f @ f.conj().T, np.diag([1.0, 0.0])) <= 1e-12
+
+    def test_stack_matches_per_matrix(self):
+        # The clamp floor is per matrix: a tiny-scale matrix next to a large
+        # one keeps its own spectrum.
+        rng = np.random.default_rng(13)
+        stack = np.stack(
+            [
+                random_hpd(rng, 5),
+                1e-15 * np.diag([1.0, 2.0, 3.0, 4.0, 5.0]).astype(complex),
+                np.diag([2.0, -1e-15, 0.0, 1.0, 3.0]).astype(complex),
+                np.zeros((5, 5), dtype=complex),
+            ]
+        ).reshape(2, 2, 5, 5)
+        factors = psd_factor(stack)
+        assert factors.shape == stack.shape
+        for index in np.ndindex(2, 2):
+            assert np.array_equal(factors[index], psd_factor(stack[index]))
+
+
+class TestLoadDiagonal:
+    def test_relative_to_mean_diagonal(self):
+        m = np.array([[2.0, 1.0j], [-1.0j, 4.0]])
+        assert np.allclose(load_diagonal(m, 0.5), m + 1.5 * np.eye(2))
+
+    def test_zero_factor_is_identity(self):
+        rng = np.random.default_rng(14)
+        m = random_hpd(rng, 4)
+        assert np.array_equal(load_diagonal(m, 0.0), m)
