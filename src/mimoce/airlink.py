@@ -149,12 +149,16 @@ def simulate_blocks(
 def despread_batch(
     pilot_rx: np.ndarray, pilot_book: PilotBook, b: np.ndarray
 ) -> np.ndarray:
-    """Correlate each block's pilot-phase signal with its conjugate pilot.
+    """Correlate each block's pilot-phase signal with conjugate pilots.
 
-    pilot_rx has shape (B, N, tau_p) and b holds one pilot index per block;
-    returns (B, N) with rows sum_p pilot_rx[t, :, p] * conj(s_b[t](p)).  A
-    UE that transmitted pilot b[t] at power p contributes sqrt(p) * tau_p * h,
-    while UEs on orthogonal pilots cancel exactly.
+    pilot_rx has shape (B, N, tau_p) and b holds pilot indices of shape
+    (B, ...): one index per block, or several, e.g. (B, K) for every
+    center UE of the block.  Returns (B, ..., N) with entries
+    sum_p pilot_rx[t, :, p] * conj(s_b[t, ...](p)), all from one matmul.
+    A UE that transmitted pilot b at power p contributes
+    sqrt(p) * tau_p * h, while UEs on orthogonal pilots cancel exactly.
     """
-    seq = pilot_book.sequences[np.asarray(b)]
-    return (pilot_rx @ np.conj(seq)[..., None])[..., 0]
+    b = np.asarray(b)
+    seq = pilot_book.sequences[b.reshape(len(b), -1)]  # (B, M, tau_p)
+    d = np.conj(seq) @ pilot_rx.transpose(0, 2, 1)  # (B, M, N), C-contiguous
+    return d.reshape(*b.shape, pilot_rx.shape[1])

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import psd_factor
 from .seeding import complex_normal, ensure_rng
@@ -109,24 +108,29 @@ def build_geometry(
     )
 
 
-def steering_vector(n_antennas: int, angle: float) -> np.ndarray:
-    """ULA response to a plane wave from `angle`, half-wavelength spacing."""
+def steering_vector(n_antennas: int, angle) -> np.ndarray:
+    """ULA response to a plane wave from `angle`, half-wavelength spacing.
+
+    Broadcasts over an array of angles: shape (..., N).
+    """
     m = np.arange(n_antennas)
-    return np.exp(1j * np.pi * m * np.sin(angle))
+    return np.exp(1j * np.pi * m * np.sin(np.asarray(angle))[..., None])
+
+
+# Gauss-Legendre nodes of the local scattering quadrature.
+QUAD_POINTS = 200
 
 
 @lru_cache(maxsize=8)
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+    return np.polynomial.legendre.leggauss(order)
 
 
 def local_scattering_covariance(
     n_antennas: int,
-    nominal_angle: float,
+    nominal_angle,
     half_spread: float,
-    gain: float = 1.0,
-    quad_points: int = 200,
+    gain=1.0,
     single_path: bool = False,
 ) -> np.ndarray:
     """Spatial covariance of a ULA link under the local scattering model.
@@ -136,8 +140,10 @@ def local_scattering_covariance(
 
         R[m, n] = gain * mean over the interval of exp(i pi (m - n) sin t)
 
-    evaluated by Gauss-Legendre quadrature.  The matrix is Hermitian
-    Toeplitz and PSD, with all diagonal entries equal to `gain`.
+    evaluated by QUAD_POINTS-point Gauss-Legendre quadrature.  The matrix
+    is Hermitian Toeplitz and PSD, with all diagonal entries equal to
+    `gain`.  nominal_angle and gain broadcast against each other; arrays of
+    shape S give covariances of shape (*S, N, N), one per link.
 
     With single_path=True the zero-spread limit is returned instead: the
     rank-1 matrix gain * a a^H built from the steering vector.
@@ -147,11 +153,12 @@ def local_scattering_covariance(
     InvalidSpread
         If half_spread <= 0 and the single-path limit was not requested.
     """
-    if gain <= 0:
+    gain = np.asarray(gain)[..., None, None]
+    if np.any(gain <= 0):
         raise ValueError("gain must be positive")
     if single_path:
         a = steering_vector(n_antennas, nominal_angle)
-        return gain * np.outer(a, a.conj())
+        return gain * (a[..., :, None] * a[..., None, :].conj())
     if half_spread <= 0:
         raise InvalidSpread(
             "half_spread must be positive (pass single_path=True for the zero-spread limit)"
@@ -159,35 +166,29 @@ def local_scattering_covariance(
     if half_spread >= np.pi / 2:
         raise InvalidSpread("half_spread must be below pi/2")
 
-    nodes, weights = _gauss_legendre(quad_points)
-    theta = nominal_angle + half_spread * nodes
+    nodes, weights = _gauss_legendre(QUAD_POINTS)
+    theta = np.asarray(nominal_angle)[..., None] + half_spread * nodes  # (..., Q)
     lags = np.arange(n_antennas)
-    # First column of the Toeplitz matrix: entries for m - n = 0 .. N-1.
+    # First columns of the Toeplitz matrices: entries for m - n = 0 .. N-1.
     # weights sum to 2, so weights/2 realizes the 1/(2*half_spread) average.
-    column = np.exp(1j * np.pi * np.outer(lags, np.sin(theta))) @ (weights / 2.0)
-    return gain * scipy.linalg.toeplitz(column)
+    phase = lags[:, None] * np.sin(theta)[..., None, :]  # (..., N, Q)
+    column = np.exp(1j * np.pi * phase) @ (weights / 2.0)
+    # As scipy.linalg.toeplitz(column): column[0] on the diagonal, column
+    # below it and its conjugate above it, gathered by lag m - n.
+    values = np.concatenate([column[..., 1:].conj()[..., ::-1], column], axis=-1)
+    return gain * values[..., n_antennas - 1 + lags[:, None] - lags[None, :]]
 
 
 def bs_covariances(
-    geometry: NetworkGeometry,
-    bs: int,
-    n_antennas: int,
-    half_spread: float,
-    quad_points: int = 200,
+    geometry: NetworkGeometry, bs: int, n_antennas: int, half_spread: float
 ) -> np.ndarray:
     """Covariances of every UE's channel toward one BS, shape (L, K, N, N)."""
-    cells, ues = geometry.link_gains.shape[1:]
-    out = np.empty((cells, ues, n_antennas, n_antennas), dtype=complex)
-    for cell in range(cells):
-        for k in range(ues):
-            out[cell, k] = local_scattering_covariance(
-                n_antennas,
-                geometry.nominal_angles[bs, cell, k],
-                half_spread,
-                gain=geometry.link_gains[bs, cell, k],
-                quad_points=quad_points,
-            )
-    return out
+    return local_scattering_covariance(
+        n_antennas,
+        geometry.nominal_angles[bs],
+        half_spread,
+        gain=geometry.link_gains[bs],
+    )
 
 
 def covariance_factors(covariances: np.ndarray) -> np.ndarray:

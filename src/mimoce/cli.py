@@ -256,6 +256,10 @@ def main(argv: list[str] | None = None) -> int:
         print(validate_config(config))
         return EXIT_OK
 
+    if args.workers < 1:
+        print("config error: violated invariant: --workers >= 1", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+
     if args.seed is not None:
         config.master_seed = args.seed
         try:

@@ -27,6 +27,10 @@ KNOWN_ESTIMATORS = {
 
 RANKED_KINDS = ("gevd", "gevd_impr")
 
+# Kinds built from sample covariances of training blocks; separating the
+# pilot covariance into its parts needs tau_p >= 2.
+DATA_DRIVEN_KINDS = frozenset({"subt", "gevd", "gevd_impr"})
+
 SWEEP_VARIABLES = ("T", "tau_p")
 
 
@@ -56,7 +60,7 @@ class SystemConfig:
 
     def validate(self) -> None:
         checks = [
-            (self.cells >= 1, "cells >= 1"),
+            (self.cells in (1, 7), "cells in (1, 7)"),
             (self.ues_per_cell >= 1, "ues_per_cell >= 1"),
             (self.antennas >= 1, "antennas >= 1"),
             (self.tau_p >= 1, "tau_p >= 1"),
@@ -168,6 +172,13 @@ class ExperimentConfig:
             # tau_p = 1 leaves the covariance separation undefined.
             if any(v < 2 for v in self.sweep.values):
                 raise ConfigInvalid("violated invariant: tau_p sweep values >= 2")
+        elif self.system.tau_p < 2 and any(
+            spec.kind in DATA_DRIVEN_KINDS for spec in self.estimators
+        ):
+            raise ConfigInvalid(
+                "violated invariant: tau_p >= 2 for data-driven estimators"
+                f" ({', '.join(sorted(DATA_DRIVEN_KINDS))})"
+            )
 
     def system_for(self, sweep_value: int) -> SystemConfig:
         """System parameters with the sweep variable replaced."""

@@ -30,15 +30,11 @@ IMPROVED_EIG_FLOOR = 8e-3
 class MmseFilter:
     """Linear channel-estimation filter; the estimate is w^H y.
 
-    block_dependent marks filters that must be rebuilt per coherence block
-    (only the improved filter, whose matrix depends on the block's
-    intra-cell pilot choices).
+    clamped marks an improved filter whose corrected pilot covariance had
+    its spectrum floored (see improved_mmse_filter).
     """
 
     w: np.ndarray  # (N, N)
-    kind: str
-    block_dependent: bool = False
-    rank_effective: int | None = None
     clamped: bool = False
 
     def apply(self, y_pilot: np.ndarray) -> np.ndarray:
@@ -50,19 +46,16 @@ class MmseFilter:
         return np.asarray(y_pilot) @ self.w.conj()
 
 
-def mmse_optimal_filter(
-    r_pilot, r_cov, power: float, kind: str = "optimal"
-) -> MmseFilter:
+def mmse_optimal_filter(r_pilot, r_cov, power: float) -> MmseFilter:
     """MMSE filter W = sqrt(power) * r_pilot^{-1} r_cov.
 
     With the true pilot-phase covariance and the true channel covariance
     this is the linear filter minimizing E||h - W^H y||^2 for the despread
     signal under random pilot allocation.  Passing estimated matrices
-    yields the corresponding data-driven filter (`kind` labels the
-    variant).
+    yields the corresponding data-driven filter.
     """
     w = np.sqrt(power) * solve_hermitian(_matrix_of(r_pilot), _matrix_of(r_cov))
-    return MmseFilter(w=w, kind=kind)
+    return MmseFilter(w=w)
 
 
 def approx_mmse_filter(lowrank: LowRankCovEstimate, power: float) -> MmseFilter:
@@ -78,7 +71,7 @@ def approx_mmse_filter(lowrank: LowRankCovEstimate, power: float) -> MmseFilter:
     else:
         v = lowrank.lam / lowrank.sigma
         w = (lowrank.x * v) @ lowrank.q.conj().T / np.sqrt(power)
-    return MmseFilter(w=w, kind="approximate", rank_effective=lowrank.rank_effective)
+    return MmseFilter(w=w)
 
 
 def approx_mmse_estimate(
@@ -143,13 +136,7 @@ def improved_mmse_filter(
         eigenvalues = np.maximum(eigenvalues, IMPROVED_EIG_FLOOR * eigenvalues[-1])
     target = intracell_lowranks[ue].scaled_matrix
     w = (basis / eigenvalues) @ (basis.conj().T @ target)
-    return MmseFilter(
-        w=w / np.sqrt(power),
-        kind="improved",
-        block_dependent=True,
-        rank_effective=intracell_lowranks[ue].rank_effective,
-        clamped=clamped,
-    )
+    return MmseFilter(w=w / np.sqrt(power), clamped=clamped)
 
 
 def ls_estimate(y_pilot: np.ndarray, power: float, tau_p: int) -> np.ndarray:
@@ -181,4 +168,4 @@ def mmse_fixed_filter(
     for r_i, p_i in shared:
         m = m + p_i * tau_p * np.asarray(r_i, dtype=complex)
     w = np.sqrt(power_desired) * solve_hermitian(hermitize(m), r_desired)
-    return MmseFilter(w=w, kind="mmse_fixed")
+    return MmseFilter(w=w)

@@ -7,6 +7,12 @@ evaluation blocks.  Sweeps repeat this over a grid of T or tau_p values
 and average across seeded Monte-Carlo runs; all randomness is derived
 from the master seed with explicit keys, so results are reproducible and
 independent of the worker-thread count.
+
+Training and evaluation share one receive path: batches of channel draws
+(`_RunState._batches`), each received under a pilot allocation into raw
+antenna samples and the despread vectors of all center UEs
+(`_RunState._receive`).  Every estimator is a filter applied to those
+vectors: a per-UE (K, N, N) stack, or per pilot pattern for gevd_impr.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .channel import (
     sample_channels,
     steering_vector,
 )
-from .config import ExperimentConfig, SystemConfig
+from .config import DATA_DRIVEN_KINDS, ExperimentConfig, SystemConfig
 from .covest import (
     AllCovAccumulator,
     estimate_pilot_cov,
@@ -63,12 +69,18 @@ _STREAMS = {
     "eval_alloc": 4,
     "eval_channels": 5,
     "eval_signals_random": 6,
-    "eval_signals_fixed": 7,
+    "eval_signals_fixed_cyclic": 7,
 }
 
-_DATA_DRIVEN = {"subt", "gevd", "gevd_impr"}
-_RANDOM_ALLOC = {"mmse_random", "subt", "gevd", "gevd_impr"}
-_FIXED_ALLOC = {"ls_fixed", "mmse_fixed"}
+# Pilot allocation under which each estimator kind is evaluated.
+_ALLOCATION = {
+    "mmse_random": "random",
+    "subt": "random",
+    "gevd": "random",
+    "gevd_impr": "random",
+    "ls_fixed": "fixed_cyclic",
+    "mmse_fixed": "fixed_cyclic",
+}
 
 
 class ZeroTraceCovariance(ValueError):
@@ -116,13 +128,13 @@ def _streams(run_seed) -> dict[str, np.random.Generator]:
     return {name: derive_rng(*keys, i) for name, i in _STREAMS.items()}
 
 
-def _mmse_form_filter(pilot_matrix, target, power, kind):
+def _mmse_form_filter(pilot_matrix, target, power):
     """MMSE-form filter sqrt(p) pilot^{-1} target with one loading retry."""
     try:
-        return mmse_optimal_filter(pilot_matrix, target, power, kind=kind), 0
+        return mmse_optimal_filter(pilot_matrix, target, power), 0
     except NotPositiveDefinite:
         loaded = load_diagonal(pilot_matrix, FALLBACK_LOADING)
-        return mmse_optimal_filter(loaded, target, power, kind=kind), 1
+        return mmse_optimal_filter(loaded, target, power), 1
 
 
 class _RunState:
@@ -167,7 +179,7 @@ class _RunState:
         self.pilot_covs = None
         self.all_cov = None
         self.lowranks: dict[int, list] = {}
-        if self.kinds & _DATA_DRIVEN:
+        if self.kinds & DATA_DRIVEN_KINDS:
             self._estimate_covariances()
         self._build_static_filters()
 
@@ -180,47 +192,46 @@ class _RunState:
             + self.r_nn
         )
 
+    def _batches(self, total: int, channels_stream: np.random.Generator):
+        """Yield (block slice, channels (B, L, K, N)) per batch of `total` blocks."""
+        for start in range(0, total, BATCH_BLOCKS):
+            stop = min(start + BATCH_BLOCKS, total)
+            h = sample_channels(self.factors, channels_stream, blocks=stop - start)
+            yield slice(start, stop), h
+
+    def _receive(self, h, rows, signals_stream, tau_u: int):
+        """Receive a batch under pilot rows (B, L, K).
+
+        Returns pilot_rx (B, N, tau_p), data_rx (B, N, tau_u) and the
+        despread pilot vectors of every center UE, shape (K, B, N).
+        """
+        pilot_rx, data_rx = simulate_blocks(
+            h, rows, self.book, self.powers, self.noise_factor, signals_stream, tau_u
+        )
+        d = despread_batch(pilot_rx, self.book, rows[:, 0])  # (B, K, N)
+        return pilot_rx, data_rx, d.transpose(1, 0, 2)
+
     def _estimate_covariances(self) -> None:
         sysc = self.system
         cells, ues, n = sysc.cells, sysc.ues_per_cell, sysc.antennas
-        alloc = allocate_pilots(
+        rows = allocate_pilots(
             sysc.blocks, cells, ues, sysc.tau_p, "random", self.rngs["est_alloc"]
-        )
+        ).indices
         acc = AllCovAccumulator(n)
-        despread_store: list[list[np.ndarray]] = [[] for _ in range(ues)]
-        for start in range(0, sysc.blocks, BATCH_BLOCKS):
-            stop = min(start + BATCH_BLOCKS, sysc.blocks)
-            h = sample_channels(
-                self.factors, self.rngs["est_channels"], blocks=stop - start
-            )
-            pilot_rx, data_rx = simulate_blocks(
-                h,
-                alloc.indices[start:stop],
-                self.book,
-                self.powers,
-                self.noise_factor,
-                self.rngs["est_signals"],
-                sysc.tau_u,
+        despread = np.empty((ues, sysc.blocks, n), dtype=complex)
+        for blocks, h in self._batches(sysc.blocks, self.rngs["est_channels"]):
+            pilot_rx, data_rx, d = self._receive(
+                h, rows[blocks], self.rngs["est_signals"], sysc.tau_u
             )
             acc.add(np.concatenate([pilot_rx, data_rx], axis=2))
-            for k in range(ues):
-                despread_store[k].append(
-                    despread_batch(pilot_rx, self.book, alloc.indices[start:stop, 0, k])
-                )
+            despread[:, blocks] = d
         self.all_cov = acc.estimate()
         self.pilot_covs = [
-            estimate_pilot_cov(
-                np.concatenate(despread_store[k]), sysc.tau_p, sysc.cov_loading
-            )
+            estimate_pilot_cov(despread[k], sysc.tau_p, sysc.cov_loading)
             for k in range(ues)
         ]
-        ranks = sorted(
-            {
-                spec.rank
-                for spec in self.config.estimators
-                if spec.kind in ("gevd", "gevd_impr")
-            }
-        )
+        # Only the ranked kinds (gevd, gevd_impr) carry a rank.
+        ranks = sorted({spec.rank for spec in self.config.estimators if spec.rank})
         for rank in ranks:
             self.lowranks[rank] = [
                 gevd_lowrank_estimator(
@@ -251,7 +262,7 @@ class _RunState:
                         self.pilot_covs[k], self.all_cov, sysc.tau_p, self.power
                     )
                     filt, events = _mmse_form_filter(
-                        self.pilot_covs[k].matrix, estimate, self.power, "subt"
+                        self.pilot_covs[k].matrix, estimate, self.power
                     )
                     self.fallbacks[spec.label] += events
                     w.append(filt.w)
@@ -274,69 +285,47 @@ class _RunState:
                             self.covs[0, k], self.power, shared, self.r_nn, sysc.tau_p
                         ).w
                     )
+            elif spec.kind == "ls_fixed":
+                w = [ls_estimate(np.eye(sysc.antennas), self.power, sysc.tau_p)] * ues
             else:
-                continue  # ls_fixed needs no filter; gevd_impr is per block
+                continue  # gevd_impr depends on the block's pilot pattern
             self.static_filters[spec.label] = np.stack(w)
 
     def evaluate(self, eval_blocks: int) -> dict[str, float]:
         """Mean NMSE per estimator over fresh held-out blocks."""
         sysc = self.system
-        cells, ues = sysc.cells, sysc.ues_per_cell
         self._impr_cache = {}
         err = {spec.label: 0.0 for spec in self.config.estimators}
-
-        need_random = bool(self.kinds & _RANDOM_ALLOC)
-        need_fixed = bool(self.kinds & _FIXED_ALLOC)
-        rand_alloc = (
-            allocate_pilots(
-                eval_blocks, cells, ues, sysc.tau_p, "random", self.rngs["eval_alloc"]
-            )
-            if need_random
-            else None
-        )
-        fixed_alloc = allocate_pilots(eval_blocks, cells, ues, sysc.tau_p, "fixed_cyclic")
-
-        for start in range(0, eval_blocks, BATCH_BLOCKS):
-            stop = min(start + BATCH_BLOCKS, eval_blocks)
-            h = sample_channels(
-                self.factors, self.rngs["eval_channels"], blocks=stop - start
-            )
+        # Only the allocations in use are drawn; all of them see the same
+        # channel draws.
+        modes = sorted({_ALLOCATION[kind] for kind in self.kinds})
+        rows = {
+            mode: allocate_pilots(
+                eval_blocks, sysc.cells, sysc.ues_per_cell, sysc.tau_p, mode,
+                self.rngs["eval_alloc"],
+            ).indices
+            for mode in modes
+        }
+        for blocks, h in self._batches(eval_blocks, self.rngs["eval_channels"]):
             h_center = np.moveaxis(h[:, 0], 0, 1)  # (K, B, N)
-            d_random = d_fixed = None
-            if need_random:
-                rows = rand_alloc.indices[start:stop]
-                pilot_rx, _ = simulate_blocks(
-                    h, rows, self.book, self.powers, self.noise_factor,
-                    self.rngs["eval_signals_random"], 0,
-                )
-                d_random = np.stack(
-                    [despread_batch(pilot_rx, self.book, rows[:, 0, k]) for k in range(ues)]
-                )  # (K, B, N)
-            if need_fixed:
-                frows = fixed_alloc.indices[start:stop]
-                pilot_rx, _ = simulate_blocks(
-                    h, frows, self.book, self.powers, self.noise_factor,
-                    self.rngs["eval_signals_fixed"], 0,
-                )
-                d_fixed = np.stack(
-                    [despread_batch(pilot_rx, self.book, frows[:, 0, k]) for k in range(ues)]
-                )
-
+            despread = {
+                mode: self._receive(
+                    h, rows[mode][blocks], self.rngs[f"eval_signals_{mode}"], 0
+                )[2]
+                for mode in modes
+            }
             for spec in self.config.estimators:
-                if spec.kind == "ls_fixed":
-                    h_hat = ls_estimate(d_fixed, self.power, sysc.tau_p)
-                elif spec.kind == "gevd_impr":
+                d = despread[_ALLOCATION[spec.kind]]
+                if spec.kind == "gevd_impr":
                     h_hat = self._improved_estimates(
-                        spec.rank, spec.label, rand_alloc.indices[start:stop], d_random
+                        spec.rank, spec.label, rows["random"][blocks], d
                     )
                 else:
-                    w = self.static_filters[spec.label]  # (K, N, N)
-                    d = d_fixed if spec.kind in _FIXED_ALLOC else d_random
-                    h_hat = d @ w.conj()  # as MmseFilter.apply, one filter per UE
+                    h_hat = d @ self.static_filters[spec.label].conj()
                 err[spec.label] += float(
                     nmse(h_center, h_hat, self.covs[0][:, None]).sum()
                 )
-        total = eval_blocks * ues
+        total = eval_blocks * sysc.ues_per_cell
         return {label: value / total for label, value in err.items()}
 
     def _improved_estimates(

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mimoce.channel import (
+    QUAD_POINTS,
     InvalidSpread,
     UnsupportedLayout,
     bs_covariances,
@@ -112,6 +114,41 @@ class TestLocalScattering:
                 2 * delta
             )
             assert abs(r[lag, 0] - ref) < 1e-8
+
+    @pytest.mark.parametrize("single_path", [False, True])
+    def test_stack_matches_per_link(self, single_path):
+        # the broadcast call against a per-link quadrature and Toeplitz build
+        n, delta = 9, np.deg2rad(10)
+        geo = build_geometry(7, 3, rng=4)
+        angles, gains = geo.nominal_angles[0], geo.link_gains[0]
+        stack = local_scattering_covariance(
+            n, angles, delta, gain=gains, single_path=single_path
+        )
+        assert stack.shape == (7, 3, n, n)
+        nodes, weights = np.polynomial.legendre.leggauss(QUAD_POINTS)
+        for l in range(7):
+            for k in range(3):
+                if single_path:
+                    a = steering_vector(n, angles[l, k])
+                    ref = gains[l, k] * np.outer(a, a.conj())
+                else:
+                    theta = angles[l, k] + delta * nodes
+                    column = np.exp(
+                        1j * np.pi * np.outer(np.arange(n), np.sin(theta))
+                    ) @ (weights / 2)
+                    ref = gains[l, k] * scipy.linalg.toeplitz(column)
+                assert np.linalg.norm(stack[l, k] - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    def test_bs_covariances_per_link(self):
+        geo = build_geometry(7, 2, rng=5)
+        covs = bs_covariances(geo, 3, 6, np.deg2rad(10))
+        assert covs.shape == (7, 2, 6, 6)
+        for l in range(7):
+            for k in range(2):
+                link = local_scattering_covariance(
+                    6, geo.nominal_angles[3, l, k], np.deg2rad(10), gain=geo.link_gains[3, l, k]
+                )
+                assert np.array_equal(covs[l, k], link)
 
     def test_dominant_eigenvalue_count_large_array(self):
         r = local_scattering_covariance(100, 0.0, np.deg2rad(10))

@@ -15,7 +15,7 @@ from mimoce.cli import (
     parse_config,
     validate_config,
 )
-from mimoce.config import ConfigInvalid, EstimatorSpec, ExperimentConfig
+from mimoce.config import ConfigInvalid, EstimatorSpec, ExperimentConfig, SystemConfig
 from mimoce.harness import NmseResult
 
 FAST_CONFIG = """
@@ -147,10 +147,8 @@ class TestValidate:
         assert "covariance storage" in report
         assert "total simulated blocks" in report
 
-    def test_unsupported_layout_flagged(self, tmp_path):
-        path = tmp_path / "cfg.yaml"
-        path.write_text("system:\n  cells: 3\n")
-        config = parse_config(path)
+    def test_unsupported_layout_flagged(self):
+        config = ExperimentConfig(system=SystemConfig(cells=3))
         report = validate_config(config)
         assert "ISSUES FOUND" in report
         assert "UnsupportedLayout" in report
@@ -191,6 +189,41 @@ class TestMain:
         argv = [command, "--config", str(fast_config_path), "--set", override]
         assert main(argv) == EXIT_CONFIG_ERROR
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            (["system.tau_p=1", "estimators=[{kind: subt}]"], "tau_p >= 2"),
+            (["system.tau_p=1", "estimators=[{kind: gevd, rank: 2}]"], "tau_p >= 2"),
+            (["system.tau_p=1", "estimators=[{kind: gevd_impr, rank: 2}]"], "tau_p >= 2"),
+            (["system.cells=3"], "cells in (1, 7)"),
+        ],
+        ids=["tau_p_1_subt", "tau_p_1_gevd", "tau_p_1_gevd_impr", "cells_3"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_broken_invariant_exit_code(
+        self, fast_config_path, tmp_path, capsys, command, overrides, named
+    ):
+        argv = [command, "--config", str(fast_config_path)]
+        for override in overrides:
+            argv += ["--set", override]
+        if command == "run":
+            argv += ["--output", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG_ERROR
+        assert f"violated invariant: {named}" in capsys.readouterr().err
+
+    def test_tau_p_1_allowed_without_data_driven_estimators(self, fast_config_path):
+        overrides = ["--set", "system.tau_p=1",
+                     "--set", "estimators=[{kind: mmse_random}, {kind: ls_fixed}]"]
+        assert main(["validate", "--config", str(fast_config_path), *overrides]) == EXIT_OK
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_nonpositive_workers_exit_code(self, fast_config_path, tmp_path, capsys, workers):
+        argv = ["run", "--config", str(fast_config_path), "--workers", workers,
+                "--output", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG_ERROR
+        assert "--workers >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "nope.yaml")]) == EXIT_CONFIG_ERROR

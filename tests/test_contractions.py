@@ -71,6 +71,19 @@ def case_despread_batch(rng, impl):
     return (np.einsum("bnp,bp->bn", pilot_rx, np.conj(book.sequences[b])),)
 
 
+def case_despread_batch_per_ue(rng, impl):
+    book = make_pilot_book(TAU_P)
+    pilot_rx = cn(rng, B, N, TAU_P)
+    b = rng.integers(0, TAU_P, size=(B, K))
+    if impl == "matmul":
+        return (despread_batch(pilot_rx, book, b),)
+    columns = [
+        np.einsum("bnp,bp->bn", pilot_rx, np.conj(book.sequences[b[:, k]]))
+        for k in range(K)
+    ]
+    return (np.stack(columns, axis=1),)
+
+
 def case_estimate_pilot_cov(rng, impl):
     y = cn(rng, B, N)
     if impl == "matmul":
@@ -83,7 +96,7 @@ def case_filter_apply(rng, impl):
     w = cn(rng, N, N)
     y = cn(rng, K, B, N)
     if impl == "matmul":
-        return (MmseFilter(w=w, kind="test").apply(y),)
+        return (MmseFilter(w=w).apply(y),)
     return (np.einsum("nm,...n->...m", w.conj(), y),)
 
 
@@ -94,6 +107,7 @@ def case_filter_apply(rng, impl):
         case_simulate_blocks(7),
         case_sample_channels,
         case_despread_batch,
+        case_despread_batch_per_ue,
         case_estimate_pilot_cov,
         case_filter_apply,
     ],
@@ -102,6 +116,7 @@ def case_filter_apply(rng, impl):
         "simulate_blocks_tau_u_7",
         "sample_channels",
         "despread_batch",
+        "despread_batch_per_ue",
         "estimate_pilot_cov",
         "filter_apply",
     ],

@@ -109,7 +109,6 @@ class TestApproxFilter:
         low = gevd_lowrank_estimator(eye, eye, tau_p=4, power=1.0, rank=2)
         filt = approx_mmse_filter(low, 1.0)
         assert np.all(filt.w == 0)
-        assert filt.rank_effective == 0
 
     def test_matches_optimal_on_exact_lowrank_inputs(self):
         net = make_synthetic(np.random.default_rng(5), desired_rank=3)
@@ -212,7 +211,6 @@ class TestImprovedFilter:
         filt = improved_mmse_filter(r_pilot, [low], np.array([0]), 0, tau_p, power)
         expected = np.sqrt(power) * solve_hermitian(r_pilot, low.scaled_matrix / power)
         assert rel_err(filt.w, expected) <= 1e-9
-        assert filt.block_dependent
         assert not filt.clamped
 
     def test_no_collision_removes_intracell_terms(self):

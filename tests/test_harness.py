@@ -7,7 +7,7 @@ import pytest
 
 from mimoce.airlink import allocate_pilots
 from mimoce.config import EstimatorSpec, ExperimentConfig, SweepSpec, SystemConfig
-from mimoce.estimators import approx_mmse_filter, improved_mmse_filter
+from mimoce.estimators import approx_mmse_filter, improved_mmse_filter, ls_estimate
 from mimoce.harness import (
     NmseResult,
     ZeroTraceCovariance,
@@ -144,6 +144,21 @@ class TestImprovedEstimates:
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
         assert 0 < expected_fallbacks < d_random.shape[0] * d_random.shape[1]
         assert state.fallbacks[spec.label] == expected_fallbacks
+
+
+class TestStaticFilters:
+    def test_ls_fixed_filter_matches_ls_estimate(self):
+        config = small_config(estimators=[EstimatorSpec("ls_fixed")])
+        system = dataclasses.replace(config.system, uplink_power=0.7)
+        state = _RunState(config, system, _streams((4, 0)))
+        w = state.static_filters["ls_fixed"]
+        assert w.shape == (system.ues_per_cell, system.antennas, system.antennas)
+        rng = np.random.default_rng(3)
+        shape = (system.ues_per_cell, 11, system.antennas)
+        d = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        expected = ls_estimate(d, state.power, system.tau_p)
+        got = d @ w.conj()
+        assert np.linalg.norm(got - expected) <= 1e-15 * np.linalg.norm(expected)
 
 
 class TestRunSingle:
