@@ -98,6 +98,14 @@ def make_noise_covariance(
     return r
 
 
+def _unit_symbols(phases: np.ndarray) -> np.ndarray:
+    """exp(1j * phases), bit for bit, without the complex exponential."""
+    symbols = np.empty(phases.shape, dtype=complex)
+    np.cos(phases, out=symbols.real)
+    np.sin(phases, out=symbols.imag)
+    return symbols
+
+
 def simulate_blocks(
     channels: np.ndarray,
     pilot_indices: np.ndarray,
@@ -139,7 +147,8 @@ def simulate_blocks(
 
     if tau_u > 0:
         phases = rng.uniform(0.0, 2.0 * np.pi, size=(b_blocks, cells * ues, tau_u))
-        data_rx = weighted_t @ np.exp(1j * phases)
+        # A temporary, freed before the noise below is drawn.
+        data_rx = weighted_t @ _unit_symbols(phases)
         data_rx += noise_factor @ complex_normal(rng, (b_blocks, n, tau_u))
     else:
         data_rx = np.zeros((b_blocks, n, 0), dtype=complex)

@@ -16,6 +16,7 @@ threadpoolctl is not a dependency.
 from __future__ import annotations
 
 import ctypes
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,20 +62,53 @@ def openblas_libraries() -> list[OpenBlasLibrary]:
     return libraries
 
 
+class _Pin:
+    """Process-wide count of open single_threaded_blas() bodies.
+
+    The thread counts it changes are process-wide, so its state is too:
+    the first entry saves them and sets one thread, the last exit restores
+    them, and bodies that overlap, nested or in other threads, run at one
+    thread throughout.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.depth = 0
+        self.saved: list[tuple[OpenBlasLibrary, int]] = []
+
+    def enter(self) -> None:
+        with self.lock:
+            if self.depth == 0:
+                libraries = openblas_libraries()
+                self.saved = [(lib, lib.get_num_threads()) for lib in libraries]
+                for lib in libraries:
+                    lib.set_num_threads(1)
+            self.depth += 1
+
+    def exit(self) -> None:
+        with self.lock:
+            self.depth -= 1
+            if self.depth == 0:
+                for lib, count in self.saved:
+                    lib.set_num_threads(count)
+                self.saved = []
+
+
+_PIN = _Pin()
+
+
 @contextmanager
 def single_threaded_blas() -> Iterator[None]:
     """Run the body with every loaded OpenBLAS limited to one thread.
 
-    The previous thread counts are restored on exit, also when the body
-    raises.  A no-op where no OpenBLAS is loaded.  The setting is
-    process-wide: BLAS calls from other threads see it too.
+    The thread counts saved on the outermost entry are restored when the
+    last open body exits, also when a body raises.  Safe to nest and to
+    enter from several threads at once.  A no-op where no OpenBLAS is
+    loaded.  The setting is process-wide: BLAS calls from other threads
+    see it too.
     """
-    libraries = openblas_libraries()
-    saved = [lib.get_num_threads() for lib in libraries]
-    for lib in libraries:
-        lib.set_num_threads(1)
+    _PIN.enter()
     try:
         yield
     finally:
-        for lib, count in zip(libraries, saved):
-            lib.set_num_threads(count)
+        _PIN.exit()

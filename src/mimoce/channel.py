@@ -226,7 +226,9 @@ def sample_channels(
     squeeze = blocks is None
     b = 1 if blocks is None else blocks
     z = complex_normal(rng, (b, *lead, n))
-    h = (factors @ z[..., None])[..., 0]
+    # h^T = z^T F^T: one GEMM per link over all blocks, which reads z in
+    # place and leaves each channel vector contiguous.
+    h = np.moveaxis(np.moveaxis(z, 0, -2) @ np.swapaxes(factors, -1, -2), -2, 0)
     return h[0] if squeeze else h
 
 

@@ -13,13 +13,24 @@ Training and evaluation share one receive path: batches of channel draws
 antenna samples and the despread vectors of all center UEs
 (`_RunState._receive`).  Every estimator is a filter applied to those
 vectors: a per-UE (K, N, N) stack, or per pilot pattern for gevd_impr.
+
+The sweep points of one Monte-Carlo run draw from the same run-keyed
+streams, so what a point would draw exactly as another point of the run
+did is computed once per run (`_SharedRun`): the network and its
+statistics, and, among points with the same tau_p, the held-out blocks,
+the true-covariance filters and every full training batch.  Sharing
+leaves every result bit unchanged.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+import threading
+from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -82,6 +93,10 @@ _ALLOCATION = {
     "mmse_fixed": "fixed_cyclic",
 }
 
+# Kinds whose filters come from the true covariances alone, so they depend
+# on the sweep point only through tau_p.
+_TRUE_COVARIANCE_KINDS = ("mmse_random", "ls_fixed", "mmse_fixed")
+
 
 class ZeroTraceCovariance(ValueError):
     """Raised when the NMSE normalizer tr(R) is not positive."""
@@ -137,14 +152,81 @@ def _mmse_form_filter(pilot_matrix, target, power):
         return mmse_optimal_filter(loaded, target, power), 1
 
 
+@dataclass(frozen=True)
+class _TrainingBatch:
+    """State of a point's training after one full batch: the accumulator, a
+    copy of the batch's despread vectors (K, BATCH_BLOCKS, N) and the
+    positions of the two training streams that the batch advanced."""
+
+    acc: AllCovAccumulator
+    despread: np.ndarray
+    channels_state: dict
+    signals_state: dict
+
+
+class _SharedRun:
+    """What the sweep points of one Monte-Carlo run compute identically.
+
+    Streams are keyed by run index, so every point of a run builds the same
+    network, and points with the same tau_p draw the same held-out blocks
+    and the same true-covariance filters.  Training batch i is drawn with
+    the same shapes from the same stream positions at every T that has a
+    full batch i, and the pilot rows of a shorter window are a prefix of a
+    longer one's, so full batches are shared too; a partial last batch
+    draws other shapes and is never shared.  An item is kept only where two
+    points of the run need it; `lock` makes concurrent points compute it
+    once.
+    """
+
+    def __init__(self, systems: list[SystemConfig]):
+        self.lock = threading.Lock()
+        full = defaultdict(list)
+        for system in systems:
+            full[system.tau_p].append(system.blocks // BATCH_BLOCKS)
+        # How many points need a result keyed by this tau_p; None keys what
+        # no sweep variable changes, which every point needs.
+        self._points = Counter({tau_p: len(counts) for tau_p, counts in full.items()})
+        self._points[None] = len(systems)
+        # Batch i is kept when a second point of the same tau_p trains on it.
+        self._kept = {
+            tau_p: sorted(counts)[-2] if len(counts) > 1 else 0
+            for tau_p, counts in full.items()
+        }
+        self._store: dict[tuple, object] = {}
+
+    def get(self, key: tuple, compute):
+        """compute(), once per run where two points need it.
+
+        key[0] is the tau_p the result depends on, or None.
+        """
+        if self._points[key[0]] < 2:
+            return compute()
+        with self.lock:
+            if key not in self._store:
+                self._store[key] = compute()
+            return self._store[key]
+
+    def kept_batches(self, system: SystemConfig) -> int:
+        """Leading full training batches of this point that are shared."""
+        return min(self._kept.get(system.tau_p, 0), system.blocks // BATCH_BLOCKS)
+
+
 class _RunState:
     """Everything derived once per (sweep value, run): network, statistics,
-    sample covariances and the block-independent filters."""
+    sample covariances and the block-independent filters.  What does not
+    depend on the sweep point comes from `shared`."""
 
-    def __init__(self, config: ExperimentConfig, system: SystemConfig, rngs):
+    def __init__(
+        self,
+        config: ExperimentConfig,
+        system: SystemConfig,
+        rngs,
+        shared: _SharedRun | None = None,
+    ):
         self.config = config
         self.system = system
         self.rngs = rngs
+        self.shared = _SharedRun([system]) if shared is None else shared
         self.kinds = {spec.kind for spec in config.estimators}
         self.fallbacks = {spec.label: 0 for spec in config.estimators}
         self._impr_cache: dict[tuple, tuple[np.ndarray, bool]] = {}
@@ -153,35 +235,43 @@ class _RunState:
         self.power = sysc.uplink_power
         self.powers = np.full((sysc.cells, sysc.ues_per_cell), self.power)
         self.book = make_pilot_book(sysc.tau_p)
-
-        geometry = build_geometry(
-            sysc.cells,
-            sysc.ues_per_cell,
-            sysc.cell_radius,
-            sysc.ring_radius,
-            sysc.pathloss_exponent,
-            rngs["geometry"],
-        )
-        self.covs = bs_covariances(
-            geometry, 0, sysc.antennas, math.radians(sysc.half_spread_deg)
-        )
-        self.factors = covariance_factors(self.covs)
-
-        jammer = None
-        if sysc.jammer_power > 0:
-            a = steering_vector(sysc.antennas, math.radians(sysc.jammer_angle_deg))
-            jammer = (a, sysc.jammer_power)
-        self.r_nn = make_noise_covariance(sysc.antennas, sysc.noise_power, jammer)
-        self.noise_factor = psd_factor(self.r_nn)
-
-        # Network-wide second-order statistics at the center BS.
-        self.total_cov = self.power * np.einsum("lkij->ij", self.covs)
+        (
+            self.covs,
+            self.factors,
+            self.r_nn,
+            self.noise_factor,
+            self.total_cov,
+        ) = self.shared.get((None, "network"), self._network)
         self.pilot_covs = None
         self.all_cov = None
         self.lowranks: dict[int, list] = {}
         if self.kinds & DATA_DRIVEN_KINDS:
             self._estimate_covariances()
         self._build_static_filters()
+
+    def _network(self) -> tuple[np.ndarray, ...]:
+        """Covariances, their factors, noise covariance and factor, and the
+        network-wide covariance at the center BS; no sweep variable
+        changes them."""
+        sysc = self.system
+        geometry = build_geometry(
+            sysc.cells,
+            sysc.ues_per_cell,
+            sysc.cell_radius,
+            sysc.ring_radius,
+            sysc.pathloss_exponent,
+            self.rngs["geometry"],
+        )
+        covs = bs_covariances(
+            geometry, 0, sysc.antennas, math.radians(sysc.half_spread_deg)
+        )
+        jammer = None
+        if sysc.jammer_power > 0:
+            a = steering_vector(sysc.antennas, math.radians(sysc.jammer_angle_deg))
+            jammer = (a, sysc.jammer_power)
+        r_nn = make_noise_covariance(sysc.antennas, sysc.noise_power, jammer)
+        total_cov = self.power * np.einsum("lkij->ij", covs)
+        return covs, covariance_factors(covs), r_nn, psd_factor(r_nn), total_cov
 
     def pilot_cov_true(self, k: int) -> np.ndarray:
         """Despread-signal covariance of center UE k under random allocation."""
@@ -192,12 +282,13 @@ class _RunState:
             + self.r_nn
         )
 
-    def _batches(self, total: int, channels_stream: np.random.Generator):
-        """Yield (block slice, channels (B, L, K, N)) per batch of `total` blocks."""
-        for start in range(0, total, BATCH_BLOCKS):
-            stop = min(start + BATCH_BLOCKS, total)
-            h = sample_channels(self.factors, channels_stream, blocks=stop - start)
-            yield slice(start, stop), h
+    def _batches(self, start: int, stop: int, channels_stream: np.random.Generator):
+        """Yield (block slice, channels (B, L, K, N)) per batch of blocks
+        [start, stop); `start` is a multiple of BATCH_BLOCKS."""
+        for first in range(start, stop, BATCH_BLOCKS):
+            last = min(first + BATCH_BLOCKS, stop)
+            h = sample_channels(self.factors, channels_stream, blocks=last - first)
+            yield slice(first, last), h
 
     def _receive(self, h, rows, signals_stream, tau_u: int):
         """Receive a batch under pilot rows (B, L, K).
@@ -217,14 +308,22 @@ class _RunState:
         rows = allocate_pilots(
             sysc.blocks, cells, ues, sysc.tau_p, "random", self.rngs["est_alloc"]
         ).indices
+        channels, signals = self.rngs["est_channels"], self.rngs["est_signals"]
         acc = AllCovAccumulator(n)
         despread = np.empty((ues, sysc.blocks, n), dtype=complex)
-        for blocks, h in self._batches(sysc.blocks, self.rngs["est_channels"]):
-            pilot_rx, data_rx, d = self._receive(
-                h, rows[blocks], self.rngs["est_signals"], sysc.tau_u
+        start = 0
+        for index in range(self.shared.kept_batches(sysc)):
+            stop = start + BATCH_BLOCKS
+            batch = self.shared.get(
+                (sysc.tau_p, "training", index),
+                partial(self._training_batch, rows, acc, despread, start, stop),
             )
-            acc.add(np.concatenate([pilot_rx, data_rx], axis=2))
-            despread[:, blocks] = d
+            acc = copy.deepcopy(batch.acc)
+            despread[:, start:stop] = batch.despread
+            channels.bit_generator.state = batch.channels_state
+            signals.bit_generator.state = batch.signals_state
+            start = stop
+        self._train(rows, acc, despread, start, sysc.blocks)
         self.all_cov = acc.estimate()
         self.pilot_covs = [
             estimate_pilot_cov(despread[k], sysc.tau_p, sysc.cov_loading)
@@ -240,21 +339,34 @@ class _RunState:
                 for k in range(ues)
             ]
 
+    def _train(self, rows, acc, despread, start: int, stop: int) -> None:
+        """Receive training blocks [start, stop) into `acc` and `despread`."""
+        for blocks, h in self._batches(start, stop, self.rngs["est_channels"]):
+            pilot_rx, data_rx, d = self._receive(
+                h, rows[blocks], self.rngs["est_signals"], self.system.tau_u
+            )
+            acc.add(np.concatenate([pilot_rx, data_rx], axis=2))
+            despread[:, blocks] = d
+
+    def _training_batch(self, rows, acc, despread, start, stop) -> _TrainingBatch:
+        self._train(rows, acc, despread, start, stop)
+        return _TrainingBatch(
+            copy.deepcopy(acc),
+            despread[:, start:stop].copy(),
+            self.rngs["est_channels"].bit_generator.state,
+            self.rngs["est_signals"].bit_generator.state,
+        )
+
     def _build_static_filters(self) -> None:
         sysc = self.system
         ues = sysc.ues_per_cell
         self.static_filters: dict[str, np.ndarray] = {}
-        fixed_row = allocate_pilots(
-            1, sysc.cells, ues, sysc.tau_p, "fixed_cyclic"
-        ).indices[0]
         for spec in self.config.estimators:
-            if spec.kind == "mmse_random":
-                w = [
-                    mmse_optimal_filter(
-                        self.pilot_cov_true(k), self.covs[0, k], self.power
-                    ).w
-                    for k in range(ues)
-                ]
+            if spec.kind in _TRUE_COVARIANCE_KINDS:
+                w = self.shared.get(
+                    (sysc.tau_p, spec.kind),
+                    partial(self._true_covariance_filters, spec.kind),
+                )
             elif spec.kind == "subt":
                 w = []
                 for k in range(ues):
@@ -271,33 +383,49 @@ class _RunState:
                     approx_mmse_filter(self.lowranks[spec.rank][k], self.power).w
                     for k in range(ues)
                 ]
-            elif spec.kind == "mmse_fixed":
-                w = []
-                for k in range(ues):
-                    shared = [
-                        (self.covs[l, i], self.power)
-                        for l in range(sysc.cells)
-                        for i in range(ues)
-                        if (l, i) != (0, k) and fixed_row[l, i] == fixed_row[0, k]
-                    ]
-                    w.append(
-                        mmse_fixed_filter(
-                            self.covs[0, k], self.power, shared, self.r_nn, sysc.tau_p
-                        ).w
-                    )
-            elif spec.kind == "ls_fixed":
-                w = [ls_estimate(np.eye(sysc.antennas), self.power, sysc.tau_p)] * ues
             else:
                 continue  # gevd_impr depends on the block's pilot pattern
             self.static_filters[spec.label] = np.stack(w)
 
-    def evaluate(self, eval_blocks: int) -> dict[str, float]:
-        """Mean NMSE per estimator over fresh held-out blocks."""
+    def _true_covariance_filters(self, kind: str) -> np.ndarray:
+        """(K, N, N) filters of a kind built from the true covariances."""
         sysc = self.system
-        self._impr_cache = {}
-        err = {spec.label: 0.0 for spec in self.config.estimators}
-        # Only the allocations in use are drawn; all of them see the same
-        # channel draws.
+        ues = sysc.ues_per_cell
+        if kind == "mmse_random":
+            w = [
+                mmse_optimal_filter(self.pilot_cov_true(k), self.covs[0, k], self.power).w
+                for k in range(ues)
+            ]
+        elif kind == "mmse_fixed":
+            fixed_row = allocate_pilots(
+                1, sysc.cells, ues, sysc.tau_p, "fixed_cyclic"
+            ).indices[0]
+            w = []
+            for k in range(ues):
+                shared = [
+                    (self.covs[l, i], self.power)
+                    for l in range(sysc.cells)
+                    for i in range(ues)
+                    if (l, i) != (0, k) and fixed_row[l, i] == fixed_row[0, k]
+                ]
+                w.append(
+                    mmse_fixed_filter(
+                        self.covs[0, k], self.power, shared, self.r_nn, sysc.tau_p
+                    ).w
+                )
+        else:  # ls_fixed
+            w = [ls_estimate(np.eye(sysc.antennas), self.power, sysc.tau_p)] * ues
+        return np.stack(w)
+
+    def _held_out(self, eval_blocks: int):
+        """Draw the held-out blocks.
+
+        Returns the pilot rows (blocks, L, K) of each allocation in use and,
+        per batch, (block slice, center-cell channels (K, B, N), despread
+        vectors (K, B, N) per allocation).  All allocations see the same
+        channel draws.
+        """
+        sysc = self.system
         modes = sorted({_ALLOCATION[kind] for kind in self.kinds})
         rows = {
             mode: allocate_pilots(
@@ -306,14 +434,28 @@ class _RunState:
             ).indices
             for mode in modes
         }
-        for blocks, h in self._batches(eval_blocks, self.rngs["eval_channels"]):
-            h_center = np.moveaxis(h[:, 0], 0, 1)  # (K, B, N)
+        batches = []
+        for blocks, h in self._batches(0, eval_blocks, self.rngs["eval_channels"]):
+            # A copy: a kept view would hold every cell's channels.
+            h_center = np.moveaxis(h[:, 0].copy(), 0, 1)
             despread = {
                 mode: self._receive(
                     h, rows[mode][blocks], self.rngs[f"eval_signals_{mode}"], 0
                 )[2]
                 for mode in modes
             }
+            batches.append((blocks, h_center, despread))
+        return rows, batches
+
+    def evaluate(self, eval_blocks: int) -> dict[str, float]:
+        """Mean NMSE per estimator over fresh held-out blocks."""
+        sysc = self.system
+        self._impr_cache = {}
+        err = {spec.label: 0.0 for spec in self.config.estimators}
+        rows, batches = self.shared.get(
+            (sysc.tau_p, "held_out"), partial(self._held_out, eval_blocks)
+        )
+        for blocks, h_center, despread in batches:
             for spec in self.config.estimators:
                 d = despread[_ALLOCATION[spec.kind]]
                 if spec.kind == "gevd_impr":
@@ -374,18 +516,25 @@ class _RunState:
 
 
 def run_single(
-    config: ExperimentConfig, sweep_value: int, run_seed
+    config: ExperimentConfig,
+    sweep_value: int,
+    run_seed,
+    shared: _SharedRun | None = None,
 ) -> list[RunContribution]:
     """Execute one Monte-Carlo run at one sweep point.
 
     Deterministic given (config, sweep_value, run_seed): the seed keys
     every random stream of the run (geometry, estimation blocks,
-    evaluation blocks).
+    evaluation blocks).  `shared` holds what the run's other sweep points
+    already computed; it must come from the same config and run_seed, and
+    the result is the same with or without it.  BLAS runs single-threaded
+    for the duration of the call.
     """
     config.validate()
     system = config.system_for(sweep_value)
-    state = _RunState(config, system, _streams(run_seed))
-    per_label = state.evaluate(config.eval_blocks)
+    with single_threaded_blas():
+        state = _RunState(config, system, _streams(run_seed), shared)
+        per_label = state.evaluate(config.eval_blocks)
     return [
         RunContribution(
             estimator=spec.label,
@@ -405,11 +554,18 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[NmseResult]:
     only source of parallelism.
     """
     config.validate()
+    systems = [config.system_for(value) for value in config.sweep.values]
+    # Run-major, so that a run's points run close together and its shared
+    # state is released early: memory grows with the runs in flight, not
+    # with monte_carlo_runs.
     jobs = [
         (sweep_index, sweep_value, run_index)
-        for sweep_index, sweep_value in enumerate(config.sweep.values)
         for run_index in range(config.monte_carlo_runs)
+        for sweep_index, sweep_value in enumerate(config.sweep.values)
     ]
+    live: dict[int, _SharedRun] = {}
+    points_left = Counter(run_index for _, _, run_index in jobs)
+    live_lock = threading.Lock()
 
     def execute(job):
         sweep_index, sweep_value, run_index = job
@@ -417,9 +573,21 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[NmseResult]:
         # geometry and evaluation blocks at every sweep point: sweep curves
         # are paired comparisons.  Training windows of a T-sweep are not
         # nested: samplers draw whole batch shapes, so the first training
-        # blocks at T=75 and T=150 already differ.
+        # blocks at T=75 and T=150 already differ.  Full batches are the
+        # same draws at every T, though (same shapes from the same stream
+        # positions), so _SharedRun computes each once per run.
         seed = (config.master_seed, run_index)
-        return (sweep_index, run_index), run_single(config, sweep_value, seed)
+        with live_lock:
+            if run_index not in live:
+                live[run_index] = _SharedRun(systems)
+            shared = live[run_index]
+        try:
+            return (sweep_index, run_index), run_single(config, sweep_value, seed, shared)
+        finally:
+            with live_lock:
+                points_left[run_index] -= 1
+                if not points_left[run_index]:
+                    del live[run_index]
 
     store: dict[tuple[int, int], list[RunContribution]] = {}
     with single_threaded_blas():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mimoce.airlink import (
+    _unit_symbols,
     allocate_pilots,
     despread_batch,
     make_noise_covariance,
@@ -57,6 +58,14 @@ class TestAllocation:
         a = allocate_pilots(50, 2, 2, 6, "random", rng=99)
         b = allocate_pilots(50, 2, 2, 6, "random", rng=99)
         assert np.array_equal(a.indices, b.indices)
+
+    @pytest.mark.parametrize("tau_p", [2, 4, 5, 10, 15, 20])
+    def test_random_rows_of_a_shorter_window_are_a_prefix(self, tau_p):
+        # The sweep harness shares training batches across T on this property.
+        longer = allocate_pilots(1500, 7, 5, tau_p, "random", rng=5).indices
+        for blocks in (1, 75, 256, 300, 1499):
+            shorter = allocate_pilots(blocks, 7, 5, tau_p, "random", rng=5).indices
+            assert np.array_equal(shorter, longer[:blocks])
 
     def test_collision_probability(self):
         tau_p = 4
@@ -141,6 +150,11 @@ class TestDespreading:
 
 
 class TestSimulation:
+    def test_data_symbols_are_the_complex_exponential_bitwise(self):
+        phases = ensure_rng(4).uniform(0.0, 2.0 * np.pi, size=(64, 35, 40))
+        expected = np.exp(1j * phases)
+        assert np.array_equal(_unit_symbols(phases).view(float), expected.view(float))
+
     def test_zero_channels_zero_noise_limit(self):
         book = make_pilot_book(2)
         h = np.zeros((1, 1, 1, 3), dtype=complex)

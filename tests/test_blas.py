@@ -1,4 +1,6 @@
-"""Tests for the BLAS thread pin around sweeps."""
+"""Tests for the BLAS thread pin around sweeps and runs."""
+
+import threading
 
 import pytest
 
@@ -47,9 +49,9 @@ def test_run_sweep_runs_blas_single_threaded(monkeypatch, libraries, workers):
     seen = []
     real_run_single = harness.run_single
 
-    def recording(config, sweep_value, run_seed):
+    def recording(*args, **kwargs):
         seen.append(thread_counts(libraries))
-        return real_run_single(config, sweep_value, run_seed)
+        return real_run_single(*args, **kwargs)
 
     monkeypatch.setattr(harness, "run_single", recording)
     before = thread_counts(libraries)
@@ -61,13 +63,68 @@ def test_run_sweep_runs_blas_single_threaded(monkeypatch, libraries, workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_thread_counts_restored_when_a_run_raises(monkeypatch, libraries, workers):
-    def failing(config, sweep_value, run_seed):
+    def failing(*args, **kwargs):
         raise RuntimeError("run failed")
 
     monkeypatch.setattr(harness, "run_single", failing)
     before = thread_counts(libraries)
     with pytest.raises(RuntimeError, match="run failed"):
         harness.run_sweep(tiny_config(), workers=workers)
+    assert thread_counts(libraries) == before
+
+
+def test_run_single_runs_blas_single_threaded(monkeypatch, libraries):
+    seen = []
+    real_evaluate = harness._RunState.evaluate
+
+    def recording(self, eval_blocks):
+        seen.append(thread_counts(libraries))
+        return real_evaluate(self, eval_blocks)
+
+    monkeypatch.setattr(harness._RunState, "evaluate", recording)
+    before = thread_counts(libraries)
+    harness.run_single(tiny_config(), 8, (3, 0))
+    assert len(seen) == 1
+    assert set(seen[0].values()) == {1}
+    assert thread_counts(libraries) == before
+
+
+def test_nested_entry_restores_on_the_outer_exit(libraries):
+    before = thread_counts(libraries)
+    with blas.single_threaded_blas():
+        with blas.single_threaded_blas():
+            assert set(thread_counts(libraries).values()) == {1}
+        assert set(thread_counts(libraries).values()) == {1}
+    assert thread_counts(libraries) == before
+
+
+def test_overlapping_threads_restore_on_the_last_exit(libraries):
+    before = thread_counts(libraries)
+    first_in, second_in, first_out = threading.Event(), threading.Event(), threading.Event()
+    seen = []
+
+    def first():
+        with blas.single_threaded_blas():
+            first_in.set()
+            second_in.wait(timeout=10)
+        first_out.set()
+
+    def second():
+        first_in.wait(timeout=10)
+        with blas.single_threaded_blas():
+            second_in.set()
+            first_out.wait(timeout=10)
+            seen.append(thread_counts(libraries))
+
+    threads = [threading.Thread(target=first), threading.Thread(target=second)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=20)
+    assert not any(thread.is_alive() for thread in threads)
+    assert first_out.is_set() and len(seen) == 1
+    # The first thread left while the second was still inside.
+    assert set(seen[0].values()) == {1}
     assert thread_counts(libraries) == before
 
 

@@ -1,10 +1,14 @@
 """Tests for the Monte-Carlo experiment driver."""
 
 import dataclasses
+import gc
+import sys
+import weakref
 
 import numpy as np
 import pytest
 
+from mimoce import harness
 from mimoce.airlink import allocate_pilots
 from mimoce.config import EstimatorSpec, ExperimentConfig, SweepSpec, SystemConfig
 from mimoce.estimators import approx_mmse_filter, improved_mmse_filter, ls_estimate
@@ -265,3 +269,91 @@ class TestRunSweep:
         )
         results = run_sweep(config)
         assert results[0].nmse == results[1].nmse
+
+
+def fingerprint(results):
+    return [(r.estimator, r.sweep_value, r.nmse.hex(), r.fallback_count) for r in results]
+
+
+class TestSharedRun:
+    """Sweep points of one run share set-up, held-out blocks and full
+    training batches; no result bit may change."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize(
+        "sweep, synthesized",
+        [
+            # Per run: training batches 0-4 once (40 blocks) and the partial
+            # batch of T=20 (4), held-out blocks once (25 per allocation).
+            (SweepSpec(variable="T", values=[20, 8, 40, 16, 40]), 2 * (40 + 4 + 50)),
+            # Per run: tau_p=4 trains and evaluates once, tau_p=2 once.
+            (SweepSpec(variable="tau_p", values=[4, 2, 4]), 2 * (40 + 50 + 40 + 50)),
+        ],
+        ids=["T", "tau_p"],
+    )
+    def test_rows_match_fresh_runs_per_point(
+        self, monkeypatch, workers, sweep, synthesized
+    ):
+        # Batches of 8 blocks: T=40 trains on 5 full batches, T=20 on two
+        # and a partial one; the 25 held-out blocks are 3 full batches and
+        # a partial one.
+        monkeypatch.setattr(harness, "BATCH_BLOCKS", 8)
+        config = small_config(sweep=sweep, monte_carlo_runs=2)
+        expected = []
+        for value in sweep.values:
+            runs = [run_single(config, value, (config.master_seed, r)) for r in range(2)]
+            for position, spec in enumerate(config.estimators):
+                mean = sum(contribs[position].nmse for contribs in runs) / 2
+                fallbacks = sum(contribs[position].fallbacks for contribs in runs)
+                expected.append((spec.label, value, mean.hex(), fallbacks))
+
+        blocks = []
+        real_simulate_blocks = harness.simulate_blocks
+
+        def counting(channels, *args):
+            blocks.append(len(channels))
+            return real_simulate_blocks(channels, *args)
+
+        monkeypatch.setattr(harness, "simulate_blocks", counting)
+        assert fingerprint(run_sweep(config, workers=workers)) == expected
+        assert sum(blocks) == synthesized
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_run_state_released_after_its_last_point(self, monkeypatch, workers):
+        created = []
+
+        class Recorded(harness._SharedRun):
+            def __init__(self, *args):
+                super().__init__(*args)
+                created.append(weakref.ref(self))
+
+        def live():
+            gc.collect()
+            return sum(ref() is not None for ref in created)
+
+        live_at_start = []
+        real_run_single = harness.run_single
+
+        def recording(*args, **kwargs):
+            live_at_start.append(live())
+            return real_run_single(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "_SharedRun", Recorded)
+        monkeypatch.setattr(harness, "run_single", recording)
+        config = small_config(
+            sweep=SweepSpec(variable="T", values=[20, 40]),
+            estimators=[EstimatorSpec("gevd", rank=3)],
+            monte_carlo_runs=3,
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_sweep(config, workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
+        # One state per run, also when points of a run start together.
+        assert len(created) == 3
+        # Jobs run run-major, so only the states of runs in flight are alive.
+        assert len(live_at_start) == 6
+        assert 1 <= min(live_at_start) and max(live_at_start) <= workers
+        assert live() == 0
