@@ -10,12 +10,7 @@ __version__ = "0.1.0"
 from .linalg import GevdResult, NotPositiveDefinite
 from .channel import NetworkGeometry, UnsupportedLayout, InvalidSpread
 from .airlink import PilotBook, PilotAllocation
-from .covest import (
-    PilotCovEstimate,
-    AllCovEstimate,
-    LowRankCovEstimate,
-    DegeneratePilotCount,
-)
+from .covest import LowRankCovEstimate, DegeneratePilotCount
 from .estimators import MmseFilter
 from .config import SystemConfig, ExperimentConfig, EstimatorSpec, SweepSpec, ConfigInvalid
 from .harness import NmseResult, ZeroTraceCovariance
@@ -28,8 +23,6 @@ __all__ = [
     "InvalidSpread",
     "PilotBook",
     "PilotAllocation",
-    "PilotCovEstimate",
-    "AllCovEstimate",
     "LowRankCovEstimate",
     "DegeneratePilotCount",
     "MmseFilter",

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .channel import UnsupportedLayout, build_geometry, bs_covariances
+from .channel import build_geometry, bs_covariances
 from .config import (
     ConfigInvalid,
     EstimatorSpec,
@@ -191,7 +191,7 @@ def validate_config(config: ExperimentConfig) -> str:
         )
         # Dry-run covariance construction at reduced antenna count.
         bs_covariances(geometry, 0, min(sysc.antennas, 8), np.deg2rad(sysc.half_spread_deg))
-    except (UnsupportedLayout, ValueError) as exc:
+    except ValueError as exc:
         findings.append(f"{type(exc).__name__}: {exc}")
 
     matrices = sysc.cells * sysc.ues_per_cell
@@ -246,8 +246,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{kind:<12s} {description}")
         return EXIT_OK
 
+    overrides = list(args.overrides)
+    if getattr(args, "seed", None) is not None:
+        overrides.append(f"master_seed={args.seed}")
     try:
-        config = parse_config(args.config, args.overrides)
+        config = parse_config(args.config, overrides)
     except (ConfigParseError, ConfigInvalid) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -260,13 +263,6 @@ def main(argv: list[str] | None = None) -> int:
         print("config error: violated invariant: --workers >= 1", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
-    if args.seed is not None:
-        config.master_seed = args.seed
-        try:
-            config.validate()
-        except ConfigInvalid as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
     try:
         results = run_sweep(config, workers=args.workers)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:

@@ -9,6 +9,11 @@ estimator and the rank-limited estimator built from the generalized
 eigenvalue decomposition of the pencil {pilot covariance, combined
 covariance}, which keeps only modes whose generalized eigenvalue exceeds
 one.
+
+Estimates are plain complex arrays: the combined covariance is one
+(N, N) matrix per BS, the pilot covariances of K UEs are one (K, N, N)
+stack, and only the rank-limited estimate carries its pencil modes in a
+`LowRankCovEstimate`.
 """
 
 from __future__ import annotations
@@ -25,23 +30,6 @@ SIGMA_ONE_TOL = 1e-9
 
 class DegeneratePilotCount(ValueError):
     """Raised when tau_p < 2: the covariance separation is undefined."""
-
-
-@dataclass
-class PilotCovEstimate:
-    """Sample covariance of the despread pilot signal of one UE."""
-
-    matrix: np.ndarray
-    t_used: int
-    loading: float = 0.0
-
-
-@dataclass
-class AllCovEstimate:
-    """Sample covariance over all antenna samples of both phases."""
-
-    matrix: np.ndarray
-    t_used: int
 
 
 @dataclass
@@ -64,10 +52,6 @@ class LowRankCovEstimate:
     lam: np.ndarray  # (rank_effective,)
 
 
-def _matrix_of(estimate) -> np.ndarray:
-    return estimate.matrix if hasattr(estimate, "matrix") else np.asarray(estimate)
-
-
 class AllCovAccumulator:
     """Streaming accumulator for the combined sample covariance.
 
@@ -79,7 +63,6 @@ class AllCovAccumulator:
     def __init__(self, n_antennas: int):
         self._sum = np.zeros((n_antennas, n_antennas), dtype=complex)
         self._samples = 0
-        self._blocks = 0
 
     def add(self, signals: np.ndarray) -> None:
         """Accumulate signals of shape (N, S) or (B, N, S)."""
@@ -90,80 +73,69 @@ class AllCovAccumulator:
         flat = np.moveaxis(signals, 1, 0).reshape(n, b * s)
         self._sum += flat @ flat.conj().T
         self._samples += b * s
-        self._blocks += b
 
-    def estimate(self) -> AllCovEstimate:
+    def estimate(self) -> np.ndarray:
+        """The (N, N) sample covariance of every sample added so far."""
         if self._samples == 0:
             raise ValueError("no samples accumulated")
-        return AllCovEstimate(
-            matrix=hermitize(self._sum / self._samples), t_used=self._blocks
-        )
+        return hermitize(self._sum / self._samples)
 
 
 def estimate_pilot_cov(
     despread_vectors: np.ndarray, tau_p: int, loading_factor: float = 0.0
-) -> PilotCovEstimate:
+) -> np.ndarray:
     """Time-averaged pilot-phase covariance from T despread vectors.
 
-    Computes (1 / (T tau_p)) sum_t y_t y_t^H plus optional diagonal
-    loading of loading_factor * trace / N.
+    Takes despread vectors (..., T, N), one (T, N) window per UE on the
+    leading axes, and returns (..., N, N): (1 / (T tau_p)) sum_t y_t y_t^H
+    plus optional diagonal loading of loading_factor * trace / N.
     """
     y = np.asarray(despread_vectors, dtype=complex)
-    if y.ndim != 2:
-        raise ValueError("expected despread vectors of shape (T, N)")
-    t_used, n = y.shape
-    raw = hermitize(y.T @ y.conj()) / (t_used * tau_p)
-    matrix = load_diagonal(raw, float(loading_factor))
-    loading = float(np.trace(matrix - raw).real) / n
-    return PilotCovEstimate(matrix=matrix, t_used=t_used, loading=loading)
-
-
-def estimate_all_cov(signals: np.ndarray) -> AllCovEstimate:
-    """Combined covariance over all samples of T blocks, shape (T, N, S)."""
-    signals = np.asarray(signals, dtype=complex)
-    acc = AllCovAccumulator(signals.shape[-2])
-    acc.add(signals)
-    return acc.estimate()
+    if y.ndim < 2:
+        raise ValueError("expected despread vectors of shape (..., T, N)")
+    t_used = y.shape[-2]
+    raw = hermitize(y.swapaxes(-1, -2) @ y.conj()) / (t_used * tau_p)
+    return load_diagonal(raw, float(loading_factor))
 
 
 def subtraction_estimator(
-    pilot_cov, all_cov, tau_p: int, power: float
+    pilot_cov: np.ndarray, all_cov: np.ndarray, tau_p: int, power: float
 ) -> np.ndarray:
     """Channel covariance estimate by direct subtraction.
 
     Returns (pilot_cov - all_cov) / ((tau_p - 1) * power), Hermitian by
-    construction.  On sample inputs the result is generally not PSD and
-    may be indefinite; use the GEVD estimator when a valid covariance is
-    required.
+    construction; pilot covariances (K, N, N) against the combined
+    covariance (N, N) give K estimates (K, N, N).  On sample inputs the
+    result is generally not PSD and may be indefinite; use the GEVD
+    estimator when a valid covariance is required.
     """
     if tau_p < 2:
         raise DegeneratePilotCount("tau_p must be >= 2")
-    diff = _matrix_of(pilot_cov) - _matrix_of(all_cov)
-    return hermitize(diff) / ((tau_p - 1) * power)
+    return hermitize(np.subtract(pilot_cov, all_cov)) / ((tau_p - 1) * power)
 
 
 def gevd_lowrank_estimator(
-    pilot_cov, all_cov, tau_p: int, power: float, rank: int
+    pilot_cov: np.ndarray, all_cov: np.ndarray, tau_p: int, power: float, rank: int
 ) -> LowRankCovEstimate:
     """Rank-limited covariance estimate from the GEVD of {pilot, combined}.
 
-    Decomposes pilot_cov = Q Sigma Q^H and all_cov = Q Q^H, then keeps at
-    most `rank` modes among those with generalized eigenvalue above one;
+    Both covariances are (N, N), the pilot one of a single UE.  Decomposes
+    pilot_cov = Q Sigma Q^H and all_cov = Q Q^H, then keeps at most `rank`
+    modes among those with generalized eigenvalue above one;
     the retained mode r contributes (sigma_r - 1)/(tau_p - 1) q_r q_r^H to
     power * R_hat.  If the combined covariance is not positive definite, a
     single diagonal-loading retry is attempted before giving up.
     """
     if tau_p < 2:
         raise DegeneratePilotCount("tau_p must be >= 2")
-    a = _matrix_of(pilot_cov)
-    b = _matrix_of(all_cov)
-    n = a.shape[0]
+    b = np.asarray(all_cov)
+    n = b.shape[0]
     if not 1 <= rank <= n:
         raise ValueError(f"rank must be in [1, {n}], got {rank}")
     try:
-        result = gevd(a, b)
+        result = gevd(pilot_cov, b)
     except NotPositiveDefinite:
-        result = gevd(a, load_diagonal(b, FALLBACK_LOADING))
+        result = gevd(pilot_cov, load_diagonal(b, FALLBACK_LOADING))
 
     above_one = result.eigenvalues > 1.0 + SIGMA_ONE_TOL
     rank_effective = int(min(rank, above_one.sum()))

@@ -5,6 +5,10 @@ covariances under per-block random pilot allocation, the rank-limited
 approximate MMSE filter built from the GEVD covariance estimate, the
 improved per-block variant that exploits knowledge of the serving cell's
 pilot choices, and the least-squares and fixed-allocation MMSE baselines.
+
+A filter is an (N, N) array W, or a (K, N, N) stack with one filter per
+UE; the estimate of a despread vector y is W^H y, computed for a whole
+batch of vectors (..., N) as y @ W.conj().
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covest import LowRankCovEstimate, PilotCovEstimate, _matrix_of
+from .covest import LowRankCovEstimate
 from .linalg import NotPositiveDefinite, hermitize, solve_hermitian
 
 # Spectral handling of the improved filter's corrected pilot covariance,
@@ -28,72 +32,41 @@ IMPROVED_EIG_FLOOR = 8e-3
 
 @dataclass
 class MmseFilter:
-    """Linear channel-estimation filter; the estimate is w^H y.
+    """Result of improved_mmse_filter: the filter w (N, N) and whether its
+    corrected pilot covariance had its spectrum floored (clamped).
 
-    clamped marks an improved filter whose corrected pilot covariance had
-    its spectrum floored (see improved_mmse_filter).
+    Every other builder returns a plain array.
     """
 
     w: np.ndarray  # (N, N)
     clamped: bool = False
 
-    def apply(self, y_pilot: np.ndarray) -> np.ndarray:
-        """Estimate channels from despread vectors of shape (..., N).
 
-        The product y @ conj(w) is w^H y for every vector at once; the
-        sweep harness applies stacks of per-UE filters the same way.
-        """
-        return np.asarray(y_pilot) @ self.w.conj()
-
-
-def mmse_optimal_filter(r_pilot, r_cov, power: float) -> MmseFilter:
+def mmse_optimal_filter(r_pilot: np.ndarray, r_cov: np.ndarray, power: float) -> np.ndarray:
     """MMSE filter W = sqrt(power) * r_pilot^{-1} r_cov.
 
     With the true pilot-phase covariance and the true channel covariance
     this is the linear filter minimizing E||h - W^H y||^2 for the despread
     signal under random pilot allocation.  Passing estimated matrices
-    yields the corresponding data-driven filter.
+    yields the corresponding data-driven filter.  Stacks (K, N, N) of
+    both give the K filters (K, N, N).
     """
-    w = np.sqrt(power) * solve_hermitian(_matrix_of(r_pilot), _matrix_of(r_cov))
-    return MmseFilter(w=w)
+    return np.sqrt(power) * solve_hermitian(r_pilot, r_cov)
 
 
-def approx_mmse_filter(lowrank: LowRankCovEstimate, power: float) -> MmseFilter:
-    """Rank-limited approximate MMSE filter from a GEVD covariance estimate.
+def approx_mmse_filter(lowrank: LowRankCovEstimate, power: float) -> np.ndarray:
+    """Rank-limited approximate MMSE filter (N, N) from a GEVD covariance estimate.
 
     W = (1/sqrt(power)) X_r diag(v) Q_r^H with v_r = lam_r / sigma_r,
     i.e. (sigma_r - 1) / ((tau_p - 1) sigma_r) per retained mode.  An
     estimate with no retained modes yields the zero filter.
     """
-    n = lowrank.scaled_matrix.shape[0]
-    if lowrank.rank_effective == 0:
-        w = np.zeros((n, n), dtype=complex)
-    else:
-        v = lowrank.lam / lowrank.sigma
-        w = (lowrank.x * v) @ lowrank.q.conj().T / np.sqrt(power)
-    return MmseFilter(w=w)
-
-
-def approx_mmse_estimate(
-    lowrank: LowRankCovEstimate, power: float, y_pilot: np.ndarray
-) -> np.ndarray:
-    """Approximate MMSE estimate evaluated mode by mode.
-
-    h_hat = (1/sqrt(power)) sum_r q_r v_r (x_r^H y); numerically identical
-    to applying the matrix form of approx_mmse_filter, but needs only
-    rank_effective inner products per estimate.  Accepts batched despread
-    vectors of shape (..., N).
-    """
-    y_pilot = np.asarray(y_pilot, dtype=complex)
-    if lowrank.rank_effective == 0:
-        return np.zeros_like(y_pilot)
     v = lowrank.lam / lowrank.sigma
-    z = v * (y_pilot @ lowrank.x.conj())
-    return (z @ lowrank.q.T) / np.sqrt(power)
+    return (lowrank.x * v) @ lowrank.q.conj().T / np.sqrt(power)
 
 
 def improved_mmse_filter(
-    pilot_cov: PilotCovEstimate,
+    pilot_cov: np.ndarray,
     intracell_lowranks: list[LowRankCovEstimate],
     pilot_row: np.ndarray,
     ue: int,
@@ -102,11 +75,13 @@ def improved_mmse_filter(
 ) -> MmseFilter:
     """Per-block MMSE filter using the serving cell's known pilot choices.
 
-    The pilot-phase covariance is corrected per intra-cell UE i != ue:
-    a UE sharing this block's pilot contributes at full despreading gain
-    (weight tau_p - 1 on its scaled covariance estimate), a UE on another
-    pilot is removed entirely (weight -1), replacing the all-UEs-average
-    embedded in the time-averaged pilot covariance.  The corrected matrix
+    pilot_cov is UE `ue`'s (N, N) pilot covariance and pilot_row (K,) the
+    serving cell's pilots in this block.  The pilot-phase covariance is
+    corrected per intra-cell UE i != ue: a UE sharing this block's pilot
+    contributes at full despreading gain (weight tau_p - 1 on its scaled
+    covariance estimate), a UE on another pilot is removed entirely
+    (weight -1), replacing the all-UEs-average embedded in the
+    time-averaged pilot covariance.  The corrected matrix
     inherits the estimation noise of every subtracted term and is often
     indefinite; its spectrum is floored (see IMPROVED_EIG_FLOOR) whenever
     it is not comfortably positive definite, so the filter stays usable
@@ -121,7 +96,7 @@ def improved_mmse_filter(
     """
     pilot_row = np.asarray(pilot_row)
     shares = pilot_row == pilot_row[ue]
-    m = _matrix_of(pilot_cov).copy()
+    m = np.array(pilot_cov, dtype=complex)
     for i, lowrank in enumerate(intracell_lowranks):
         if i == ue:
             continue
@@ -149,23 +124,22 @@ def ls_estimate(y_pilot: np.ndarray, power: float, tau_p: int) -> np.ndarray:
 
 
 def mmse_fixed_filter(
-    r_desired: np.ndarray,
-    power_desired: float,
-    shared: list[tuple[np.ndarray, float]],
+    covs: np.ndarray,
+    power: float,
+    pilot_row: np.ndarray,
     r_nn: np.ndarray,
     tau_p: int,
-) -> MmseFilter:
-    """LMMSE filter for the despread signal under fixed pilot allocation.
+) -> np.ndarray:
+    """LMMSE filters (K, N, N) for the serving cell under fixed pilot allocation.
 
-    Only UEs assigned the same pilot appear in the despread signal, so the
-    filter matrix aggregates the desired UE, the pilot-sharing interferers
-    given as (covariance, power) pairs, and the noise:
+    covs (L, K, N, N) holds every UE's covariance seen at the serving BS
+    (cell 0) and pilot_row (L, K) the fixed pilot of every UE.  Only UEs on
+    UE k's pilot appear in its despread signal, so its filter aggregates
+    those UEs (k itself included) and the noise, all at the same power p:
 
-        W = sqrt(p) (p tau_p R + sum_i p_i tau_p R_i + R_nn)^{-1} R
+        W_k = sqrt(p) (sum_{(l, i) on k's pilot} p tau_p R_li + R_nn)^{-1} R_0k
     """
-    r_desired = np.asarray(r_desired, dtype=complex)
-    m = power_desired * tau_p * r_desired + np.asarray(r_nn, dtype=complex)
-    for r_i, p_i in shared:
-        m = m + p_i * tau_p * np.asarray(r_i, dtype=complex)
-    w = np.sqrt(power_desired) * solve_hermitian(hermitize(m), r_desired)
-    return MmseFilter(w=w)
+    pilot_row = np.asarray(pilot_row)
+    shares = pilot_row[None] == pilot_row[0][:, None, None]  # (K, L, K)
+    m = np.einsum("kli,linm->knm", (power * tau_p) * shares, covs, optimize=True) + r_nn  # GEMM
+    return np.sqrt(power) * solve_hermitian(hermitize(m), covs[0])

@@ -124,14 +124,13 @@ class RunContribution:
     fallbacks: int
 
 
-def nmse(h_true: np.ndarray, h_hat: np.ndarray, covariance) -> np.ndarray:
+def nmse(h_true: np.ndarray, h_hat: np.ndarray, covariance: np.ndarray) -> np.ndarray:
     """Squared estimation error ||h_hat - h_true||^2 / tr(R) per realization.
 
     Channel vectors have shape (..., N) and covariances (..., N, N); leading
     axes broadcast, so one call scores a whole batch of UEs and blocks.
     """
-    matrix = covariance.matrix if hasattr(covariance, "matrix") else covariance
-    trace = np.trace(np.asarray(matrix), axis1=-2, axis2=-1).real
+    trace = np.trace(np.asarray(covariance), axis1=-2, axis2=-1).real
     if np.any(trace <= 0):
         raise ZeroTraceCovariance("covariance trace must be positive")
     sq = np.abs(np.asarray(h_hat) - np.asarray(h_true)) ** 2
@@ -242,8 +241,8 @@ class _RunState:
             self.noise_factor,
             self.total_cov,
         ) = self.shared.get((None, "network"), self._network)
-        self.pilot_covs = None
-        self.all_cov = None
+        self.pilot_covs = None  # (K, N, N) sample pilot covariances
+        self.all_cov = None  # (N, N) sample combined covariance
         self.lowranks: dict[int, list] = {}
         if self.kinds & DATA_DRIVEN_KINDS:
             self._estimate_covariances()
@@ -273,14 +272,10 @@ class _RunState:
         total_cov = self.power * np.einsum("lkij->ij", covs)
         return covs, covariance_factors(covs), r_nn, psd_factor(r_nn), total_cov
 
-    def pilot_cov_true(self, k: int) -> np.ndarray:
-        """Despread-signal covariance of center UE k under random allocation."""
-        sysc = self.system
-        return (
-            self.total_cov
-            + self.power * (sysc.tau_p - 1) * self.covs[0, k]
-            + self.r_nn
-        )
+    def pilot_cov_true(self) -> np.ndarray:
+        """Despread-signal covariances (K, N, N) of the center UEs under random allocation."""
+        tau_p = self.system.tau_p
+        return self.total_cov + self.power * (tau_p - 1) * self.covs[0] + self.r_nn
 
     def _batches(self, start: int, stop: int, channels_stream: np.random.Generator):
         """Yield (block slice, channels (B, L, K, N)) per batch of blocks
@@ -325,18 +320,13 @@ class _RunState:
             start = stop
         self._train(rows, acc, despread, start, sysc.blocks)
         self.all_cov = acc.estimate()
-        self.pilot_covs = [
-            estimate_pilot_cov(despread[k], sysc.tau_p, sysc.cov_loading)
-            for k in range(ues)
-        ]
+        self.pilot_covs = estimate_pilot_cov(despread, sysc.tau_p, sysc.cov_loading)
         # Only the ranked kinds (gevd, gevd_impr) carry a rank.
         ranks = sorted({spec.rank for spec in self.config.estimators if spec.rank})
         for rank in ranks:
             self.lowranks[rank] = [
-                gevd_lowrank_estimator(
-                    self.pilot_covs[k], self.all_cov, sysc.tau_p, self.power, rank
-                )
-                for k in range(ues)
+                gevd_lowrank_estimator(pilot, self.all_cov, sysc.tau_p, self.power, rank)
+                for pilot in self.pilot_covs
             ]
 
     def _train(self, rows, acc, despread, start: int, stop: int) -> None:
@@ -359,7 +349,6 @@ class _RunState:
 
     def _build_static_filters(self) -> None:
         sysc = self.system
-        ues = sysc.ues_per_cell
         self.static_filters: dict[str, np.ndarray] = {}
         for spec in self.config.estimators:
             if spec.kind in _TRUE_COVARIANCE_KINDS:
@@ -368,54 +357,35 @@ class _RunState:
                     partial(self._true_covariance_filters, spec.kind),
                 )
             elif spec.kind == "subt":
-                w = []
-                for k in range(ues):
-                    estimate = subtraction_estimator(
-                        self.pilot_covs[k], self.all_cov, sysc.tau_p, self.power
-                    )
-                    filt, events = _mmse_form_filter(
-                        self.pilot_covs[k].matrix, estimate, self.power
-                    )
-                    self.fallbacks[spec.label] += events
-                    w.append(filt.w)
-            elif spec.kind == "gevd":
-                w = [
-                    approx_mmse_filter(self.lowranks[spec.rank][k], self.power).w
-                    for k in range(ues)
+                estimates = subtraction_estimator(
+                    self.pilot_covs, self.all_cov, sysc.tau_p, self.power
+                )
+                # Per UE, so that a failed Cholesky loads only that UE's matrix.
+                built = [
+                    _mmse_form_filter(pilot, estimate, self.power)
+                    for pilot, estimate in zip(self.pilot_covs, estimates)
                 ]
+                self.fallbacks[spec.label] += sum(events for _, events in built)
+                w = np.stack([filt for filt, _ in built])
+            elif spec.kind == "gevd":
+                lowranks = self.lowranks[spec.rank]
+                w = np.stack([approx_mmse_filter(low, self.power) for low in lowranks])
             else:
                 continue  # gevd_impr depends on the block's pilot pattern
-            self.static_filters[spec.label] = np.stack(w)
+            self.static_filters[spec.label] = w
 
     def _true_covariance_filters(self, kind: str) -> np.ndarray:
         """(K, N, N) filters of a kind built from the true covariances."""
         sysc = self.system
-        ues = sysc.ues_per_cell
         if kind == "mmse_random":
-            w = [
-                mmse_optimal_filter(self.pilot_cov_true(k), self.covs[0, k], self.power).w
-                for k in range(ues)
-            ]
-        elif kind == "mmse_fixed":
+            return mmse_optimal_filter(self.pilot_cov_true(), self.covs[0], self.power)
+        if kind == "mmse_fixed":
             fixed_row = allocate_pilots(
-                1, sysc.cells, ues, sysc.tau_p, "fixed_cyclic"
+                1, sysc.cells, sysc.ues_per_cell, sysc.tau_p, "fixed_cyclic"
             ).indices[0]
-            w = []
-            for k in range(ues):
-                shared = [
-                    (self.covs[l, i], self.power)
-                    for l in range(sysc.cells)
-                    for i in range(ues)
-                    if (l, i) != (0, k) and fixed_row[l, i] == fixed_row[0, k]
-                ]
-                w.append(
-                    mmse_fixed_filter(
-                        self.covs[0, k], self.power, shared, self.r_nn, sysc.tau_p
-                    ).w
-                )
-        else:  # ls_fixed
-            w = [ls_estimate(np.eye(sysc.antennas), self.power, sysc.tau_p)] * ues
-        return np.stack(w)
+            return mmse_fixed_filter(self.covs, self.power, fixed_row, self.r_nn, sysc.tau_p)
+        w = ls_estimate(np.eye(sysc.antennas), self.power, sysc.tau_p)  # ls_fixed
+        return np.stack([w] * sysc.ues_per_cell)
 
     def _held_out(self, eval_blocks: int):
         """Draw the held-out blocks.
@@ -505,7 +475,7 @@ class _RunState:
                         cached = (filt.w, filt.clamped)
                     except NotPositiveDefinite:
                         lowrank = self.lowranks[rank][k]
-                        cached = (approx_mmse_filter(lowrank, self.power).w, True)
+                        cached = (approx_mmse_filter(lowrank, self.power), True)
                     self._impr_cache[key] = cached
                 w, degraded = cached
                 blocks = np.flatnonzero(group == g)

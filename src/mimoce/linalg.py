@@ -1,7 +1,8 @@
 """Dense complex Hermitian linear algebra.
 
 Provides Cholesky factorization with a scale-aware definiteness check,
-Hermitian solves, PSD square factors, relative diagonal loading, and the
+Hermitian solves, PSD square factors, relative diagonal loading (these
+four also on stacks (..., N, N), matrix by matrix), and the
 generalized eigenvalue decomposition (GEVD) of a Hermitian-definite matrix
 pencil {A, B}.  The GEVD is LAPACK's Hermitian-definite solver (zhegvd,
 through scipy.linalg.eigh), which normalizes X^H B X = I; the pencil is
@@ -59,14 +60,17 @@ class GevdResult:
 def cholesky(h: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L L^H = h for Hermitian positive definite h.
 
+    Accepts one matrix (N, N) or a stack (..., N, N); a stack is factored
+    matrix by matrix.
+
     Raises
     ------
     NotPositiveDefinite
         If a pivot is non-positive or falls below the scale-aware
-        threshold dim * eps * max(diag(h)).
+        threshold dim * eps * max(diag(h)), taken per matrix.
     """
     h = np.asarray(h, dtype=complex)
-    n = h.shape[0]
+    n = h.shape[-1]
     try:
         lower = np.linalg.cholesky(h)
     except np.linalg.LinAlgError as exc:
@@ -74,19 +78,26 @@ def cholesky(h: np.ndarray) -> np.ndarray:
     # np.linalg.cholesky only rejects pivots <= 0; additionally reject
     # pivots that are numerically indistinguishable from zero at the
     # matrix's own scale.
-    pivot_floor = n * np.finfo(float).eps * max(np.abs(np.diag(h)).max(), 0.0)
-    pivots = np.diag(lower).real ** 2
-    if pivots.min() <= pivot_floor:
+    diagonal = np.abs(np.diagonal(h, axis1=-2, axis2=-1))
+    pivot_floor = n * np.finfo(float).eps * diagonal.max(axis=-1)
+    pivots = (np.diagonal(lower, axis1=-2, axis2=-1).real ** 2).min(axis=-1)
+    below = pivots <= pivot_floor
+    if np.any(below):
+        i = np.argmax(below)
         raise NotPositiveDefinite(
-            f"pivot {pivots.min():.3e} below tolerance {pivot_floor:.3e}"
+            f"pivot {pivots.flat[i]:.3e} below tolerance {pivot_floor.flat[i]:.3e}"
         )
     return lower
 
 
 def load_diagonal(m: np.ndarray, factor: float) -> np.ndarray:
-    """Return m + factor * tr(m) / n * I: loading relative to the mean diagonal."""
+    """Return m + factor * tr(m) / n * I: loading relative to the mean diagonal.
+
+    A stack (..., N, N) loads each matrix by its own trace.
+    """
     n = m.shape[-1]
-    return m + (factor * np.trace(m).real / n) * np.eye(n)
+    loading = factor * np.trace(m, axis1=-2, axis2=-1).real / n
+    return m + loading[..., None, None] * np.eye(n)
 
 
 def gevd(a: np.ndarray, b: np.ndarray) -> GevdResult:
@@ -110,7 +121,11 @@ def gevd(a: np.ndarray, b: np.ndarray) -> GevdResult:
 
 
 def solve_hermitian(h: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Solve h x = m for Hermitian positive definite h via Cholesky."""
+    """Solve h x = m for Hermitian positive definite h via Cholesky.
+
+    h may be a stack (..., N, N); m then broadcasts against it, and the
+    stack is solved matrix by matrix.
+    """
     lower = cholesky(h)
     return scipy.linalg.cho_solve((lower, True), np.asarray(m, dtype=complex))
 

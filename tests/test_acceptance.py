@@ -28,12 +28,11 @@ from mimoce.cli import main
 from mimoce.config import EstimatorSpec, ExperimentConfig, SweepSpec, SystemConfig
 from mimoce.covest import (
     AllCovAccumulator,
-    estimate_all_cov,
     estimate_pilot_cov,
     gevd_lowrank_estimator,
     subtraction_estimator,
 )
-from mimoce.estimators import approx_mmse_estimate
+from mimoce.estimators import approx_mmse_filter
 from mimoce.harness import run_sweep
 from mimoce.linalg import cholesky, gevd, hermitize, psd_factor
 from mimoce.seeding import ensure_rng
@@ -198,7 +197,7 @@ def test_criterion_3_expectation_consistency():
         )
         acc.add(np.concatenate([pilot_rx, data_rx], axis=2))
         despread_rows.append(despread_batch(pilot_rx, book, alloc.indices[done:stop, 0, 0]))
-        acc_by_t[stop] = acc.estimate().matrix.copy()
+        acc_by_t[stop] = acc.estimate()
         done = stop
 
     despread_all = np.concatenate(despread_rows)
@@ -206,7 +205,7 @@ def test_criterion_3_expectation_consistency():
     all_err = []
     for stop in checkpoints:
         pilot = estimate_pilot_cov(despread_all[:stop], tau_p)
-        pilot_err.append(rel_err(pilot.matrix, r_pilot_true))
+        pilot_err.append(rel_err(pilot, r_pilot_true))
         all_err.append(rel_err(acc_by_t[stop], r_all_true))
 
     def monotone_with_one_slip(errors):
@@ -450,14 +449,14 @@ def test_criterion_8_end_to_end_equivariance():
     def pipeline(pilot_phase, data_phase):
         d = despread_batch(pilot_phase[:blocks], book, alloc.indices[:blocks, 0, 0])
         pilot_cov = estimate_pilot_cov(d, tau_p)
-        all_cov = estimate_all_cov(
-            np.concatenate([pilot_phase[:blocks], data_phase[:blocks]], axis=2)
-        )
+        acc = AllCovAccumulator(n)
+        acc.add(np.concatenate([pilot_phase[:blocks], data_phase[:blocks]], axis=2))
+        all_cov = acc.estimate()
         low = gevd_lowrank_estimator(pilot_cov, all_cov, tau_p, 1.0, rank=rank)
         d_eval = despread_batch(
             pilot_phase[blocks:], book, alloc.indices[blocks:, 0, 0]
         )
-        return approx_mmse_estimate(low, 1.0, d_eval)
+        return d_eval @ approx_mmse_filter(low, 1.0).conj()
 
     base = pipeline(pilot_rx, data_rx)
     mapped = pipeline(

@@ -251,6 +251,15 @@ class TestMain:
         payload = json.loads((out2 / "results.json").read_text())
         assert payload["master_seed"] == 99
 
+    def test_negative_seed_flag_names_invariant(self, fast_config_path, tmp_path, capsys):
+        out = tmp_path / "neg"
+        code = main(
+            ["run", "--config", str(fast_config_path), "--output", str(out), "--seed", "-1"]
+        )
+        assert code == EXIT_CONFIG_ERROR
+        assert "master_seed >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_validate_command(self, fast_config_path, capsys):
         assert main(["validate", "--config", str(fast_config_path)]) == EXIT_OK
         assert "OK" in capsys.readouterr().out

@@ -14,7 +14,6 @@ from mimoce.channel import covariance_factors, sample_channels
 from mimoce.covest import (
     AllCovAccumulator,
     DegeneratePilotCount,
-    estimate_all_cov,
     estimate_pilot_cov,
     gevd_lowrank_estimator,
     subtraction_estimator,
@@ -28,11 +27,18 @@ def rel_err(actual, expected):
     return np.linalg.norm(actual - expected) / np.linalg.norm(expected)
 
 
+def all_cov_of(signals):
+    """Combined covariance of signals (T, N, S) through the accumulator."""
+    acc = AllCovAccumulator(signals.shape[-2])
+    acc.add(signals)
+    return acc.estimate()
+
+
 class TestSampleCovariances:
     def test_pilot_cov_zero_input(self):
         est = estimate_pilot_cov(np.zeros((4, 3), dtype=complex), tau_p=5)
-        assert np.all(est.matrix == 0)
-        assert est.t_used == 4
+        assert est.shape == (3, 3)
+        assert np.all(est == 0)
 
     def test_pilot_cov_single_outer_product(self):
         tau_p = 7
@@ -41,21 +47,30 @@ class TestSampleCovariances:
         est = estimate_pilot_cov(y, tau_p=tau_p)
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
-        assert np.allclose(est.matrix, expected)
+        assert np.allclose(est, expected)
 
     def test_pilot_cov_loading(self):
         rng = np.random.default_rng(0)
         y = rng.standard_normal((50, 6)) + 1j * rng.standard_normal((50, 6))
         bare = estimate_pilot_cov(y, tau_p=4)
         loaded = estimate_pilot_cov(y, tau_p=4, loading_factor=0.1)
-        mu = np.trace(bare.matrix).real / 6
-        assert np.allclose(loaded.matrix, bare.matrix + 0.1 * mu * np.eye(6))
-        assert loaded.loading == pytest.approx(0.1 * mu)
+        mu = np.trace(bare).real / 6
+        assert np.allclose(loaded, bare + 0.1 * mu * np.eye(6))
+
+    def test_pilot_cov_stack_matches_single_calls(self):
+        # the harness estimates every UE's pilot covariance in one call
+        rng = np.random.default_rng(15)
+        y = rng.standard_normal((3, 40, 6)) + 1j * rng.standard_normal((3, 40, 6))
+        stacked = estimate_pilot_cov(y, tau_p=4, loading_factor=0.05)
+        assert stacked.shape == (3, 6, 6)
+        for k in range(3):
+            single = estimate_pilot_cov(y[k], tau_p=4, loading_factor=0.05)
+            assert np.array_equal(stacked[k], single)
 
     def test_all_cov_zero_input(self):
-        est = estimate_all_cov(np.zeros((3, 4, 6), dtype=complex))
-        assert np.all(est.matrix == 0)
-        assert est.t_used == 3
+        est = all_cov_of(np.zeros((3, 4, 6), dtype=complex))
+        assert est.shape == (4, 4)
+        assert np.all(est == 0)
 
     def test_all_cov_noise_only(self):
         rng = ensure_rng(1)
@@ -66,19 +81,18 @@ class TestSampleCovariances:
             (rng.standard_normal((blocks, n, samples)) + 1j * rng.standard_normal((blocks, n, samples)))
             * np.sqrt(0.5),
         )
-        est = estimate_all_cov(noise)
-        assert rel_err(est.matrix, np.eye(n)) <= 0.05
+        est = all_cov_of(noise)
+        assert rel_err(est, np.eye(n)) <= 0.05
 
     def test_accumulator_matches_direct(self):
         rng = ensure_rng(2)
         y = rng.standard_normal((20, 4, 7)) + 1j * rng.standard_normal((20, 4, 7))
-        direct = estimate_all_cov(y)
+        direct = all_cov_of(y)
         acc = AllCovAccumulator(4)
         acc.add(y[:12])
         acc.add(y[12:])
         streamed = acc.estimate()
-        assert np.allclose(direct.matrix, streamed.matrix)
-        assert streamed.t_used == 20
+        assert np.allclose(direct, streamed)
 
 
 class TestSubtraction:
@@ -93,6 +107,15 @@ class TestSubtraction:
             net.r_pilot, net.r_all, net.tau_p, net.power_desired
         )
         assert rel_err(out, net.r_desired) <= 1e-12
+
+    def test_stack_matches_single_calls(self):
+        rng = np.random.default_rng(16)
+        pilots = np.stack([random_psd(rng, 5) for _ in range(3)])
+        all_cov = random_psd(rng, 5)
+        stacked = subtraction_estimator(pilots, all_cov, tau_p=4, power=1.5)
+        for k in range(3):
+            single = subtraction_estimator(pilots[k], all_cov, tau_p=4, power=1.5)
+            assert np.array_equal(stacked[k], single)
 
     def test_degenerate_tau_p(self):
         m = np.eye(3, dtype=complex)
@@ -118,7 +141,7 @@ class TestSubtraction:
             )
             d = despread_batch(pilot_rx, book, alloc.indices[:, 0, 0])
             pilot_cov = estimate_pilot_cov(d, tau_p)
-            all_cov = estimate_all_cov(np.concatenate([pilot_rx, data_rx], axis=2))
+            all_cov = all_cov_of(np.concatenate([pilot_rx, data_rx], axis=2))
             estimate = subtraction_estimator(pilot_cov, all_cov, tau_p, 1.0)
             if np.linalg.eigvalsh(estimate)[0] < 0:
                 indefinite += 1
@@ -239,11 +262,9 @@ class TestConvergenceToAnalytic:
         all_err = []
         for t in (100, 1000, 10_000):
             pilot_cov = estimate_pilot_cov(d[:t], tau_p)
-            all_cov = estimate_all_cov(
-                np.concatenate([pilot_rx[:t], data_rx[:t]], axis=2)
-            )
-            pilot_err.append(rel_err(pilot_cov.matrix, r_pilot_true))
-            all_err.append(rel_err(all_cov.matrix, r_all_true))
+            all_cov = all_cov_of(np.concatenate([pilot_rx[:t], data_rx[:t]], axis=2))
+            pilot_err.append(rel_err(pilot_cov, r_pilot_true))
+            all_err.append(rel_err(all_cov, r_all_true))
         assert pilot_err[2] <= 0.05
         assert all_err[2] <= 0.05
         assert pilot_err[0] > pilot_err[1] > pilot_err[2]

@@ -13,7 +13,6 @@ from mimoce.airlink import (
 from mimoce.channel import covariance_factors, sample_channels
 from mimoce.covest import estimate_pilot_cov, gevd_lowrank_estimator
 from mimoce.estimators import (
-    approx_mmse_estimate,
     approx_mmse_filter,
     improved_mmse_filter,
     ls_estimate,
@@ -37,18 +36,18 @@ def pilot_cov_for(net: SyntheticNetwork, ue: int) -> np.ndarray:
 
 class TestOptimalFilter:
     def test_zero_covariance_zero_filter(self):
-        filt = mmse_optimal_filter(np.eye(4, dtype=complex), np.zeros((4, 4)), 1.0)
-        assert np.all(filt.w == 0)
-        assert np.all(filt.apply(np.ones(4, dtype=complex)) == 0)
+        w = mmse_optimal_filter(np.eye(4, dtype=complex), np.zeros((4, 4)), 1.0)
+        assert np.all(w == 0)
+        assert np.all(np.ones(4, dtype=complex) @ w.conj() == 0)
 
     def test_single_ue_closed_form(self):
         rng = np.random.default_rng(0)
         n, tau_p, power, sigma2 = 6, 5, 1.8, 0.3
         r = random_psd(rng, n)
         r_pilot = power * tau_p * r + sigma2 * np.eye(n)
-        filt = mmse_optimal_filter(r_pilot, r, power)
+        w = mmse_optimal_filter(r_pilot, r, power)
         expected = np.sqrt(power) * np.linalg.solve(r_pilot, r)
-        assert rel_err(filt.w, expected) <= 1e-12
+        assert rel_err(w, expected) <= 1e-12
 
     def test_first_order_optimality(self):
         # empirical MSE of the true-covariance filter never improves under
@@ -71,16 +70,16 @@ class TestOptimalFilter:
         )
         y = despread_batch(pilot_rx, book, alloc.indices[:, 0, 0])
         h_des = h[:, 0, :]
-        filt = mmse_optimal_filter(net.r_pilot, net.r_desired, net.power_desired)
+        w_opt = mmse_optimal_filter(net.r_pilot, net.r_desired, net.power_desired)
 
         def mse(w):
             est = np.einsum("nm,bn->bm", w.conj(), y)
             return float(np.mean(np.abs(est - h_des) ** 2))
 
-        base = mse(filt.w)
+        base = mse(w_opt)
         for trial in range(20):
-            delta = complex_normal(ensure_rng(50 + trial), filt.w.shape)
-            assert base <= mse(filt.w + 0.01 * delta)
+            delta = complex_normal(ensure_rng(50 + trial), w_opt.shape)
+            assert base <= mse(w_opt + 0.01 * delta)
 
     def test_beats_ls_on_same_data(self):
         net = make_synthetic(np.random.default_rng(3), n=8, desired_rank=4, tau_p=4)
@@ -95,8 +94,8 @@ class TestOptimalFilter:
             net.powers[None, :], psd_factor(net.r_nn), rng, 0,
         )
         y = despread_batch(pilot_rx, book, alloc.indices[:, 0, 0])
-        filt = mmse_optimal_filter(net.r_pilot, net.r_desired, net.power_desired)
-        mse_mmse = np.mean(np.abs(filt.apply(y) - h[:, 0, :]) ** 2)
+        w = mmse_optimal_filter(net.r_pilot, net.r_desired, net.power_desired)
+        mse_mmse = np.mean(np.abs(y @ w.conj() - h[:, 0, :]) ** 2)
         mse_ls = np.mean(
             np.abs(ls_estimate(y, net.power_desired, net.tau_p) - h[:, 0, :]) ** 2
         )
@@ -107,8 +106,9 @@ class TestApproxFilter:
     def test_zero_rank_zero_filter(self):
         eye = np.eye(5, dtype=complex)
         low = gevd_lowrank_estimator(eye, eye, tau_p=4, power=1.0, rank=2)
-        filt = approx_mmse_filter(low, 1.0)
-        assert np.all(filt.w == 0)
+        w = approx_mmse_filter(low, 1.0)
+        assert w.shape == (5, 5)
+        assert np.all(w == 0)
 
     def test_matches_optimal_on_exact_lowrank_inputs(self):
         net = make_synthetic(np.random.default_rng(5), desired_rank=3)
@@ -117,7 +117,7 @@ class TestApproxFilter:
         )
         approx = approx_mmse_filter(low, net.power_desired)
         optimal = mmse_optimal_filter(net.r_pilot, net.r_desired, net.power_desired)
-        assert rel_err(approx.w, optimal.w) <= 1e-8
+        assert rel_err(approx, optimal) <= 1e-8
 
     def test_strong_signal_weight_limit(self):
         # as the generalized eigenvalues grow, the per-mode weights
@@ -132,26 +132,17 @@ class TestApproxFilter:
         assert np.all(low.sigma > 1e4)
         assert np.allclose(weights, 1.0 / (tau_p - 1), rtol=1e-3)
 
-    def test_sum_form_equals_matrix_form(self):
-        rng = np.random.default_rng(7)
-        net = make_synthetic(rng, desired_rank=4)
-        low = gevd_lowrank_estimator(net.r_pilot, net.r_all, net.tau_p, 1.0, rank=4)
-        filt = approx_mmse_filter(low, 1.0)
-        y = rng.standard_normal((9, net.n)) + 1j * rng.standard_normal((9, net.n))
-        sum_form = approx_mmse_estimate(low, 1.0, y)
-        matrix_form = filt.apply(y)
-        assert np.max(np.abs(sum_form - matrix_form)) <= 1e-12 * np.max(np.abs(matrix_form))
-
     def test_zero_and_orthogonal_inputs(self):
         net = make_synthetic(np.random.default_rng(8), desired_rank=3)
         low = gevd_lowrank_estimator(net.r_pilot, net.r_all, net.tau_p, 1.0, rank=3)
-        assert np.all(approx_mmse_estimate(low, 1.0, np.zeros(net.n)) == 0)
+        w = approx_mmse_filter(low, 1.0)
+        assert np.all(np.zeros(net.n) @ w.conj() == 0)
         # a vector orthogonal to every dual-basis column estimates to zero
         rng = np.random.default_rng(9)
         y = rng.standard_normal(net.n) + 1j * rng.standard_normal(net.n)
         proj = low.x @ np.linalg.solve(low.x.conj().T @ low.x, low.x.conj().T @ y)
         y_perp = y - proj
-        h_hat = approx_mmse_estimate(low, 1.0, y_perp)
+        h_hat = y_perp @ w.conj()
         assert np.linalg.norm(h_hat) <= 1e-10 * np.linalg.norm(y)
 
     def test_estimate_lies_in_retained_subspace(self):
@@ -159,7 +150,7 @@ class TestApproxFilter:
         low = gevd_lowrank_estimator(net.r_pilot, net.r_all, net.tau_p, 1.0, rank=3)
         rng = np.random.default_rng(11)
         y = rng.standard_normal(net.n) + 1j * rng.standard_normal(net.n)
-        h_hat = approx_mmse_estimate(low, 1.0, y)
+        h_hat = y @ approx_mmse_filter(low, 1.0).conj()
         q, _ = np.linalg.qr(low.q)
         residual = h_hat - q @ (q.conj().T @ h_hat)
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(h_hat)
@@ -169,7 +160,7 @@ class TestApproxFilter:
         net = make_synthetic(rng, desired_rank=3)
         low = gevd_lowrank_estimator(net.r_pilot, net.r_all, net.tau_p, 1.0, rank=3)
         y = rng.standard_normal(net.n) + 1j * rng.standard_normal(net.n)
-        base = approx_mmse_estimate(low, 1.0, y)
+        base = y @ approx_mmse_filter(low, 1.0).conj()
         t = rng.standard_normal((net.n, net.n)) + 1j * rng.standard_normal((net.n, net.n))
         t += 3 * np.eye(net.n)
         low_t = gevd_lowrank_estimator(
@@ -179,7 +170,7 @@ class TestApproxFilter:
             1.0,
             rank=3,
         )
-        mapped = approx_mmse_estimate(low_t, 1.0, t @ y)
+        mapped = (t @ y) @ approx_mmse_filter(low_t, 1.0).conj()
         assert rel_err(mapped, t @ base) <= 1e-8
 
 
@@ -285,13 +276,33 @@ class TestLsEstimate:
         assert np.allclose(ls_estimate(y, power, tau_p), h + h_int)
 
 
+def mmse_fixed_reference(covs, power, pilot_row, r_nn, tau_p):
+    """Per-UE fixed-allocation LMMSE filters, each UE's interferers collected
+    in a list of (covariance, power) pairs."""
+    cells, ues = pilot_row.shape
+    filters = []
+    for k in range(ues):
+        shared = [
+            (covs[l, i], power)
+            for l in range(cells)
+            for i in range(ues)
+            if (l, i) != (0, k) and pilot_row[l, i] == pilot_row[0, k]
+        ]
+        m = power * tau_p * covs[0, k] + r_nn
+        for r_i, p_i in shared:
+            m = m + p_i * tau_p * r_i
+        filters.append(np.sqrt(power) * np.linalg.solve(hermitize(m), covs[0, k]))
+    return np.stack(filters)
+
+
 class TestMmseFixedFilter:
     def test_zero_covariance_zero_filter(self):
         n = 4
-        filt = mmse_fixed_filter(
-            np.zeros((n, n)), 1.0, [], np.eye(n, dtype=complex), 5
+        w = mmse_fixed_filter(
+            np.zeros((1, 1, n, n)), 1.0, np.zeros((1, 1), int), np.eye(n, dtype=complex), 5
         )
-        assert np.all(filt.w == 0)
+        assert w.shape == (1, n, n)
+        assert np.all(w == 0)
 
     def test_noise_free_limit_lossless(self):
         rng = np.random.default_rng(19)
@@ -299,7 +310,9 @@ class TestMmseFixedFilter:
         r = random_psd(rng, n) + 0.5 * np.eye(n)  # full rank
         nmse_prev = None
         for sigma2 in (1e-2, 1e-5, 1e-8):
-            filt = mmse_fixed_filter(r, power, [], sigma2 * np.eye(n), tau_p)
+            mmse_fixed_filter(
+                r[None, None], power, np.zeros((1, 1), int), sigma2 * np.eye(n), tau_p
+            )
             # analytic NMSE of the LMMSE estimate
             err_cov = r - power * tau_p * r @ np.linalg.solve(
                 power * tau_p * r + sigma2 * np.eye(n), r
@@ -311,7 +324,7 @@ class TestMmseFixedFilter:
         assert nmse_prev < 1e-7
 
     def test_matches_brute_force_regression(self):
-        # one shared-pilot interferer with identical statistics: the
+        # two UEs of one cell share a pilot with identical statistics: the
         # analytic filter agrees with a least-squares regression on
         # simulated despread data and NMSE is floored near 1/2
         rng = ensure_rng(20)
@@ -325,11 +338,35 @@ class TestMmseFixedFilter:
         noise = np.einsum("nm,bm->bn", fn, complex_normal(rng, (draws, n)))
         y = np.sqrt(power) * tau_p * (h + h_int) + noise
 
-        filt = mmse_fixed_filter(r, power, [(r, power)], r_nn, tau_p)
+        w = mmse_fixed_filter(
+            np.stack([r, r])[None], power, np.zeros((1, 2), int), r_nn, tau_p
+        )
+        assert w.shape == (2, n, n)
+        assert np.allclose(w[0], w[1])
         gram = np.einsum("bn,bm->nm", y, y.conj())
         cross = np.einsum("bn,bm->nm", y, h.conj())
         w_regression = np.linalg.solve(gram, cross)
-        assert rel_err(filt.w, w_regression) <= 0.02
+        assert rel_err(w[0], w_regression) <= 0.02
 
-        nmse = float(np.mean(np.abs(filt.apply(y) - h) ** 2) * n / np.trace(r).real)
+        nmse = float(np.mean(np.abs(y @ w[0].conj() - h) ** 2) * n / np.trace(r).real)
         assert nmse >= 0.45
+
+    @pytest.mark.parametrize("tau_p", [2, 5])
+    def test_stack_matches_per_ue_shared_lists(self, tau_p):
+        # 7 cells of 3 UEs on fixed cyclic pilots: UEs share pilots across
+        # cells, and at tau_p = 2 also within the serving cell.
+        cells, ues, n, power = 7, 3, 6, 0.8
+        rng = np.random.default_rng(22)
+        covs = np.stack(
+            [
+                np.stack([(1.0 if l == 0 else 0.3) * random_psd(rng, n) for _ in range(ues)])
+                for l in range(cells)
+            ]
+        )
+        r_nn = 0.1 * np.eye(n, dtype=complex)
+        row = allocate_pilots(1, cells, ues, tau_p, "fixed_cyclic").indices[0]
+        w = mmse_fixed_filter(covs, power, row, r_nn, tau_p)
+        expected = mmse_fixed_reference(covs, power, row, r_nn, tau_p)
+        assert w.shape == (ues, n, n)
+        for k in range(ues):
+            assert rel_err(w[k], expected[k]) <= 1e-12

@@ -113,7 +113,7 @@ def improved_reference(state, rank, rows, d_random):
                 )
                 w, degraded = filt.w, filt.clamped
             except NotPositiveDefinite:
-                w = approx_mmse_filter(state.lowranks[rank][k], state.power).w
+                w = approx_mmse_filter(state.lowranks[rank][k], state.power)
                 degraded = True
             h_hat[k, b] = d_random[k, b] @ w.conj()
             fallbacks += degraded

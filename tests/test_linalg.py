@@ -55,6 +55,23 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefinite):
             cholesky(np.outer(a, a).astype(complex))
 
+    def test_stack_floor_is_per_matrix(self):
+        # A 1e-15-scale matrix is positive definite at its own scale, even
+        # next to an O(1) matrix whose floor it would fail.
+        rng = np.random.default_rng(15)
+        big = random_hpd(rng, 4)
+        tiny = 1e-15 * random_hpd(rng, 4)
+        lower = cholesky(np.stack([big, tiny]))
+        assert np.array_equal(lower[0], cholesky(big))
+        assert np.array_equal(lower[1], cholesky(tiny))
+
+    def test_stack_rejects_one_matrix_below_its_floor(self):
+        # LAPACK factorizes every matrix here; the second one's pivot lies
+        # below its own floor.
+        stack = np.stack([np.eye(3), np.diag([1.0, 1e-17, 1.0])]).astype(complex)
+        with pytest.raises(NotPositiveDefinite):
+            cholesky(stack)
+
 
 class TestGevd:
     def check_invariants(self, a, b, res: GevdResult, tol=1e-9):
@@ -142,6 +159,20 @@ class TestSolveHermitian:
         x = solve_hermitian(h, m)
         assert np.linalg.norm(h @ x - m) <= 1e-10 * np.linalg.norm(m)
 
+    def test_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(10)
+        h = np.stack([random_hpd(rng, 5), 1e-15 * random_hpd(rng, 5), random_hpd(rng, 5)])
+        m = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
+        x = solve_hermitian(h, m)
+        assert x.shape == (3, 5, 5)
+        for k in range(3):
+            assert np.array_equal(x[k], solve_hermitian(h[k], m[k]))
+
+    def test_stack_rejects_one_matrix_below_its_floor(self):
+        h = np.stack([np.eye(3), np.diag([1.0, 1e-17, 1.0])]).astype(complex)
+        with pytest.raises(NotPositiveDefinite):
+            solve_hermitian(h, np.ones((2, 3, 1), dtype=complex))
+
 
 class TestPsdFactor:
     def test_factor_reconstructs(self):
@@ -183,3 +214,13 @@ class TestLoadDiagonal:
         rng = np.random.default_rng(14)
         m = random_hpd(rng, 4)
         assert np.array_equal(load_diagonal(m, 0.0), m)
+
+    def test_stack_loads_each_matrix_by_its_own_trace(self):
+        m = np.stack(
+            [np.array([[2.0, 1.0j], [-1.0j, 4.0]]), np.diag([10.0, 30.0]).astype(complex)]
+        )
+        loaded = load_diagonal(m, 0.5)
+        assert np.allclose(loaded[0], m[0] + 1.5 * np.eye(2))
+        assert np.allclose(loaded[1], m[1] + 10.0 * np.eye(2))
+        for k in range(2):
+            assert np.array_equal(loaded[k], load_diagonal(m[k], 0.5))
