@@ -112,8 +112,9 @@ def simulate_blocks(
     pilot_book: PilotBook,
     powers: np.ndarray,
     noise_factor: np.ndarray,
-    rng: np.random.Generator,
+    pilot_rng: np.random.Generator,
     tau_u: int,
+    data_rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Synthesize received pilot- and data-phase signals for a batch of blocks.
 
@@ -128,8 +129,14 @@ def simulate_blocks(
     noise_factor : (N, N) ndarray
         Square factor F with F F^H equal to the noise covariance; noise is
         drawn independently per sample.
+    pilot_rng, data_rng : Generator
+        Streams of the pilot-phase noise and of the data phase (symbol
+        phases, then data noise).  pilot_rx depends on pilot_rng only and
+        data_rx on data_rng only, so a caller can redraw one phase without
+        the other; passing one generator as both draws the phases in turn.
     tau_u : int
-        Data samples per block; 0 skips the data phase.
+        Data samples per block; 0 skips the data phase, and data_rng is
+        then not needed.
 
     Returns
     -------
@@ -143,13 +150,15 @@ def simulate_blocks(
 
     seq = pilot_book.sequences[pilot_indices.reshape(b_blocks, cells * ues)]
     pilot_rx = weighted_t @ seq
-    pilot_rx += noise_factor @ complex_normal(rng, (b_blocks, n, tau_p))
+    pilot_rx += noise_factor @ complex_normal(pilot_rng, (b_blocks, n, tau_p))
 
     if tau_u > 0:
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=(b_blocks, cells * ues, tau_u))
+        if data_rng is None:
+            raise ValueError("tau_u > 0 needs a data-phase generator")
+        phases = data_rng.uniform(0.0, 2.0 * np.pi, size=(b_blocks, cells * ues, tau_u))
         # A temporary, freed before the noise below is drawn.
         data_rx = weighted_t @ _unit_symbols(phases)
-        data_rx += noise_factor @ complex_normal(rng, (b_blocks, n, tau_u))
+        data_rx += noise_factor @ complex_normal(data_rng, (b_blocks, n, tau_u))
     else:
         data_rx = np.zeros((b_blocks, n, 0), dtype=complex)
     return pilot_rx, data_rx

@@ -40,7 +40,8 @@ class LowRankCovEstimate:
     Q_r diag(lam) Q_r^H from the retained pencil modes.  sigma holds the
     retained generalized eigenvalues (all > 1), lam the mode weights
     (sigma - 1) / (tau_p - 1), and x the dual basis columns satisfying
-    x_r^H q_s = delta_rs.
+    x_r^H q_s = delta_rs.  loaded is True when the combined covariance
+    failed its Cholesky screen and the pencil was solved with it loaded.
     """
 
     scaled_matrix: np.ndarray
@@ -50,6 +51,7 @@ class LowRankCovEstimate:
     x: np.ndarray  # (N, rank_effective)
     sigma: np.ndarray  # (rank_effective,)
     lam: np.ndarray  # (rank_effective,)
+    loaded: bool
 
 
 class AllCovAccumulator:
@@ -58,6 +60,7 @@ class AllCovAccumulator:
     Feeds on batches of per-block antenna samples so that long runs never
     need to hold all received signals in memory; accumulation is a plain
     fold and therefore order-insensitive up to floating-point rounding.
+    Accumulators of disjoint sample sets combine with `merge`.
     """
 
     def __init__(self, n_antennas: int):
@@ -73,6 +76,11 @@ class AllCovAccumulator:
         flat = np.moveaxis(signals, 1, 0).reshape(n, b * s)
         self._sum += flat @ flat.conj().T
         self._samples += b * s
+
+    def merge(self, other: AllCovAccumulator) -> None:
+        """Add every sample accumulated by `other`."""
+        self._sum += other._sum
+        self._samples += other._samples
 
     def estimate(self) -> np.ndarray:
         """The (N, N) sample covariance of every sample added so far."""
@@ -124,7 +132,8 @@ def gevd_lowrank_estimator(
     modes among those with generalized eigenvalue above one;
     the retained mode r contributes (sigma_r - 1)/(tau_p - 1) q_r q_r^H to
     power * R_hat.  If the combined covariance is not positive definite, a
-    single diagonal-loading retry is attempted before giving up.
+    single diagonal-loading retry is attempted before giving up, and the
+    estimate reports it as `loaded`.
     """
     if tau_p < 2:
         raise DegeneratePilotCount("tau_p must be >= 2")
@@ -132,10 +141,12 @@ def gevd_lowrank_estimator(
     n = b.shape[0]
     if not 1 <= rank <= n:
         raise ValueError(f"rank must be in [1, {n}], got {rank}")
+    loaded = False
     try:
         result = gevd(pilot_cov, b)
     except NotPositiveDefinite:
         result = gevd(pilot_cov, load_diagonal(b, FALLBACK_LOADING))
+        loaded = True
 
     above_one = result.eigenvalues > 1.0 + SIGMA_ONE_TOL
     rank_effective = int(min(rank, above_one.sum()))
@@ -152,4 +163,5 @@ def gevd_lowrank_estimator(
         x=x,
         sigma=sigma,
         lam=lam,
+        loaded=loaded,
     )

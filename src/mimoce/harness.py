@@ -17,9 +17,12 @@ vectors: a per-UE (K, N, N) stack, or per pilot pattern for gevd_impr.
 The sweep points of one Monte-Carlo run draw from the same run-keyed
 streams, so what a point would draw exactly as another point of the run
 did is computed once per run (`_SharedRun`): the network and its
-statistics, and, among points with the same tau_p, the held-out blocks,
-the true-covariance filters and every full training batch.  Sharing
-leaves every result bit unchanged.
+statistics; the data phase of every training batch, which has its own
+batch-keyed stream and does not depend on tau_p, as its Gram sum; and,
+among points with the same tau_p, the held-out blocks, the
+true-covariance filters and every full training batch.  So each point
+of a tau_p sweep synthesizes only its own pilot phase.  Sharing leaves
+every result bit unchanged.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import copy
 import math
 import threading
 from collections import Counter, defaultdict
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -49,7 +52,7 @@ from .channel import (
     sample_channels,
     steering_vector,
 )
-from .config import DATA_DRIVEN_KINDS, ExperimentConfig, SystemConfig
+from .config import DATA_DRIVEN_KINDS, RANKED_KINDS, ExperimentConfig, SystemConfig
 from .covest import (
     AllCovAccumulator,
     estimate_pilot_cov,
@@ -82,6 +85,10 @@ _STREAMS = {
     "eval_signals_random": 6,
     "eval_signals_fixed_cyclic": 7,
 }
+# The data phase of training batch i is drawn from the stream keyed by
+# (*run keys, _DATA_STREAM, i), so it depends only on the run, the batch
+# index and the batch size, never on tau_p.
+_DATA_STREAM = 8
 
 # Pilot allocation under which each estimator kind is evaluated.
 _ALLOCATION = {
@@ -137,9 +144,24 @@ def nmse(h_true: np.ndarray, h_hat: np.ndarray, covariance: np.ndarray) -> np.nd
     return sq.sum(axis=-1) / trace
 
 
+def _run_keys(run_seed) -> tuple[int, ...]:
+    return tuple(run_seed) if isinstance(run_seed, (tuple, list)) else (run_seed,)
+
+
 def _streams(run_seed) -> dict[str, np.random.Generator]:
-    keys = tuple(run_seed) if isinstance(run_seed, (tuple, list)) else (run_seed,)
+    keys = _run_keys(run_seed)
     return {name: derive_rng(*keys, i) for name, i in _STREAMS.items()}
+
+
+def _publish(future: Future, compute):
+    """Set `future` to compute() and return it, or set the exception raised."""
+    try:
+        result = compute()
+    except BaseException as exc:
+        future.set_exception(exc)
+        raise
+    future.set_result(result)
+    return result
 
 
 def _mmse_form_filter(pilot_matrix, target, power):
@@ -153,12 +175,14 @@ def _mmse_form_filter(pilot_matrix, target, power):
 
 @dataclass(frozen=True)
 class _TrainingBatch:
-    """State of a point's training after one full batch: the accumulator, a
-    copy of the batch's despread vectors (K, BATCH_BLOCKS, N) and the
-    positions of the two training streams that the batch advanced."""
+    """State of a point's training after one full batch: the pilot-phase
+    accumulator, a copy of the batch's despread vectors (K, BATCH_BLOCKS, N),
+    the Future of the batch's data-phase accumulator and the positions of
+    the two training streams that the batch advanced."""
 
     acc: AllCovAccumulator
     despread: np.ndarray
+    data: Future
     channels_state: dict
     signals_state: dict
 
@@ -167,18 +191,25 @@ class _SharedRun:
     """What the sweep points of one Monte-Carlo run compute identically.
 
     Streams are keyed by run index, so every point of a run builds the same
-    network, and points with the same tau_p draw the same held-out blocks
-    and the same true-covariance filters.  Training batch i is drawn with
-    the same shapes from the same stream positions at every T that has a
-    full batch i, and the pilot rows of a shorter window are a prefix of a
-    longer one's, so full batches are shared too; a partial last batch
-    draws other shapes and is never shared.  An item is kept only where two
-    points of the run need it; `lock` makes concurrent points compute it
-    once.
+    network and draws the same channels for each training batch.  The data
+    phase of training batch i comes from its own stream keyed by i, so its
+    Gram sum is a function of the run, i and the batch size alone, and one
+    point synthesizes it for all.  Points with the same tau_p also draw the
+    same held-out blocks and the same true-covariance filters.  Training
+    batch i is drawn with the same shapes from the same stream positions at
+    every T that has a full batch i, and the pilot rows of a shorter window
+    are a prefix of a longer one's, so full batches are shared among points
+    with the same tau_p; a partial last batch draws other shapes and is
+    never shared.  An item is kept only where two points of the run need it.
+
+    Each kept item is a Future owned by the first point that claims it.
+    The owner computes it outside the lock and publishes it, or the
+    exception it raised; the other points wait on it.  An owner publishes
+    before it waits on any other item, so no point waits for itself.
     """
 
     def __init__(self, systems: list[SystemConfig]):
-        self.lock = threading.Lock()
+        self._lock = threading.Lock()
         full = defaultdict(list)
         for system in systems:
             full[system.tau_p].append(system.blocks // BATCH_BLOCKS)
@@ -191,19 +222,28 @@ class _SharedRun:
             tau_p: sorted(counts)[-2] if len(counts) > 1 else 0
             for tau_p, counts in full.items()
         }
-        self._store: dict[tuple, object] = {}
+        self._store: dict[tuple, Future] = {}
 
-    def get(self, key: tuple, compute):
-        """compute(), once per run where two points need it.
+    def claim(self, key: tuple) -> tuple[Future, bool]:
+        """The Future of `key` and whether the caller owns it.
 
-        key[0] is the tau_p the result depends on, or None.
+        key[0] is the tau_p the result depends on, or None.  The owner must
+        publish the result or an exception before it waits on anything; a
+        key that fewer than two points need gets a Future of its own.
         """
         if self._points[key[0]] < 2:
-            return compute()
-        with self.lock:
-            if key not in self._store:
-                self._store[key] = compute()
-            return self._store[key]
+            return Future(), True
+        with self._lock:
+            future = self._store.get(key)
+            if future is not None:
+                return future, False
+            future = self._store[key] = Future()
+            return future, True
+
+    def get(self, key: tuple, compute):
+        """compute(), once per run where two points need it."""
+        future, owner = self.claim(key)
+        return _publish(future, compute) if owner else future.result()
 
     def kept_batches(self, system: SystemConfig) -> int:
         """Leading full training batches of this point that are shared."""
@@ -219,12 +259,13 @@ class _RunState:
         self,
         config: ExperimentConfig,
         system: SystemConfig,
-        rngs,
+        run_seed,
         shared: _SharedRun | None = None,
     ):
         self.config = config
         self.system = system
-        self.rngs = rngs
+        self.keys = _run_keys(run_seed)
+        self.rngs = _streams(self.keys)
         self.shared = _SharedRun([system]) if shared is None else shared
         self.kinds = {spec.kind for spec in config.estimators}
         self.fallbacks = {spec.label: 0 for spec in config.estimators}
@@ -285,14 +326,15 @@ class _RunState:
             h = sample_channels(self.factors, channels_stream, blocks=last - first)
             yield slice(first, last), h
 
-    def _receive(self, h, rows, signals_stream, tau_u: int):
+    def _receive(self, h, rows, signals_stream, tau_u: int = 0, data_stream=None):
         """Receive a batch under pilot rows (B, L, K).
 
         Returns pilot_rx (B, N, tau_p), data_rx (B, N, tau_u) and the
         despread pilot vectors of every center UE, shape (K, B, N).
         """
         pilot_rx, data_rx = simulate_blocks(
-            h, rows, self.book, self.powers, self.noise_factor, signals_stream, tau_u
+            h, rows, self.book, self.powers, self.noise_factor, signals_stream, tau_u,
+            data_stream,
         )
         d = despread_batch(pilot_rx, self.book, rows[:, 0])  # (B, K, N)
         return pilot_rx, data_rx, d.transpose(1, 0, 2)
@@ -304,8 +346,9 @@ class _RunState:
             sysc.blocks, cells, ues, sysc.tau_p, "random", self.rngs["est_alloc"]
         ).indices
         channels, signals = self.rngs["est_channels"], self.rngs["est_signals"]
-        acc = AllCovAccumulator(n)
+        acc = AllCovAccumulator(n)  # pilot phase
         despread = np.empty((ues, sysc.blocks, n), dtype=complex)
+        grams: list[Future] = []  # per batch, its data-phase accumulator
         start = 0
         for index in range(self.shared.kept_batches(sysc)):
             stop = start + BATCH_BLOCKS
@@ -315,10 +358,17 @@ class _RunState:
             )
             acc = copy.deepcopy(batch.acc)
             despread[:, start:stop] = batch.despread
+            grams.append(batch.data)
             channels.bit_generator.state = batch.channels_state
             signals.bit_generator.state = batch.signals_state
             start = stop
-        self._train(rows, acc, despread, start, sysc.blocks)
+        grams += self._train(rows, acc, despread, start, sysc.blocks)
+        # The phases are summed apart, each in batch order, so the sum does
+        # not depend on which point synthesized which data phase.
+        data = AllCovAccumulator(n)
+        for gram in grams:
+            data.merge(gram.result())
+        acc.merge(data)
         self.all_cov = acc.estimate()
         self.pilot_covs = estimate_pilot_cov(despread, sysc.tau_p, sysc.cov_loading)
         # Only the ranked kinds (gevd, gevd_impr) carry a rank.
@@ -329,20 +379,46 @@ class _RunState:
                 for pilot in self.pilot_covs
             ]
 
-    def _train(self, rows, acc, despread, start: int, stop: int) -> None:
-        """Receive training blocks [start, stop) into `acc` and `despread`."""
+    def _train(self, rows, acc, despread, start: int, stop: int) -> list[Future]:
+        """Receive training blocks [start, stop): the pilot phase into `acc`
+        and `despread`.
+
+        Returns per batch the Future of its data-phase accumulator.  The
+        run's first point to claim a batch synthesizes its data phase and
+        publishes it at once; every other point receives the pilot phase
+        only and waits for the data phase after its last batch.
+        """
+        grams = []
         for blocks, h in self._batches(start, stop, self.rngs["est_channels"]):
-            pilot_rx, data_rx, d = self._receive(
-                h, rows[blocks], self.rngs["est_signals"], self.system.tau_u
-            )
-            acc.add(np.concatenate([pilot_rx, data_rx], axis=2))
+            index = blocks.start // BATCH_BLOCKS
+            gram, owner = self.shared.claim((None, "data", index, len(h)))
+            try:
+                pilot_rx, data_rx, d = self._receive(
+                    h,
+                    rows[blocks],
+                    self.rngs["est_signals"],
+                    self.system.tau_u if owner else 0,
+                    derive_rng(*self.keys, _DATA_STREAM, index) if owner else None,
+                )
+                if owner:
+                    data = AllCovAccumulator(self.system.antennas)
+                    data.add(data_rx)
+                    gram.set_result(data)
+            except BaseException as exc:
+                if owner:
+                    gram.set_exception(exc)
+                raise
+            acc.add(pilot_rx)
             despread[:, blocks] = d
+            grams.append(gram)
+        return grams
 
     def _training_batch(self, rows, acc, despread, start, stop) -> _TrainingBatch:
-        self._train(rows, acc, despread, start, stop)
+        (data,) = self._train(rows, acc, despread, start, stop)
         return _TrainingBatch(
             copy.deepcopy(acc),
             despread[:, start:stop].copy(),
+            data,
             self.rngs["est_channels"].bit_generator.state,
             self.rngs["est_signals"].bit_generator.state,
         )
@@ -351,6 +427,10 @@ class _RunState:
         sysc = self.system
         self.static_filters: dict[str, np.ndarray] = {}
         for spec in self.config.estimators:
+            if spec.kind in RANKED_KINDS:
+                # One fallback per UE estimate whose GEVD loaded all_cov.
+                lowranks = self.lowranks[spec.rank]
+                self.fallbacks[spec.label] += sum(low.loaded for low in lowranks)
             if spec.kind in _TRUE_COVARIANCE_KINDS:
                 w = self.shared.get(
                     (sysc.tau_p, spec.kind),
@@ -368,7 +448,6 @@ class _RunState:
                 self.fallbacks[spec.label] += sum(events for _, events in built)
                 w = np.stack([filt for filt, _ in built])
             elif spec.kind == "gevd":
-                lowranks = self.lowranks[spec.rank]
                 w = np.stack([approx_mmse_filter(low, self.power) for low in lowranks])
             else:
                 continue  # gevd_impr depends on the block's pilot pattern
@@ -410,7 +489,7 @@ class _RunState:
             h_center = np.moveaxis(h[:, 0].copy(), 0, 1)
             despread = {
                 mode: self._receive(
-                    h, rows[mode][blocks], self.rngs[f"eval_signals_{mode}"], 0
+                    h, rows[mode][blocks], self.rngs[f"eval_signals_{mode}"]
                 )[2]
                 for mode in modes
             }
@@ -503,7 +582,7 @@ def run_single(
     config.validate()
     system = config.system_for(sweep_value)
     with single_threaded_blas():
-        state = _RunState(config, system, _streams(run_seed), shared)
+        state = _RunState(config, system, run_seed, shared)
         per_label = state.evaluate(config.eval_blocks)
     return [
         RunContribution(
@@ -545,7 +624,11 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[NmseResult]:
         # nested: samplers draw whole batch shapes, so the first training
         # blocks at T=75 and T=150 already differ.  Full batches are the
         # same draws at every T, though (same shapes from the same stream
-        # positions), so _SharedRun computes each once per run.
+        # positions), and the data phase of a batch is the same at every
+        # tau_p (its own batch-keyed stream over the same channels), so
+        # _SharedRun computes each once per run.  Points of one run that
+        # run at once split the data phases between them: each synthesizes
+        # those it claims first.
         seed = (config.master_seed, run_index)
         with live_lock:
             if run_index not in live:

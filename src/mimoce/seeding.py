@@ -6,6 +6,11 @@ reproducible and independent of thread scheduling.  Samplers draw whole
 batch shapes at once, so the values a stream yields depend on how the
 consumer splits its draws: equal keys and equal draw shapes give equal
 values, but a prefix of a larger batch is not a smaller batch.
+
+A stream may also be keyed by a batch index, so that what a batch draws
+does not depend on what was drawn before it: the data phase of training
+batch i is keyed by (master seed, run, data stream id, i) and therefore
+depends only on the run, i and the batch size, at every tau_p.
 """
 
 from __future__ import annotations
@@ -24,7 +29,10 @@ def derive_rng(*keys: int) -> np.random.Generator:
     """Independent Generator keyed by a tuple of non-negative integers.
 
     Distinct key tuples yield statistically independent streams; equal
-    tuples yield identical streams.
+    tuples yield identical streams.  Exception: SeedSequence pads short
+    entropy with zeros, so short tuples that differ only by trailing
+    zeros, such as (1, 8) and (1, 8, 0), give the same stream; keys of one
+    kind must therefore have one length.
     """
     if any(k < 0 for k in keys):
         raise ValueError("stream keys must be non-negative integers")

@@ -160,7 +160,7 @@ class TestSimulation:
         h = np.zeros((1, 1, 1, 3), dtype=complex)
         pilot_rx, data_rx = simulate_blocks(
             h, np.zeros((1, 1, 1), dtype=int), book, np.ones((1, 1)),
-            psd_factor(1e-30 * np.eye(3)), ensure_rng(0), 4,
+            psd_factor(1e-30 * np.eye(3)), ensure_rng(0), 4, ensure_rng(1),
         )
         assert pilot_rx.shape == (1, 3, 2)
         assert data_rx.shape == (1, 3, 4)
@@ -221,7 +221,7 @@ class TestSimulation:
         h = sample_channels(covariance_factors(covs), rng, blocks=blocks)
         pilot_rx, data_rx = simulate_blocks(
             h, ensure_rng(12).integers(0, tau_p, (blocks, 2, 2)), book, powers,
-            psd_factor(r_nn), rng, 2,
+            psd_factor(r_nn), rng, 2, rng,
         )
         samples = np.concatenate([pilot_rx, data_rx], axis=2)
         flat = np.moveaxis(samples, 1, 0).reshape(n, -1)
@@ -229,13 +229,51 @@ class TestSimulation:
         target = np.einsum("lk,lkij->ij", powers, covs) + r_nn
         assert np.linalg.norm(emp - target) <= 0.05 * np.linalg.norm(target)
 
+    def test_pilot_phase_does_not_depend_on_the_data_phase(self):
+        # pilot_rx is a function of the pilot generator only and data_rx of
+        # the data generator only, so sweep points can share a data phase.
+        rng = ensure_rng(20)
+        blocks, cells, ues, n, tau_p = 4, 2, 3, 5, 3
+        book = make_pilot_book(tau_p)
+        h = rng.standard_normal((blocks, cells, ues, n)) + 1j * rng.standard_normal(
+            (blocks, cells, ues, n)
+        )
+        rows = rng.integers(0, tau_p, (blocks, cells, ues))
+        powers = rng.uniform(0.5, 2.0, (cells, ues))
+        factor = psd_factor(make_noise_covariance(n, 0.3))
+
+        def receive(pilot_seed, data_seed, tau_u):
+            data_rng = None if data_seed is None else ensure_rng(data_seed)
+            return simulate_blocks(
+                h, rows, book, powers, factor, ensure_rng(pilot_seed), tau_u, data_rng
+            )
+
+        pilot_only, no_data = receive(1, None, 0)
+        assert no_data.shape == (blocks, n, 0)
+        pilot_a, data_a = receive(1, 2, 6)
+        pilot_b, data_b = receive(1, 3, 6)
+        _, data_c = receive(4, 2, 6)
+        assert np.array_equal(pilot_a, pilot_only)
+        assert np.array_equal(pilot_b, pilot_only)
+        assert np.array_equal(data_c, data_a)
+        assert not np.array_equal(data_b, data_a)
+
+    def test_data_phase_needs_its_generator(self):
+        book = make_pilot_book(2)
+        h = np.ones((1, 1, 1, 2), dtype=complex)
+        with pytest.raises(ValueError, match="data-phase generator"):
+            simulate_blocks(
+                h, np.zeros((1, 1, 1), dtype=int), book, np.ones((1, 1)),
+                np.eye(2), ensure_rng(0), 3,
+            )
+
     def test_data_symbols_unit_modulus(self):
         book = make_pilot_book(2)
         h = np.ones((3, 1, 1, 2), dtype=complex)
         rng = ensure_rng(13)
         _, data_rx = simulate_blocks(
             h, np.zeros((3, 1, 1), dtype=int), book, np.ones((1, 1)),
-            np.zeros((2, 2)), rng, 8,
+            np.zeros((2, 2)), rng, 8, rng,
         )
         # noise-free single-UE data samples have |s| = 1 on each antenna
         assert np.allclose(np.abs(data_rx), 1.0, atol=1e-12)

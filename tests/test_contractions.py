@@ -22,7 +22,9 @@ def cn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def simulate_blocks_reference(channels, pilot_indices, book, powers, noise_factor, rng, tau_u):
+def simulate_blocks_reference(
+    channels, pilot_indices, book, powers, noise_factor, rng, tau_u, data_rng=None
+):
     b_blocks, cells, ues, n = channels.shape
     weighted = (channels * np.sqrt(powers)[None, :, :, None]).reshape(b_blocks, cells * ues, n)
     seq = book.sequences[pilot_indices.reshape(b_blocks, cells * ues)]
@@ -32,10 +34,10 @@ def simulate_blocks_reference(channels, pilot_indices, book, powers, noise_facto
     )
     if tau_u == 0:
         return pilot_rx, np.zeros((b_blocks, n, 0), dtype=complex)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(b_blocks, cells * ues, tau_u))
+    phases = data_rng.uniform(0.0, 2.0 * np.pi, size=(b_blocks, cells * ues, tau_u))
     data_rx = np.einsum("bun,but->bnt", weighted, np.exp(1j * phases))
     data_rx += np.einsum(
-        "nm,bmt->bnt", noise_factor, complex_normal(rng, (b_blocks, n, tau_u))
+        "nm,bmt->bnt", noise_factor, complex_normal(data_rng, (b_blocks, n, tau_u))
     )
     return pilot_rx, data_rx
 
@@ -48,7 +50,10 @@ def case_simulate_blocks(tau_u):
         powers = rng.uniform(0.5, 2.0, size=(L, K))
         noise_factor = cn(rng, N, N)
         fn = simulate_blocks if impl == "matmul" else simulate_blocks_reference
-        return fn(channels, indices, book, powers, noise_factor, np.random.default_rng(5), tau_u)
+        return fn(
+            channels, indices, book, powers, noise_factor, np.random.default_rng(5), tau_u,
+            np.random.default_rng(6),
+        )
 
     return run
 

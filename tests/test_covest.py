@@ -18,7 +18,7 @@ from mimoce.covest import (
     gevd_lowrank_estimator,
     subtraction_estimator,
 )
-from mimoce.linalg import hermitize, psd_factor
+from mimoce.linalg import FALLBACK_LOADING, hermitize, load_diagonal, psd_factor
 from mimoce.seeding import ensure_rng
 from support import make_synthetic, random_psd
 
@@ -84,6 +84,18 @@ class TestSampleCovariances:
         est = all_cov_of(noise)
         assert rel_err(est, np.eye(n)) <= 0.05
 
+    def test_merged_accumulators_match_one(self):
+        rng = ensure_rng(3)
+        y = rng.standard_normal((6, 4, 5)) + 1j * rng.standard_normal((6, 4, 5))
+        first, second = AllCovAccumulator(4), AllCovAccumulator(4)
+        first.add(y[:2])
+        second.add(y[2:])
+        first.merge(second)
+        assert np.allclose(first.estimate(), all_cov_of(y), rtol=1e-14, atol=0)
+        empty = AllCovAccumulator(4)
+        empty.merge(second)
+        assert np.array_equal(empty.estimate(), all_cov_of(y[2:]))
+
     def test_accumulator_matches_direct(self):
         rng = ensure_rng(2)
         y = rng.standard_normal((20, 4, 7)) + 1j * rng.standard_normal((20, 4, 7))
@@ -137,7 +149,7 @@ class TestSubtraction:
             h = sample_channels(factors, rng, blocks=blocks)
             alloc = allocate_pilots(blocks, 1, 1, tau_p, "random", rng)
             pilot_rx, data_rx = simulate_blocks(
-                h, alloc.indices, book, np.ones((1, 1)), noise_factor, rng, 6
+                h, alloc.indices, book, np.ones((1, 1)), noise_factor, rng, 6, rng
             )
             d = despread_batch(pilot_rx, book, alloc.indices[:, 0, 0])
             pilot_cov = estimate_pilot_cov(d, tau_p)
@@ -222,6 +234,17 @@ class TestGevdLowRank:
         out = gevd_lowrank_estimator(a, b, tau_p=4, power=1.0, rank=4)
         assert np.all(np.isfinite(out.scaled_matrix))
 
+    def test_loading_fallback_is_reported(self):
+        rng = np.random.default_rng(12)
+        b = random_psd(rng, 8, rank=5)  # singular combined covariance
+        a = b + random_psd(rng, 8, rank=2)
+        out = gevd_lowrank_estimator(a, b, tau_p=4, power=1.0, rank=4)
+        assert out.loaded
+        loaded_b = load_diagonal(b, FALLBACK_LOADING)
+        direct = gevd_lowrank_estimator(a, loaded_b, tau_p=4, power=1.0, rank=4)
+        assert not direct.loaded
+        assert np.array_equal(out.scaled_matrix, direct.scaled_matrix)
+
     def test_rank_bounds(self):
         eye = np.eye(4, dtype=complex)
         with pytest.raises(ValueError):
@@ -255,7 +278,7 @@ class TestConvergenceToAnalytic:
         alloc = allocate_pilots(blocks, cells, ues, tau_p, "random", rng)
         h = sample_channels(factors, rng, blocks=blocks)
         pilot_rx, data_rx = simulate_blocks(
-            h, alloc.indices, book, powers, noise_factor, rng, tau_u
+            h, alloc.indices, book, powers, noise_factor, rng, tau_u, rng
         )
         d = despread_batch(pilot_rx, book, alloc.indices[:, 0, 0])
         pilot_err = []

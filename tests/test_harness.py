@@ -2,17 +2,22 @@
 
 import dataclasses
 import gc
+import itertools
 import sys
+import threading
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from mimoce import harness
+from mimoce import covest, harness
 from mimoce.airlink import allocate_pilots
 from mimoce.config import EstimatorSpec, ExperimentConfig, SweepSpec, SystemConfig
 from mimoce.estimators import approx_mmse_filter, improved_mmse_filter, ls_estimate
 from mimoce.harness import (
+    _DATA_STREAM,
+    _STREAMS,
     NmseResult,
     ZeroTraceCovariance,
     _RunState,
@@ -22,6 +27,7 @@ from mimoce.harness import (
     run_sweep,
 )
 from mimoce.linalg import NotPositiveDefinite
+from mimoce.seeding import derive_rng
 
 
 def small_config(**overrides):
@@ -130,7 +136,7 @@ class TestImprovedEstimates:
         )
         spec = EstimatorSpec("gevd_impr", rank=3)
         config = small_config(system=system, estimators=[spec])
-        state = _RunState(config, system, _streams((3, 0)))
+        state = _RunState(config, system, (3, 0))
         rng = np.random.default_rng(2)
         shape = (system.ues_per_cell, 30, system.antennas)
         d_random = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -154,7 +160,7 @@ class TestStaticFilters:
     def test_ls_fixed_filter_matches_ls_estimate(self):
         config = small_config(estimators=[EstimatorSpec("ls_fixed")])
         system = dataclasses.replace(config.system, uplink_power=0.7)
-        state = _RunState(config, system, _streams((4, 0)))
+        state = _RunState(config, system, (4, 0))
         w = state.static_filters["ls_fixed"]
         assert w.shape == (system.ues_per_cell, system.antennas, system.antennas)
         rng = np.random.default_rng(3)
@@ -163,6 +169,38 @@ class TestStaticFilters:
         expected = ls_estimate(d, state.power, system.tau_p)
         got = d @ w.conj()
         assert np.linalg.norm(got - expected) <= 1e-15 * np.linalg.norm(expected)
+
+    def test_loaded_combined_covariance_counts_for_gevd_labels(self, monkeypatch):
+        config = small_config(
+            estimators=[
+                EstimatorSpec("subt"),
+                EstimatorSpec("gevd", rank=3),
+                EstimatorSpec("gevd_impr", rank=3),
+            ]
+        )
+        system = config.system
+        clean = _RunState(config, system, (4, 0))
+        assert set(clean.fallbacks.values()) == {0}
+        # A singular combined covariance fails the GEVD's Cholesky screen, so
+        # every UE's estimate is solved against the loaded matrix.
+        singular = np.diag(np.r_[np.ones(system.antennas - 1), 0.0]).astype(complex)
+        monkeypatch.setattr(covest.AllCovAccumulator, "estimate", lambda self: singular)
+        state = _RunState(config, system, (4, 0))
+        assert all(low.loaded for low in state.lowranks[3])
+        ues = system.ues_per_cell
+        assert state.fallbacks == {"subt": 0, "gevd_3": ues, "gevd_impr_3": ues}
+
+
+def test_stream_ids_are_distinct():
+    # Training and evaluation draw from disjoint streams: every stream id,
+    # the data phase's included, is used once, and no two streams of a run
+    # coincide (SeedSequence equates keys that differ by trailing zeros).
+    ids = [*_STREAMS.values(), _DATA_STREAM]
+    assert len(set(ids)) == len(ids)
+    rngs = [*_streams((7, 0)).values()]
+    rngs += [derive_rng(7, 0, _DATA_STREAM, batch) for batch in range(3)]
+    first = [rng.integers(2**63) for rng in rngs]
+    assert len(set(first)) == len(first)
 
 
 class TestRunSingle:
@@ -279,20 +317,22 @@ class TestSharedRun:
     """Sweep points of one run share set-up, held-out blocks and full
     training batches; no result bit may change."""
 
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize(
-        "sweep, synthesized",
+        "sweep, synthesized, data_blocks",
         [
             # Per run: training batches 0-4 once (40 blocks) and the partial
             # batch of T=20 (4), held-out blocks once (25 per allocation).
-            (SweepSpec(variable="T", values=[20, 8, 40, 16, 40]), 2 * (40 + 4 + 50)),
-            # Per run: tau_p=4 trains and evaluates once, tau_p=2 once.
-            (SweepSpec(variable="tau_p", values=[4, 2, 4]), 2 * (40 + 50 + 40 + 50)),
+            # The data phase of those 44 blocks is synthesized once.
+            (SweepSpec(variable="T", values=[20, 8, 40, 16, 40]), 2 * (40 + 4 + 50), 2 * 44),
+            # Per run: tau_p=4 trains and evaluates once, tau_p=2 once; the
+            # data phase of the 40 training blocks is synthesized once.
+            (SweepSpec(variable="tau_p", values=[4, 2, 4]), 2 * (40 + 50 + 40 + 50), 2 * 40),
         ],
         ids=["T", "tau_p"],
     )
     def test_rows_match_fresh_runs_per_point(
-        self, monkeypatch, workers, sweep, synthesized
+        self, monkeypatch, workers, sweep, synthesized, data_blocks
     ):
         # Batches of 8 blocks: T=40 trains on 5 full batches, T=20 on two
         # and a partial one; the 25 held-out blocks are 3 full batches and
@@ -308,15 +348,104 @@ class TestSharedRun:
                 expected.append((spec.label, value, mean.hex(), fallbacks))
 
         blocks = []
+        data_samples = []
         real_simulate_blocks = harness.simulate_blocks
 
         def counting(channels, *args):
             blocks.append(len(channels))
-            return real_simulate_blocks(channels, *args)
+            pilot_rx, data_rx = real_simulate_blocks(channels, *args)
+            data_samples.append(data_rx.shape[0] * data_rx.shape[2])
+            return pilot_rx, data_rx
 
         monkeypatch.setattr(harness, "simulate_blocks", counting)
         assert fingerprint(run_sweep(config, workers=workers)) == expected
         assert sum(blocks) == synthesized
+        assert sum(data_samples) == data_blocks * config.system.tau_u
+
+    def test_each_key_has_one_owner_under_contention(self):
+        # More threads than cores claim the same keys; every key must get
+        # exactly one owner, and every reader must see that owner's value.
+        systems = [dataclasses.replace(small_config().system, tau_p=2) for _ in range(2)]
+        shared = harness._SharedRun(systems)
+        threads_n, keys = 6, 2000
+        owned, seen = Counter(), [[] for _ in range(threads_n)]
+        lock = threading.Lock()
+        start = threading.Barrier(threads_n)
+
+        def worker(t):
+            start.wait(timeout=30)
+            for key in range(keys):
+                future, owner = shared.claim((None, "data", key, 8))
+                if owner:
+                    with lock:
+                        owned[key] += 1
+                    future.set_result((key, t))
+                seen[t].append(future.result(timeout=30)[0])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert owned == Counter(range(keys))
+        assert seen == [list(range(keys))] * threads_n
+
+    def test_data_phase_error_reaches_every_point(self, monkeypatch):
+        # Batches of 8 blocks: both points train on 5 batches at once, and
+        # the second data phase synthesized fails.  Its owner raises, the
+        # other point raises when it waits for that batch, and nothing hangs.
+        monkeypatch.setattr(harness, "BATCH_BLOCKS", 8)
+        config = small_config(
+            sweep=SweepSpec(variable="tau_p", values=[4, 2]),
+            estimators=[EstimatorSpec("gevd", rank=3)],
+            monte_carlo_runs=1,
+        )
+        data_phases = itertools.count()
+        real_simulate_blocks = harness.simulate_blocks
+
+        def failing(channels, rows, book, powers, noise, pilot_rng, tau_u, data_rng=None):
+            if tau_u and next(data_phases) == 1:
+                raise RuntimeError("data phase failed")
+            return real_simulate_blocks(
+                channels, rows, book, powers, noise, pilot_rng, tau_u, data_rng
+            )
+
+        raised = []
+        real_run_single = harness.run_single
+        # Both points start before anything fails: a job that has not
+        # started when another fails is cancelled by the pool.
+        started = threading.Barrier(2)
+
+        def recording(config, value, *args):
+            started.wait(timeout=30)
+            try:
+                return real_run_single(config, value, *args)
+            except RuntimeError as exc:
+                raised.append((value, str(exc)))
+                raise
+
+        monkeypatch.setattr(harness, "simulate_blocks", failing)
+        monkeypatch.setattr(harness, "run_single", recording)
+        outcome = []
+
+        def sweep():
+            try:
+                run_sweep(config, workers=2)
+            except RuntimeError as exc:
+                outcome.append(str(exc))
+
+        thread = threading.Thread(target=sweep, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "run_sweep hung on a failed data phase"
+        assert outcome == ["data phase failed"]
+        assert sorted(raised) == [(2, "data phase failed"), (4, "data phase failed")]
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_run_state_released_after_its_last_point(self, monkeypatch, workers):
