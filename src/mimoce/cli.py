@@ -27,7 +27,7 @@ from .config import (
     SweepSpec,
     SystemConfig,
 )
-from .harness import NmseResult, run_sweep
+from .harness import NmseResult, run_sweep, shared_channel_bytes
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -206,7 +206,9 @@ def validate_config(config: ExperimentConfig) -> str:
         *(f"  - {f}" for f in findings),
         f"covariance storage: {matrices} matrices of {sysc.antennas}x{sysc.antennas} "
         f"(~{cov_mb:.1f} MB)",
-        f"total simulated blocks: {blocks}",
+        f"channels kept for sharing per run in flight: "
+        f"~{shared_channel_bytes(config) / 1e6:.1f} MB",
+        f"nominal simulated blocks (shared batches are synthesized once): {blocks}",
     ]
     return "\n".join(lines)
 

@@ -17,12 +17,15 @@ vectors: a per-UE (K, N, N) stack, or per pilot pattern for gevd_impr.
 The sweep points of one Monte-Carlo run draw from the same run-keyed
 streams, so what a point would draw exactly as another point of the run
 did is computed once per run (`_SharedRun`): the network and its
-statistics; the data phase of every training batch, which has its own
-batch-keyed stream and does not depend on tau_p, as its Gram sum; and,
-among points with the same tau_p, the held-out blocks, the
-true-covariance filters and every full training batch.  So each point
-of a tau_p sweep synthesizes only its own pilot phase.  Sharing leaves
-every result bit unchanged.
+statistics; the channels of every training and held-out batch, which
+do not depend on tau_p; the data phase of every training batch, which
+has its own batch-keyed stream and does not depend on tau_p, as its Gram
+sum; and, among points with the same tau_p, the held-out blocks, the
+true-covariance filters and every full training batch.  So each point of
+a tau_p sweep draws no channels and synthesizes no data phase that
+another point of its run drew: only its own pilot phase.  An item is
+kept only where a second point needs it, and dropped when the last one
+takes it.  Sharing leaves every result bit unchanged.
 """
 
 from __future__ import annotations
@@ -153,6 +156,15 @@ def _streams(run_seed) -> dict[str, np.random.Generator]:
     return {name: derive_rng(*keys, i) for name, i in _STREAMS.items()}
 
 
+def _batch_shapes(start: int, stop: int) -> list[tuple[int, int]]:
+    """(first block, size) of each batch of blocks [start, stop); `start`
+    is a multiple of BATCH_BLOCKS."""
+    return [
+        (first, min(BATCH_BLOCKS, stop - first))
+        for first in range(start, stop, BATCH_BLOCKS)
+    ]
+
+
 def _publish(future: Future, compute):
     """Set `future` to compute() and return it, or set the exception raised."""
     try:
@@ -191,7 +203,8 @@ class _SharedRun:
     """What the sweep points of one Monte-Carlo run compute identically.
 
     Streams are keyed by run index, so every point of a run builds the same
-    network and draws the same channels for each training batch.  The data
+    network, and a batch of blocks [first, first + size) of a channel
+    stream holds the same channels at every point that draws it.  The data
     phase of training batch i comes from its own stream keyed by i, so its
     Gram sum is a function of the run, i and the batch size alone, and one
     point synthesizes it for all.  Points with the same tau_p also draw the
@@ -200,48 +213,76 @@ class _SharedRun:
     every T that has a full batch i, and the pilot rows of a shorter window
     are a prefix of a longer one's, so full batches are shared among points
     with the same tau_p; a partial last batch draws other shapes and is
-    never shared.  An item is kept only where two points of the run need it.
+    only shared with a point of the same T.
+
+    `uses` counts, per key, the claims the run's points will make: a kept
+    full training batch's channels and data phase are received only by the
+    batch's owner, so they count once per tau_p; any other training batch
+    counts once per point that receives it, and a held-out batch once per
+    tau_p.  A key claimed fewer than twice is never stored, and a stored
+    item is dropped when its last claim takes it, so a T sweep holds no
+    channels and a tau_p sweep holds each batch only until its last point.
 
     Each kept item is a Future owned by the first point that claims it.
     The owner computes it outside the lock and publishes it, or the
-    exception it raised; the other points wait on it.  An owner publishes
-    before it waits on any other item, so no point waits for itself.
+    exception it raised; the other points wait on it.  The owner of a
+    channel batch publishes it right after the draw, and any other owner
+    waits on nothing but channel batches before it publishes, so no wait
+    can come back to a point that is waiting.
     """
 
-    def __init__(self, systems: list[SystemConfig]):
+    def __init__(self, systems: list[SystemConfig], eval_blocks: int):
         self._lock = threading.Lock()
-        full = defaultdict(list)
+        groups = defaultdict(list)
         for system in systems:
-            full[system.tau_p].append(system.blocks // BATCH_BLOCKS)
-        # How many points need a result keyed by this tau_p; None keys what
-        # no sweep variable changes, which every point needs.
-        self._points = Counter({tau_p: len(counts) for tau_p, counts in full.items()})
-        self._points[None] = len(systems)
+            groups[system.tau_p].append(system.blocks)
         # Batch i is kept when a second point of the same tau_p trains on it.
-        self._kept = {
-            tau_p: sorted(counts)[-2] if len(counts) > 1 else 0
-            for tau_p, counts in full.items()
-        }
+        self._kept = {}
+        self.uses = Counter({("network",): len(systems)})
+        for tau_p, windows in groups.items():
+            counts = sorted(blocks // BATCH_BLOCKS for blocks in windows)
+            kept = self._kept[tau_p] = counts[-2] if len(counts) > 1 else 0
+            self.uses[("held_out", tau_p)] = len(windows)
+            for kind in _TRUE_COVARIANCE_KINDS:
+                self.uses[("filters", tau_p, kind)] = len(windows)
+            for index in range(kept):
+                self.uses[("training", tau_p, index)] = sum(c > index for c in counts)
+            # The owner of a kept batch receives it for the whole group; each
+            # point receives the batches after its kept ones itself.
+            received = _batch_shapes(0, kept * BATCH_BLOCKS)
+            for blocks in windows:
+                start = min(kept, blocks // BATCH_BLOCKS) * BATCH_BLOCKS
+                received += _batch_shapes(start, blocks)
+            for first, size in received:
+                self.uses[("est_channels", first, size)] += 1
+                self.uses[("data", first, size)] += 1
+            for first, size in _batch_shapes(0, eval_blocks):
+                self.uses[("eval_channels", first, size)] += 1
         self._store: dict[tuple, Future] = {}
+        self._left: Counter = Counter()  # claims still to come per stored key
 
     def claim(self, key: tuple) -> tuple[Future, bool]:
         """The Future of `key` and whether the caller owns it.
 
-        key[0] is the tau_p the result depends on, or None.  The owner must
-        publish the result or an exception before it waits on anything; a
-        key that fewer than two points need gets a Future of its own.
+        The owner must publish the result or an exception before it waits
+        on anything but a channel batch; a key claimed fewer than twice per
+        run gets a Future of its own.
         """
-        if self._points[key[0]] < 2:
+        if self.uses[key] < 2:
             return Future(), True
         with self._lock:
             future = self._store.get(key)
-            if future is not None:
-                return future, False
-            future = self._store[key] = Future()
-            return future, True
+            owner = future is None
+            if owner:
+                future = self._store[key] = Future()
+                self._left[key] = self.uses[key]
+            self._left[key] -= 1
+            if not self._left[key]:
+                del self._store[key], self._left[key]
+            return future, owner
 
     def get(self, key: tuple, compute):
-        """compute(), once per run where two points need it."""
+        """compute(), once per run where two claims need it."""
         future, owner = self.claim(key)
         return _publish(future, compute) if owner else future.result()
 
@@ -266,7 +307,9 @@ class _RunState:
         self.system = system
         self.keys = _run_keys(run_seed)
         self.rngs = _streams(self.keys)
-        self.shared = _SharedRun([system]) if shared is None else shared
+        if shared is None:
+            shared = _SharedRun([system], config.eval_blocks)
+        self.shared = shared
         self.kinds = {spec.kind for spec in config.estimators}
         self.fallbacks = {spec.label: 0 for spec in config.estimators}
         self._impr_cache: dict[tuple, tuple[np.ndarray, bool]] = {}
@@ -281,7 +324,7 @@ class _RunState:
             self.r_nn,
             self.noise_factor,
             self.total_cov,
-        ) = self.shared.get((None, "network"), self._network)
+        ) = self.shared.get(("network",), self._network)
         self.pilot_covs = None  # (K, N, N) sample pilot covariances
         self.all_cov = None  # (N, N) sample combined covariance
         self.lowranks: dict[int, list] = {}
@@ -318,13 +361,26 @@ class _RunState:
         tau_p = self.system.tau_p
         return self.total_cov + self.power * (tau_p - 1) * self.covs[0] + self.r_nn
 
-    def _batches(self, start: int, stop: int, channels_stream: np.random.Generator):
+    def _batches(self, start: int, stop: int, stream: str):
         """Yield (block slice, channels (B, L, K, N)) per batch of blocks
-        [start, stop); `start` is a multiple of BATCH_BLOCKS."""
-        for first in range(start, stop, BATCH_BLOCKS):
-            last = min(first + BATCH_BLOCKS, stop)
-            h = sample_channels(self.factors, channels_stream, blocks=last - first)
-            yield slice(first, last), h
+        [start, stop) of a channel stream; `start` is a multiple of
+        BATCH_BLOCKS.
+
+        A batch that another point of the run draws too is drawn once and
+        shared, read-only; the stream is then left where that draw left it.
+        The owner of a batch publishes it right after the draw.
+        """
+        rng = self.rngs[stream]
+
+        def draw(size):
+            h = sample_channels(self.factors, rng, blocks=size)
+            h.flags.writeable = False
+            return h, rng.bit_generator.state
+
+        for first, size in _batch_shapes(start, stop):
+            h, state = self.shared.get((stream, first, size), partial(draw, size))
+            rng.bit_generator.state = state
+            yield slice(first, first + size), h
 
     def _receive(self, h, rows, signals_stream, tau_u: int = 0, data_stream=None):
         """Receive a batch under pilot rows (B, L, K).
@@ -353,7 +409,7 @@ class _RunState:
         for index in range(self.shared.kept_batches(sysc)):
             stop = start + BATCH_BLOCKS
             batch = self.shared.get(
-                (sysc.tau_p, "training", index),
+                ("training", sysc.tau_p, index),
                 partial(self._training_batch, rows, acc, despread, start, stop),
             )
             acc = copy.deepcopy(batch.acc)
@@ -386,12 +442,14 @@ class _RunState:
         Returns per batch the Future of its data-phase accumulator.  The
         run's first point to claim a batch synthesizes its data phase and
         publishes it at once; every other point receives the pilot phase
-        only and waits for the data phase after its last batch.
+        only and waits for the data phase after its last batch.  A batch's
+        channels are claimed before its data phase, so the owner of a
+        channel batch waits on nothing before it publishes.
         """
         grams = []
-        for blocks, h in self._batches(start, stop, self.rngs["est_channels"]):
+        for blocks, h in self._batches(start, stop, "est_channels"):
             index = blocks.start // BATCH_BLOCKS
-            gram, owner = self.shared.claim((None, "data", index, len(h)))
+            gram, owner = self.shared.claim(("data", blocks.start, len(h)))
             try:
                 pilot_rx, data_rx, d = self._receive(
                     h,
@@ -433,7 +491,7 @@ class _RunState:
                 self.fallbacks[spec.label] += sum(low.loaded for low in lowranks)
             if spec.kind in _TRUE_COVARIANCE_KINDS:
                 w = self.shared.get(
-                    (sysc.tau_p, spec.kind),
+                    ("filters", sysc.tau_p, spec.kind),
                     partial(self._true_covariance_filters, spec.kind),
                 )
             elif spec.kind == "subt":
@@ -484,7 +542,7 @@ class _RunState:
             for mode in modes
         }
         batches = []
-        for blocks, h in self._batches(0, eval_blocks, self.rngs["eval_channels"]):
+        for blocks, h in self._batches(0, eval_blocks, "eval_channels"):
             # A copy: a kept view would hold every cell's channels.
             h_center = np.moveaxis(h[:, 0].copy(), 0, 1)
             despread = {
@@ -502,7 +560,7 @@ class _RunState:
         self._impr_cache = {}
         err = {spec.label: 0.0 for spec in self.config.estimators}
         rows, batches = self.shared.get(
-            (sysc.tau_p, "held_out"), partial(self._held_out, eval_blocks)
+            ("held_out", sysc.tau_p), partial(self._held_out, eval_blocks)
         )
         for blocks, h_center, despread in batches:
             for spec in self.config.estimators:
@@ -594,6 +652,21 @@ def run_single(
     ]
 
 
+def shared_channel_bytes(config: ExperimentConfig) -> int:
+    """Most bytes of channel draws that one Monte-Carlo run in flight keeps
+    for a second sweep point: its training and held-out windows in a tau_p
+    sweep, nothing in a T sweep."""
+    systems = [config.system_for(value) for value in config.sweep.values]
+    uses = _SharedRun(systems, config.eval_blocks).uses
+    streams = {"eval_channels"}
+    if {spec.kind for spec in config.estimators} & DATA_DRIVEN_KINDS:
+        streams.add("est_channels")
+    blocks = sum(key[2] for key, n in uses.items() if key[0] in streams and n > 1)
+    sysc = config.system
+    links = sysc.cells * sysc.ues_per_cell
+    return blocks * links * sysc.antennas * np.dtype(complex).itemsize
+
+
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[NmseResult]:
     """Run the full sweep-values x estimators x Monte-Carlo-runs grid.
 
@@ -624,15 +697,16 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[NmseResult]:
         # nested: samplers draw whole batch shapes, so the first training
         # blocks at T=75 and T=150 already differ.  Full batches are the
         # same draws at every T, though (same shapes from the same stream
-        # positions), and the data phase of a batch is the same at every
-        # tau_p (its own batch-keyed stream over the same channels), so
-        # _SharedRun computes each once per run.  Points of one run that
-        # run at once split the data phases between them: each synthesizes
-        # those it claims first.
+        # positions), and the channels and data phase of a batch are the
+        # same at every tau_p (the channel streams carry no pilots, and the
+        # data phase has its own batch-keyed stream), so _SharedRun
+        # computes each once per run and drops it at its last use.  Points
+        # of one run that run at once split that work between them: each
+        # draws the channel batches and data phases it claims first.
         seed = (config.master_seed, run_index)
         with live_lock:
             if run_index not in live:
-                live[run_index] = _SharedRun(systems)
+                live[run_index] = _SharedRun(systems, config.eval_blocks)
             shared = live[run_index]
         try:
             return (sweep_index, run_index), run_single(config, sweep_value, seed, shared)

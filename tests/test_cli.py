@@ -15,7 +15,7 @@ from mimoce.cli import (
     parse_config,
     validate_config,
 )
-from mimoce.config import ConfigInvalid, EstimatorSpec, ExperimentConfig, SystemConfig
+from mimoce.config import ConfigInvalid, EstimatorSpec, ExperimentConfig, SweepSpec, SystemConfig
 from mimoce.harness import NmseResult
 
 FAST_CONFIG = """
@@ -145,7 +145,9 @@ class TestValidate:
         report = validate_config(ExperimentConfig())
         assert report.startswith("OK")
         assert "covariance storage" in report
-        assert "total simulated blocks" in report
+        assert "nominal simulated blocks" in report
+        # A T sweep keeps no channel draw for a second point.
+        assert "channels kept for sharing per run in flight: ~0.0 MB" in report
 
     def test_unsupported_layout_flagged(self):
         config = ExperimentConfig(system=SystemConfig(cells=3))
@@ -157,6 +159,11 @@ class TestValidate:
         config = parse_config("configs/full_scale.yaml")
         report = validate_config(config)
         assert "70 matrices of 100x100" in report
+        # A tau_p sweep keeps both windows' channels, (1500 + 200) blocks
+        # of 7 x 10 links of 100 antennas at 16 bytes each.
+        config.sweep = SweepSpec(variable="tau_p", values=[5, 10])
+        report = validate_config(config)
+        assert "channels kept for sharing per run in flight: ~190.4 MB" in report
 
 
 class TestMain:

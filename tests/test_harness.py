@@ -313,26 +313,90 @@ def fingerprint(results):
     return [(r.estimator, r.sweep_value, r.nmse.hex(), r.fallback_count) for r in results]
 
 
+def count_channel_vectors(monkeypatch) -> list[int]:
+    """Record the channel vectors each sample_channels call of the harness draws."""
+    vectors = []
+    real_sample_channels = harness.sample_channels
+
+    def counting(*args, **kwargs):
+        h = real_sample_channels(*args, **kwargs)
+        vectors.append(h.size // h.shape[-1])
+        return h
+
+    monkeypatch.setattr(harness, "sample_channels", counting)
+    return vectors
+
+
+def assert_error_reaches_both_points(monkeypatch, message):
+    """Run a 2-worker tau_p sweep of two points that fails inside the run
+    with RuntimeError(message): both points must raise it, and so must
+    run_sweep, within a minute."""
+    # Batches of 8 blocks: both points train on 5 batches at once.
+    monkeypatch.setattr(harness, "BATCH_BLOCKS", 8)
+    config = small_config(
+        sweep=SweepSpec(variable="tau_p", values=[4, 2]),
+        estimators=[EstimatorSpec("gevd", rank=3)],
+        monte_carlo_runs=1,
+    )
+    raised = []
+    real_run_single = harness.run_single
+    # Both points start before anything fails: a job that has not started
+    # when another fails is cancelled by the pool.
+    started = threading.Barrier(2)
+
+    def recording(config, value, *args):
+        started.wait(timeout=30)
+        try:
+            return real_run_single(config, value, *args)
+        except RuntimeError as exc:
+            raised.append((value, str(exc)))
+            raise
+
+    monkeypatch.setattr(harness, "run_single", recording)
+    outcome = []
+
+    def sweep():
+        try:
+            run_sweep(config, workers=2)
+        except RuntimeError as exc:
+            outcome.append(str(exc))
+
+    thread = threading.Thread(target=sweep, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive(), f"run_sweep hung after: {message}"
+    assert outcome == [message]
+    assert sorted(raised) == [(2, message), (4, message)]
+
+
 class TestSharedRun:
-    """Sweep points of one run share set-up, held-out blocks and full
-    training batches; no result bit may change."""
+    """Sweep points of one run share set-up, channel draws, held-out blocks
+    and full training batches; no result bit may change."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize(
-        "sweep, synthesized, data_blocks",
+        "sweep, synthesized, data_blocks, drawn_blocks",
         [
             # Per run: training batches 0-4 once (40 blocks) and the partial
             # batch of T=20 (4), held-out blocks once (25 per allocation).
-            # The data phase of those 44 blocks is synthesized once.
-            (SweepSpec(variable="T", values=[20, 8, 40, 16, 40]), 2 * (40 + 4 + 50), 2 * 44),
+            # The data phase and the channels of those 44 blocks, and the
+            # channels of the 25 held-out blocks, are drawn once.
+            (
+                SweepSpec(variable="T", values=[20, 8, 40, 16, 40]),
+                2 * (40 + 4 + 50), 2 * 44, 2 * (44 + 25),
+            ),
             # Per run: tau_p=4 trains and evaluates once, tau_p=2 once; the
-            # data phase of the 40 training blocks is synthesized once.
-            (SweepSpec(variable="tau_p", values=[4, 2, 4]), 2 * (40 + 50 + 40 + 50), 2 * 40),
+            # data phase and the channels of the 40 training blocks, and the
+            # channels of the 25 held-out blocks, are drawn once.
+            (
+                SweepSpec(variable="tau_p", values=[4, 2, 4]),
+                2 * (40 + 50 + 40 + 50), 2 * 40, 2 * (40 + 25),
+            ),
         ],
         ids=["T", "tau_p"],
     )
     def test_rows_match_fresh_runs_per_point(
-        self, monkeypatch, workers, sweep, synthesized, data_blocks
+        self, monkeypatch, workers, sweep, synthesized, data_blocks, drawn_blocks
     ):
         # Batches of 8 blocks: T=40 trains on 5 full batches, T=20 on two
         # and a partial one; the 25 held-out blocks are 3 full batches and
@@ -358,16 +422,44 @@ class TestSharedRun:
             return pilot_rx, data_rx
 
         monkeypatch.setattr(harness, "simulate_blocks", counting)
+        vectors = count_channel_vectors(monkeypatch)
         assert fingerprint(run_sweep(config, workers=workers)) == expected
         assert sum(blocks) == synthesized
         assert sum(data_samples) == data_blocks * config.system.tau_u
+        links = config.system.cells * config.system.ues_per_cell
+        assert sum(vectors) == drawn_blocks * links
 
-    def test_each_key_has_one_owner_under_contention(self):
+    def test_stream_continues_after_a_shared_batch(self, monkeypatch):
+        # A point that takes shared channel batches and then draws on must
+        # continue the stream where the shared draws left it.  A sweep never
+        # needs this (the points of a tau_p sweep share every window), so
+        # the run is built by hand: T=20 at tau_p=2 draws batches 0 and 1
+        # of 8 blocks, which T=40 at tau_p=4 takes before drawing 2-4.
+        monkeypatch.setattr(harness, "BATCH_BLOCKS", 8)
+        short = small_config(system=dataclasses.replace(small_config().system, tau_p=2))
+        long = small_config()
+        shared = harness._SharedRun(
+            [short.system_for(20), long.system_for(40)], long.eval_blocks
+        )
+        seed = (long.master_seed, 0)
+        run_single(short, 20, seed, shared)
+        vectors = count_channel_vectors(monkeypatch)
+        taken = run_single(long, 40, seed, shared)
+        links = long.system.cells * long.system.ues_per_cell
+        assert vectors == [8 * links] * 3
+        assert shared._store == {}
+        assert taken == run_single(long, 40, seed)
+
+    def test_each_key_has_one_owner_under_contention(self, monkeypatch):
         # More threads than cores claim the same keys; every key must get
-        # exactly one owner, and every reader must see that owner's value.
-        systems = [dataclasses.replace(small_config().system, tau_p=2) for _ in range(2)]
-        shared = harness._SharedRun(systems)
+        # exactly one owner, every reader must see that owner's value, and
+        # the last claim of each key must drop it.  Six points of distinct
+        # tau_p receive every one-block training batch, one point a thread.
         threads_n, keys = 6, 2000
+        monkeypatch.setattr(harness, "BATCH_BLOCKS", 1)
+        system = dataclasses.replace(small_config().system, blocks=keys)
+        systems = [dataclasses.replace(system, tau_p=2 + t) for t in range(threads_n)]
+        shared = harness._SharedRun(systems, 0)
         owned, seen = Counter(), [[] for _ in range(threads_n)]
         lock = threading.Lock()
         start = threading.Barrier(threads_n)
@@ -375,7 +467,7 @@ class TestSharedRun:
         def worker(t):
             start.wait(timeout=30)
             for key in range(keys):
-                future, owner = shared.claim((None, "data", key, 8))
+                future, owner = shared.claim(("data", key, 1))
                 if owner:
                     with lock:
                         owned[key] += 1
@@ -395,17 +487,11 @@ class TestSharedRun:
         assert not any(thread.is_alive() for thread in threads)
         assert owned == Counter(range(keys))
         assert seen == [list(range(keys))] * threads_n
+        assert shared._store == {}
 
     def test_data_phase_error_reaches_every_point(self, monkeypatch):
-        # Batches of 8 blocks: both points train on 5 batches at once, and
-        # the second data phase synthesized fails.  Its owner raises, the
+        # The second data phase synthesized fails.  Its owner raises, the
         # other point raises when it waits for that batch, and nothing hangs.
-        monkeypatch.setattr(harness, "BATCH_BLOCKS", 8)
-        config = small_config(
-            sweep=SweepSpec(variable="tau_p", values=[4, 2]),
-            estimators=[EstimatorSpec("gevd", rank=3)],
-            monte_carlo_runs=1,
-        )
         data_phases = itertools.count()
         real_simulate_blocks = harness.simulate_blocks
 
@@ -416,36 +502,76 @@ class TestSharedRun:
                 channels, rows, book, powers, noise, pilot_rng, tau_u, data_rng
             )
 
-        raised = []
-        real_run_single = harness.run_single
-        # Both points start before anything fails: a job that has not
-        # started when another fails is cancelled by the pool.
-        started = threading.Barrier(2)
-
-        def recording(config, value, *args):
-            started.wait(timeout=30)
-            try:
-                return real_run_single(config, value, *args)
-            except RuntimeError as exc:
-                raised.append((value, str(exc)))
-                raise
-
         monkeypatch.setattr(harness, "simulate_blocks", failing)
-        monkeypatch.setattr(harness, "run_single", recording)
-        outcome = []
+        assert_error_reaches_both_points(monkeypatch, "data phase failed")
 
-        def sweep():
-            try:
-                run_sweep(config, workers=2)
-            except RuntimeError as exc:
-                outcome.append(str(exc))
+    def test_channel_draw_error_reaches_every_point(self, monkeypatch):
+        # Every channel batch of a two-point tau_p sweep is shared, and the
+        # second one drawn fails.  Its owner raises, the other point raises
+        # when it takes that batch, and nothing hangs.
+        draws = itertools.count()
+        real_sample_channels = harness.sample_channels
 
-        thread = threading.Thread(target=sweep, daemon=True)
-        thread.start()
-        thread.join(timeout=60)
-        assert not thread.is_alive(), "run_sweep hung on a failed data phase"
-        assert outcome == ["data phase failed"]
-        assert sorted(raised) == [(2, "data phase failed"), (4, "data phase failed")]
+        def failing(*args, **kwargs):
+            if next(draws) == 1:
+                raise RuntimeError("channel draw failed")
+            return real_sample_channels(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "sample_channels", failing)
+        assert_error_reaches_both_points(monkeypatch, "channel draw failed")
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize(
+        "sweep, stored_channels",
+        [
+            (SweepSpec(variable="T", values=[20, 8, 40, 16, 40]), set()),
+            # Both training windows and the held-out blocks, in batches of 8.
+            (
+                SweepSpec(variable="tau_p", values=[4, 2, 4]),
+                {("est_channels", first, 8) for first in range(0, 40, 8)}
+                | {("eval_channels", first, 8) for first in range(0, 24, 8)}
+                | {("eval_channels", 24, 1)},
+            ),
+        ],
+        ids=["T", "tau_p"],
+    )
+    def test_items_dropped_at_last_use(self, monkeypatch, workers, sweep, stored_channels):
+        # Every item is computed once per run and dropped by its last
+        # claim.  Only a tau_p sweep keeps channel batches: keeping them in
+        # a T sweep, where no second point takes them, costs memory only.
+        monkeypatch.setattr(harness, "BATCH_BLOCKS", 8)
+        created = []
+
+        class Recorded(harness._SharedRun):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.owners = Counter()
+                self.stored = set()
+                created.append(self)
+
+            def claim(self, key):
+                future, owner = super().claim(key)
+                with self._lock:
+                    self.owners[key] += owner
+                    self.stored.update(self._store)
+                return future, owner
+
+        monkeypatch.setattr(harness, "_SharedRun", Recorded)
+        config = small_config(sweep=sweep, monte_carlo_runs=2)
+        run_sweep(config, workers=workers)
+        assert len(created) == 2
+        for shared in created:
+            assert set(shared.owners.values()) == {1}
+            assert shared._store == {}
+            channels = {key for key in shared.stored if key[0].endswith("_channels")}
+            assert channels == stored_channels
+
+        # A single point stores nothing.
+        created.clear()
+        run_single(config, sweep.values[0], (config.master_seed, 0))
+        (single,) = created
+        assert set(single.owners.values()) == {1}
+        assert single.stored == set()
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_run_state_released_after_its_last_point(self, monkeypatch, workers):
