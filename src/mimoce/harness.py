@@ -15,17 +15,18 @@ antenna samples and the despread vectors of all center UEs
 vectors: a per-UE (K, N, N) stack, or per pilot pattern for gevd_impr.
 
 The sweep points of one Monte-Carlo run draw from the same run-keyed
-streams, so what a point would draw exactly as another point of the run
-did is computed once per run (`_SharedRun`): the network and its
-statistics; the channels of every training and held-out batch, which
-do not depend on tau_p; the data phase of every training batch, which
-has its own batch-keyed stream and does not depend on tau_p, as its Gram
-sum; and, among points with the same tau_p, the held-out blocks, the
-true-covariance filters and every full training batch.  So each point of
-a tau_p sweep draws no channels and synthesizes no data phase that
-another point of its run drew: only its own pilot phase.  An item is
-kept only where a second point needs it, and dropped when the last one
-takes it.  Sharing leaves every result bit unchanged.
+streams, so a sweep runs one job per (run, tau_p) (`run_single`).  The
+points of a job differ only in their training window T: the job builds
+the network, the held-out blocks and the true-covariance filters once,
+and walks the training blocks of its longest window once, finishing
+every shorter window on the way (`_RunState.train`).  The jobs of one
+run at other tau_p draw the same network, the same channels of every
+training and held-out batch, and the same data phase of every training
+batch (it has its own batch-keyed stream); `_SharedRun` computes each of
+these once per run, keeps it only where a second job needs it, and drops
+it when the last one takes it.  So a job of a tau_p sweep synthesizes
+only its own pilot phase.  Neither the walk nor the sharing changes a
+result bit.
 """
 
 from __future__ import annotations
@@ -185,75 +186,41 @@ def _mmse_form_filter(pilot_matrix, target, power):
         return mmse_optimal_filter(loaded, target, power), 1
 
 
-@dataclass(frozen=True)
-class _TrainingBatch:
-    """State of a point's training after one full batch: the pilot-phase
-    accumulator, a copy of the batch's despread vectors (K, BATCH_BLOCKS, N),
-    the Future of the batch's data-phase accumulator and the positions of
-    the two training streams that the batch advanced."""
-
-    acc: AllCovAccumulator
-    despread: np.ndarray
-    data: Future
-    channels_state: dict
-    signals_state: dict
-
-
 class _SharedRun:
-    """What the sweep points of one Monte-Carlo run compute identically.
+    """What the jobs of one Monte-Carlo run, one per tau_p, compute identically.
 
-    Streams are keyed by run index, so every point of a run builds the same
+    Streams are keyed by run index, so every job of a run builds the same
     network, and a batch of blocks [first, first + size) of a channel
-    stream holds the same channels at every point that draws it.  The data
+    stream holds the same channels in every job that draws it.  The data
     phase of training batch i comes from its own stream keyed by i, so its
     Gram sum is a function of the run, i and the batch size alone, and one
-    point synthesizes it for all.  Points with the same tau_p also draw the
-    same held-out blocks and the same true-covariance filters.  Training
-    batch i is drawn with the same shapes from the same stream positions at
-    every T that has a full batch i, and the pilot rows of a shorter window
-    are a prefix of a longer one's, so full batches are shared among points
-    with the same tau_p; a partial last batch draws other shapes and is
-    only shared with a point of the same T.
+    job synthesizes it for all.
 
-    `uses` counts, per key, the claims the run's points will make: a kept
-    full training batch's channels and data phase are received only by the
-    batch's owner, so they count once per tau_p; any other training batch
-    counts once per point that receives it, and a held-out batch once per
-    tau_p.  A key claimed fewer than twice is never stored, and a stored
-    item is dropped when its last claim takes it, so a T sweep holds no
-    channels and a tau_p sweep holds each batch only until its last point.
+    `uses` counts, per key, the jobs that will claim it: each job claims
+    every batch its training walk and its held-out blocks receive, once.
+    A key claimed fewer than twice is never stored, and a stored item is
+    dropped when its last claim takes it, so a T sweep (one job per run)
+    stores nothing and a tau_p sweep holds each batch only until its last
+    job takes it.
 
-    Each kept item is a Future owned by the first point that claims it.
-    The owner computes it outside the lock and publishes it, or the
-    exception it raised; the other points wait on it.  The owner of a
-    channel batch publishes it right after the draw, and any other owner
-    waits on nothing but channel batches before it publishes, so no wait
-    can come back to a point that is waiting.
+    Each kept item is a Future owned by the first job that claims it.  The
+    owner computes it outside the lock and publishes it, or the exception
+    it raised; the other jobs wait on it.  The owner of a channel batch
+    publishes it right after the draw, and any other owner waits on
+    nothing but channel batches before it publishes, so no wait can come
+    back to a job that is waiting.
     """
 
     def __init__(self, systems: list[SystemConfig], eval_blocks: int):
         self._lock = threading.Lock()
-        groups = defaultdict(list)
+        windows = defaultdict(set)  # per tau_p, its training windows T
         for system in systems:
-            groups[system.tau_p].append(system.blocks)
-        # Batch i is kept when a second point of the same tau_p trains on it.
-        self._kept = {}
-        self.uses = Counter({("network",): len(systems)})
-        for tau_p, windows in groups.items():
-            counts = sorted(blocks // BATCH_BLOCKS for blocks in windows)
-            kept = self._kept[tau_p] = counts[-2] if len(counts) > 1 else 0
-            self.uses[("held_out", tau_p)] = len(windows)
-            for kind in _TRUE_COVARIANCE_KINDS:
-                self.uses[("filters", tau_p, kind)] = len(windows)
-            for index in range(kept):
-                self.uses[("training", tau_p, index)] = sum(c > index for c in counts)
-            # The owner of a kept batch receives it for the whole group; each
-            # point receives the batches after its kept ones itself.
-            received = _batch_shapes(0, kept * BATCH_BLOCKS)
-            for blocks in windows:
-                start = min(kept, blocks // BATCH_BLOCKS) * BATCH_BLOCKS
-                received += _batch_shapes(start, blocks)
-            for first, size in received:
+            windows[system.tau_p].add(system.blocks)
+        self.uses = Counter({("network",): len(windows)})
+        for group in windows.values():
+            # The walk receives the batches of its longest window and the
+            # partial last batch of each shorter one.
+            for first, size in {s for blocks in group for s in _batch_shapes(0, blocks)}:
                 self.uses[("est_channels", first, size)] += 1
                 self.uses[("data", first, size)] += 1
             for first, size in _batch_shapes(0, eval_blocks):
@@ -286,15 +253,12 @@ class _SharedRun:
         future, owner = self.claim(key)
         return _publish(future, compute) if owner else future.result()
 
-    def kept_batches(self, system: SystemConfig) -> int:
-        """Leading full training batches of this point that are shared."""
-        return min(self._kept.get(system.tau_p, 0), system.blocks // BATCH_BLOCKS)
-
 
 class _RunState:
-    """Everything derived once per (sweep value, run): network, statistics,
-    sample covariances and the block-independent filters.  What does not
-    depend on the sweep point comes from `shared`."""
+    """One Monte-Carlo run at one tau_p: network, statistics, held-out
+    blocks and true-covariance filters, and, for the training window in
+    hand (`train`), the sample covariances and the filters built from
+    them.  What other jobs of the run compute too comes from `shared`."""
 
     def __init__(
         self,
@@ -304,7 +268,7 @@ class _RunState:
         shared: _SharedRun | None = None,
     ):
         self.config = config
-        self.system = system
+        self.system = system  # its blocks are the longest training window
         self.keys = _run_keys(run_seed)
         self.rngs = _streams(self.keys)
         if shared is None:
@@ -328,9 +292,12 @@ class _RunState:
         self.pilot_covs = None  # (K, N, N) sample pilot covariances
         self.all_cov = None  # (N, N) sample combined covariance
         self.lowranks: dict[int, list] = {}
-        if self.kinds & DATA_DRIVEN_KINDS:
-            self._estimate_covariances()
-        self._build_static_filters()
+        self.static_filters: dict[str, np.ndarray] = {
+            spec.label: self._true_covariance_filters(spec.kind)
+            for spec in config.estimators
+            if spec.kind in _TRUE_COVARIANCE_KINDS
+        }
+        self.held_out = None  # drawn by the first evaluate, after its training
 
     def _network(self) -> tuple[np.ndarray, ...]:
         """Covariances, their factors, noise covariance and factor, and the
@@ -366,7 +333,7 @@ class _RunState:
         [start, stop) of a channel stream; `start` is a multiple of
         BATCH_BLOCKS.
 
-        A batch that another point of the run draws too is drawn once and
+        A batch that another job of the run draws too is drawn once and
         shared, read-only; the stream is then left where that draw left it.
         The owner of a batch publishes it right after the draw.
         """
@@ -395,56 +362,57 @@ class _RunState:
         d = despread_batch(pilot_rx, self.book, rows[:, 0])  # (B, K, N)
         return pilot_rx, data_rx, d.transpose(1, 0, 2)
 
-    def _estimate_covariances(self) -> None:
+    def train(self, windows: list[int]):
+        """Yield each training window T of `windows` (ascending, the last
+        one `system.blocks`) once the estimates from its first T blocks
+        are built.
+
+        One walk over the batches of the longest window serves every
+        window.  The pilot rows of a shorter window are a prefix of the
+        longer one's, and so are its full batches: the same shapes drawn
+        from the same stream positions.  A window that ends inside a batch
+        draws its partial last batch from the stream positions before that
+        batch, as a run of that window alone would; the walk then restores
+        them and draws the whole batch.
+        """
+        if not self.kinds & DATA_DRIVEN_KINDS:
+            yield from windows
+            return
         sysc = self.system
-        cells, ues, n = sysc.cells, sysc.ues_per_cell, sysc.antennas
         rows = allocate_pilots(
-            sysc.blocks, cells, ues, sysc.tau_p, "random", self.rngs["est_alloc"]
+            sysc.blocks, sysc.cells, sysc.ues_per_cell, sysc.tau_p, "random",
+            self.rngs["est_alloc"],
         ).indices
-        channels, signals = self.rngs["est_channels"], self.rngs["est_signals"]
-        acc = AllCovAccumulator(n)  # pilot phase
-        despread = np.empty((ues, sysc.blocks, n), dtype=complex)
+        streams = [self.rngs["est_channels"], self.rngs["est_signals"]]
+        acc = AllCovAccumulator(sysc.antennas)  # pilot phase
+        despread = np.empty((sysc.ues_per_cell, sysc.blocks, sysc.antennas), dtype=complex)
         grams: list[Future] = []  # per batch, its data-phase accumulator
-        start = 0
-        for index in range(self.shared.kept_batches(sysc)):
-            stop = start + BATCH_BLOCKS
-            batch = self.shared.get(
-                ("training", sysc.tau_p, index),
-                partial(self._training_batch, rows, acc, despread, start, stop),
-            )
-            acc = copy.deepcopy(batch.acc)
-            despread[:, start:stop] = batch.despread
-            grams.append(batch.data)
-            channels.bit_generator.state = batch.channels_state
-            signals.bit_generator.state = batch.signals_state
-            start = stop
-        grams += self._train(rows, acc, despread, start, sysc.blocks)
-        # The phases are summed apart, each in batch order, so the sum does
-        # not depend on which point synthesized which data phase.
-        data = AllCovAccumulator(n)
-        for gram in grams:
-            data.merge(gram.result())
-        acc.merge(data)
-        self.all_cov = acc.estimate()
-        self.pilot_covs = estimate_pilot_cov(despread, sysc.tau_p, sysc.cov_loading)
-        # Only the ranked kinds (gevd, gevd_impr) carry a rank.
-        ranks = sorted({spec.rank for spec in self.config.estimators if spec.rank})
-        for rank in ranks:
-            self.lowranks[rank] = [
-                gevd_lowrank_estimator(pilot, self.all_cov, sysc.tau_p, self.power, rank)
-                for pilot in self.pilot_covs
-            ]
+        for first, size in _batch_shapes(0, sysc.blocks):
+            stop = first + size
+            for blocks in windows:
+                if first < blocks < stop:
+                    saved = [rng.bit_generator.state for rng in streams]
+                    tail = copy.deepcopy(acc)
+                    tail_grams = self._train(rows, tail, despread, first, blocks)
+                    self._estimate(tail, grams + tail_grams, despread[:, :blocks])
+                    for rng, state in zip(streams, saved):
+                        rng.bit_generator.state = state
+                    yield blocks
+            grams += self._train(rows, acc, despread, first, stop)
+            if stop in windows:
+                self._estimate(acc, grams, despread[:, :stop])
+                yield stop
 
     def _train(self, rows, acc, despread, start: int, stop: int) -> list[Future]:
         """Receive training blocks [start, stop): the pilot phase into `acc`
         and `despread`.
 
         Returns per batch the Future of its data-phase accumulator.  The
-        run's first point to claim a batch synthesizes its data phase and
-        publishes it at once; every other point receives the pilot phase
-        only and waits for the data phase after its last batch.  A batch's
-        channels are claimed before its data phase, so the owner of a
-        channel batch waits on nothing before it publishes.
+        run's first job to claim a batch synthesizes its data phase and
+        publishes it at once; every other job receives the pilot phase
+        only and waits for the data phase when it builds its estimates.  A
+        batch's channels are claimed before its data phase, so the owner
+        of a channel batch waits on nothing before it publishes.
         """
         grams = []
         for blocks, h in self._batches(start, stop, "est_channels"):
@@ -471,30 +439,34 @@ class _RunState:
             grams.append(gram)
         return grams
 
-    def _training_batch(self, rows, acc, despread, start, stop) -> _TrainingBatch:
-        (data,) = self._train(rows, acc, despread, start, stop)
-        return _TrainingBatch(
-            copy.deepcopy(acc),
-            despread[:, start:stop].copy(),
-            data,
-            self.rngs["est_channels"].bit_generator.state,
-            self.rngs["est_signals"].bit_generator.state,
-        )
-
-    def _build_static_filters(self) -> None:
+    def _estimate(self, acc, grams, despread) -> None:
+        """Build the sample covariances and the filters of one training
+        window from its pilot-phase accumulator, the Futures of its
+        data-phase accumulators in batch order and its despread vectors
+        (K, T, N); `acc` is left as it was."""
         sysc = self.system
-        self.static_filters: dict[str, np.ndarray] = {}
+        # The phases are summed apart, each in batch order, so the sum does
+        # not depend on which job synthesized which data phase.
+        data = AllCovAccumulator(sysc.antennas)
+        for gram in grams:
+            data.merge(gram.result())
+        data.merge(acc)
+        self.all_cov = data.estimate()
+        self.pilot_covs = estimate_pilot_cov(despread, sysc.tau_p, sysc.cov_loading)
+        self.fallbacks = dict.fromkeys(self.fallbacks, 0)
+        # Only the ranked kinds (gevd, gevd_impr) carry a rank.
+        ranks = sorted({spec.rank for spec in self.config.estimators if spec.rank})
+        for rank in ranks:
+            self.lowranks[rank] = [
+                gevd_lowrank_estimator(pilot, self.all_cov, sysc.tau_p, self.power, rank)
+                for pilot in self.pilot_covs
+            ]
         for spec in self.config.estimators:
             if spec.kind in RANKED_KINDS:
                 # One fallback per UE estimate whose GEVD loaded all_cov.
                 lowranks = self.lowranks[spec.rank]
                 self.fallbacks[spec.label] += sum(low.loaded for low in lowranks)
-            if spec.kind in _TRUE_COVARIANCE_KINDS:
-                w = self.shared.get(
-                    ("filters", sysc.tau_p, spec.kind),
-                    partial(self._true_covariance_filters, spec.kind),
-                )
-            elif spec.kind == "subt":
+            if spec.kind == "subt":
                 estimates = subtraction_estimator(
                     self.pilot_covs, self.all_cov, sysc.tau_p, self.power
                 )
@@ -508,7 +480,7 @@ class _RunState:
             elif spec.kind == "gevd":
                 w = np.stack([approx_mmse_filter(low, self.power) for low in lowranks])
             else:
-                continue  # gevd_impr depends on the block's pilot pattern
+                continue  # true covariances, or gevd_impr: per pilot pattern
             self.static_filters[spec.label] = w
 
     def _true_covariance_filters(self, kind: str) -> np.ndarray:
@@ -554,14 +526,14 @@ class _RunState:
             batches.append((blocks, h_center, despread))
         return rows, batches
 
-    def evaluate(self, eval_blocks: int) -> dict[str, float]:
-        """Mean NMSE per estimator over fresh held-out blocks."""
-        sysc = self.system
+    def evaluate(self) -> dict[str, float]:
+        """Mean NMSE per estimator over the held-out blocks, with the
+        filters of the training window in hand."""
         self._impr_cache = {}
         err = {spec.label: 0.0 for spec in self.config.estimators}
-        rows, batches = self.shared.get(
-            ("held_out", sysc.tau_p), partial(self._held_out, eval_blocks)
-        )
+        if self.held_out is None:
+            self.held_out = self._held_out(self.config.eval_blocks)
+        rows, batches = self.held_out
         for blocks, h_center, despread in batches:
             for spec in self.config.estimators:
                 d = despread[_ALLOCATION[spec.kind]]
@@ -574,7 +546,7 @@ class _RunState:
                 err[spec.label] += float(
                     nmse(h_center, h_hat, self.covs[0][:, None]).sum()
                 )
-        total = eval_blocks * sysc.ues_per_cell
+        total = self.config.eval_blocks * self.system.ues_per_cell
         return {label: value / total for label, value in err.items()}
 
     def _improved_estimates(
@@ -624,38 +596,47 @@ class _RunState:
 
 def run_single(
     config: ExperimentConfig,
-    sweep_value: int,
+    sweep_values: list[int],
     run_seed,
     shared: _SharedRun | None = None,
-) -> list[RunContribution]:
-    """Execute one Monte-Carlo run at one sweep point.
+) -> list[list[RunContribution]]:
+    """Execute one Monte-Carlo run at sweep points of one tau_p.
 
-    Deterministic given (config, sweep_value, run_seed): the seed keys
-    every random stream of the run (geometry, estimation blocks,
-    evaluation blocks).  `shared` holds what the run's other sweep points
-    already computed; it must come from the same config and run_seed, and
-    the result is the same with or without it.  BLAS runs single-threaded
-    for the duration of the call.
+    Returns the contributions of each value of `sweep_values`, in order.
+    The points differ only in their training window, so one walk over
+    the training blocks serves them all.  Deterministic given (config,
+    sweep value, run_seed): the seed keys every random stream of the run
+    (geometry, estimation blocks, evaluation blocks), so a point gets the
+    same contributions in any group.  `shared` holds what the run's jobs
+    at other tau_p compute too; it must come from the same config and
+    run_seed, and the result is the same with or without it.  BLAS runs
+    single-threaded for the duration of the call.
     """
     config.validate()
-    system = config.system_for(sweep_value)
+    systems = [config.system_for(value) for value in sweep_values]
+    if len({system.tau_p for system in systems}) != 1:
+        raise ValueError("run_single takes sweep values of one tau_p")
+    longest = max(systems, key=lambda system: system.blocks)
+    per_window = {}
     with single_threaded_blas():
-        state = _RunState(config, system, run_seed, shared)
-        per_label = state.evaluate(config.eval_blocks)
-    return [
-        RunContribution(
-            estimator=spec.label,
-            nmse=per_label[spec.label],
-            fallbacks=state.fallbacks[spec.label],
-        )
-        for spec in config.estimators
-    ]
+        state = _RunState(config, longest, run_seed, shared)
+        for blocks in state.train(sorted({system.blocks for system in systems})):
+            per_label = state.evaluate()
+            per_window[blocks] = [
+                RunContribution(
+                    estimator=spec.label,
+                    nmse=per_label[spec.label],
+                    fallbacks=state.fallbacks[spec.label],
+                )
+                for spec in config.estimators
+            ]
+    return [per_window[system.blocks] for system in systems]
 
 
 def shared_channel_bytes(config: ExperimentConfig) -> int:
     """Most bytes of channel draws that one Monte-Carlo run in flight keeps
-    for a second sweep point: its training and held-out windows in a tau_p
-    sweep, nothing in a T sweep."""
+    for a second job of the run: its training and held-out windows in a
+    tau_p sweep, nothing in a T sweep."""
     systems = [config.system_for(value) for value in config.sweep.values]
     uses = _SharedRun(systems, config.eval_blocks).uses
     streams = {"eval_channels"}
@@ -677,31 +658,31 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[NmseResult]:
     """
     config.validate()
     systems = [config.system_for(value) for value in config.sweep.values]
-    # Run-major, so that a run's points run close together and its shared
-    # state is released early: memory grows with the runs in flight, not
-    # with monte_carlo_runs.
+    groups = defaultdict(list)  # per tau_p, its sweep values
+    for value, system in zip(config.sweep.values, systems):
+        groups[system.tau_p].append(value)
+    # One job per (run, tau_p): a T sweep is one job per run, whose single
+    # training walk serves every T.  Run-major, so that a run's jobs run
+    # close together and its shared state is released early: memory grows
+    # with the runs in flight, not with monte_carlo_runs.
     jobs = [
-        (sweep_index, sweep_value, run_index)
+        (run_index, values)
         for run_index in range(config.monte_carlo_runs)
-        for sweep_index, sweep_value in enumerate(config.sweep.values)
+        for values in groups.values()
     ]
     live: dict[int, _SharedRun] = {}
-    points_left = Counter(run_index for _, _, run_index in jobs)
+    jobs_left = Counter(run_index for run_index, _ in jobs)
     live_lock = threading.Lock()
 
     def execute(job):
-        sweep_index, sweep_value, run_index = job
+        run_index, values = job
         # Streams are keyed by run index only, so run r sees the same
         # geometry and evaluation blocks at every sweep point: sweep curves
-        # are paired comparisons.  Training windows of a T-sweep are not
-        # nested: samplers draw whole batch shapes, so the first training
-        # blocks at T=75 and T=150 already differ.  Full batches are the
-        # same draws at every T, though (same shapes from the same stream
-        # positions), and the channels and data phase of a batch are the
-        # same at every tau_p (the channel streams carry no pilots, and the
-        # data phase has its own batch-keyed stream), so _SharedRun
-        # computes each once per run and drops it at its last use.  Points
-        # of one run that run at once split that work between them: each
+        # are paired comparisons.  The channels and data phase of a batch
+        # are the same at every tau_p (the channel streams carry no pilots,
+        # and the data phase has its own batch-keyed stream), so _SharedRun
+        # computes each once per run and drops it at its last use.  Jobs of
+        # one run that run at once split that work between them: each
         # draws the channel batches and data phases it claims first.
         seed = (config.master_seed, run_index)
         with live_lock:
@@ -709,31 +690,31 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[NmseResult]:
                 live[run_index] = _SharedRun(systems, config.eval_blocks)
             shared = live[run_index]
         try:
-            return (sweep_index, run_index), run_single(config, sweep_value, seed, shared)
+            contributions = run_single(config, values, seed, shared)
         finally:
             with live_lock:
-                points_left[run_index] -= 1
-                if not points_left[run_index]:
+                jobs_left[run_index] -= 1
+                if not jobs_left[run_index]:
                     del live[run_index]
+        return {(value, run_index): c for value, c in zip(values, contributions)}
 
     store: dict[tuple[int, int], list[RunContribution]] = {}
     with single_threaded_blas():
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                for key, contribs in pool.map(execute, jobs):
-                    store[key] = contribs
+                for contributions in pool.map(execute, jobs):
+                    store.update(contributions)
         else:
             for job in jobs:
-                key, contribs = execute(job)
-                store[key] = contribs
+                store.update(execute(job))
 
     results = []
-    for sweep_index, sweep_value in enumerate(config.sweep.values):
+    for sweep_value in config.sweep.values:
         for position, spec in enumerate(config.estimators):
             values = []
             fallbacks = 0
             for run_index in range(config.monte_carlo_runs):
-                contribution = store[(sweep_index, run_index)][position]
+                contribution = store[(sweep_value, run_index)][position]
                 values.append(contribution.nmse)
                 fallbacks += contribution.fallbacks
             mean = sum(values) / len(values)

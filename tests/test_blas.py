@@ -56,7 +56,7 @@ def test_run_sweep_runs_blas_single_threaded(monkeypatch, libraries, workers):
     monkeypatch.setattr(harness, "run_single", recording)
     before = thread_counts(libraries)
     harness.run_sweep(tiny_config(), workers=workers)
-    assert len(seen) == 4
+    assert len(seen) == 2  # one job per run: the T sweep has one tau_p
     assert all(set(counts.values()) == {1} for counts in seen)
     assert thread_counts(libraries) == before
 
@@ -77,13 +77,13 @@ def test_run_single_runs_blas_single_threaded(monkeypatch, libraries):
     seen = []
     real_evaluate = harness._RunState.evaluate
 
-    def recording(self, eval_blocks):
+    def recording(self):
         seen.append(thread_counts(libraries))
-        return real_evaluate(self, eval_blocks)
+        return real_evaluate(self)
 
     monkeypatch.setattr(harness._RunState, "evaluate", recording)
     before = thread_counts(libraries)
-    harness.run_single(tiny_config(), 8, (3, 0))
+    harness.run_single(tiny_config(), [8], (3, 0))
     assert len(seen) == 1
     assert set(seen[0].values()) == {1}
     assert thread_counts(libraries) == before

@@ -5,6 +5,7 @@ import gc
 import itertools
 import sys
 import threading
+import time
 import weakref
 from collections import Counter
 
@@ -104,6 +105,13 @@ class TestNmse:
             nmse(np.ones((3, 2)), np.zeros((3, 2)), covs)
 
 
+def trained_state(config, system, run_seed):
+    """A run state whose estimates come from system.blocks training blocks."""
+    state = _RunState(config, system, run_seed)
+    assert list(state.train([system.blocks])) == [system.blocks]
+    return state
+
+
 def improved_reference(state, rank, rows, d_random):
     """Per-(block, UE) loop: one improved filter built and applied per vector."""
     ues, b_blocks, _ = d_random.shape
@@ -136,7 +144,7 @@ class TestImprovedEstimates:
         )
         spec = EstimatorSpec("gevd_impr", rank=3)
         config = small_config(system=system, estimators=[spec])
-        state = _RunState(config, system, (3, 0))
+        state = trained_state(config, system, (3, 0))
         rng = np.random.default_rng(2)
         shape = (system.ues_per_cell, 30, system.antennas)
         d_random = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -179,13 +187,13 @@ class TestStaticFilters:
             ]
         )
         system = config.system
-        clean = _RunState(config, system, (4, 0))
+        clean = trained_state(config, system, (4, 0))
         assert set(clean.fallbacks.values()) == {0}
         # A singular combined covariance fails the GEVD's Cholesky screen, so
         # every UE's estimate is solved against the loaded matrix.
         singular = np.diag(np.r_[np.ones(system.antennas - 1), 0.0]).astype(complex)
         monkeypatch.setattr(covest.AllCovAccumulator, "estimate", lambda self: singular)
-        state = _RunState(config, system, (4, 0))
+        state = trained_state(config, system, (4, 0))
         assert all(low.loaded for low in state.lowranks[3])
         ues = system.ues_per_cell
         assert state.fallbacks == {"subt": 0, "gevd_3": ues, "gevd_impr_3": ues}
@@ -214,7 +222,7 @@ class TestRunSingle:
             monte_carlo_runs=1,
             eval_blocks=20,
         )
-        (contribution,) = run_single(config, 10, (0, 0))
+        ((contribution,),) = run_single(config, [10], (0, 0))
         assert contribution.nmse < 1e-9
 
     def test_ls_worse_than_mmse_same_seed(self):
@@ -223,29 +231,36 @@ class TestRunSingle:
                         EstimatorSpec("ls_fixed")],
             eval_blocks=100,
         )
-        results = {c.estimator: c.nmse for c in run_single(config, 40, (1, 0))}
+        (contribs,) = run_single(config, [40], (1, 0))
+        results = {c.estimator: c.nmse for c in contribs}
         # the fixed-allocation LMMSE beats LS on the identical despread data
         assert results["mmse_fixed"] < results["ls_fixed"]
 
     def test_bitwise_deterministic(self):
         config = small_config()
-        a = run_single(config, 30, (5, 3))
-        b = run_single(config, 30, (5, 3))
+        (a,) = run_single(config, [30], (5, 3))
+        (b,) = run_single(config, [30], (5, 3))
         assert [c.nmse for c in a] == [c.nmse for c in b]
         assert [c.fallbacks for c in a] == [c.fallbacks for c in b]
 
     def test_distinct_seeds_distinct_results(self):
         config = small_config()
-        a = run_single(config, 30, (5, 0))
-        b = run_single(config, 30, (5, 1))
+        (a,) = run_single(config, [30], (5, 0))
+        (b,) = run_single(config, [30], (5, 1))
         assert [c.nmse for c in a] != [c.nmse for c in b]
+
+    def test_values_of_two_tau_p_rejected(self):
+        # A job walks the training windows of one tau_p.
+        config = small_config(sweep=SweepSpec(variable="tau_p", values=[2, 4]))
+        with pytest.raises(ValueError, match="one tau_p"):
+            run_single(config, [2, 4], (5, 0))
 
 
 class TestRunSweep:
     def test_single_point_matches_run_single(self):
         config = small_config(monte_carlo_runs=1)
         sweep_results = run_sweep(config)
-        single = run_single(config, 30, (config.master_seed, 0))
+        (single,) = run_single(config, [30], (config.master_seed, 0))
         assert len(sweep_results) == len(single)
         for agg, contrib in zip(sweep_results, single):
             assert agg.estimator == contrib.estimator
@@ -255,7 +270,7 @@ class TestRunSweep:
     def test_aggregate_is_mean_of_runs(self):
         config = small_config(monte_carlo_runs=3)
         per_run = [
-            {c.estimator: c.nmse for c in run_single(config, 30, (config.master_seed, r))}
+            {c.estimator: c.nmse for c in run_single(config, [30], (config.master_seed, r))[0]}
             for r in range(3)
         ]
         for agg in run_sweep(config):
@@ -294,8 +309,8 @@ class TestRunSweep:
         jammed.system = dataclasses.replace(
             base.system, jammer_power=2.0, jammer_angle_deg=10.0
         )
-        (clean,) = run_single(base, 30, (3, 0))
-        (noisy,) = run_single(jammed, 30, (3, 0))
+        ((clean,),) = run_single(base, [30], (3, 0))
+        ((noisy,),) = run_single(jammed, [30], (3, 0))
         assert noisy.nmse > clean.nmse
 
     def test_geometry_shared_across_sweep_points(self):
@@ -344,10 +359,11 @@ def assert_error_reaches_both_points(monkeypatch, message):
     # when another fails is cancelled by the pool.
     started = threading.Barrier(2)
 
-    def recording(config, value, *args):
+    def recording(config, values, *args):
+        (value,) = values  # one job per tau_p
         started.wait(timeout=30)
         try:
-            return real_run_single(config, value, *args)
+            return real_run_single(config, values, *args)
         except RuntimeError as exc:
             raised.append((value, str(exc)))
             raise
@@ -370,33 +386,36 @@ def assert_error_reaches_both_points(monkeypatch, message):
 
 
 class TestSharedRun:
-    """Sweep points of one run share set-up, channel draws, held-out blocks
-    and full training batches; no result bit may change."""
+    """One job per (run, tau_p) walks its training windows once, and the
+    jobs of one run share set-up, channel draws and data phases; no result
+    bit may change."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize(
-        "sweep, synthesized, data_blocks, drawn_blocks",
+        "sweep, jobs, synthesized, data_blocks, drawn_blocks",
         [
-            # Per run: training batches 0-4 once (40 blocks) and the partial
-            # batch of T=20 (4), held-out blocks once (25 per allocation).
-            # The data phase and the channels of those 44 blocks, and the
-            # channels of the 25 held-out blocks, are drawn once.
+            # One job per run.  Per run: training batches 0-4 once (40
+            # blocks) and the partial batch of T=20 (4), held-out blocks once
+            # (25 per allocation).  The data phase and the channels of those
+            # 44 blocks, and the channels of the 25 held-out blocks, are
+            # drawn once.
             (
                 SweepSpec(variable="T", values=[20, 8, 40, 16, 40]),
-                2 * (40 + 4 + 50), 2 * 44, 2 * (44 + 25),
+                2, 2 * (40 + 4 + 50), 2 * 44, 2 * (44 + 25),
             ),
-            # Per run: tau_p=4 trains and evaluates once, tau_p=2 once; the
-            # data phase and the channels of the 40 training blocks, and the
-            # channels of the 25 held-out blocks, are drawn once.
+            # One job per run and tau_p.  Per run: tau_p=4 trains and
+            # evaluates once, tau_p=2 once; the data phase and the channels
+            # of the 40 training blocks, and the channels of the 25 held-out
+            # blocks, are drawn once.
             (
                 SweepSpec(variable="tau_p", values=[4, 2, 4]),
-                2 * (40 + 50 + 40 + 50), 2 * 40, 2 * (40 + 25),
+                4, 2 * (40 + 50 + 40 + 50), 2 * 40, 2 * (40 + 25),
             ),
         ],
         ids=["T", "tau_p"],
     )
     def test_rows_match_fresh_runs_per_point(
-        self, monkeypatch, workers, sweep, synthesized, data_blocks, drawn_blocks
+        self, monkeypatch, workers, sweep, jobs, synthesized, data_blocks, drawn_blocks
     ):
         # Batches of 8 blocks: T=40 trains on 5 full batches, T=20 on two
         # and a partial one; the 25 held-out blocks are 3 full batches and
@@ -405,7 +424,7 @@ class TestSharedRun:
         config = small_config(sweep=sweep, monte_carlo_runs=2)
         expected = []
         for value in sweep.values:
-            runs = [run_single(config, value, (config.master_seed, r)) for r in range(2)]
+            runs = [run_single(config, [value], (config.master_seed, r))[0] for r in range(2)]
             for position, spec in enumerate(config.estimators):
                 mean = sum(contribs[position].nmse for contribs in runs) / 2
                 fallbacks = sum(contribs[position].fallbacks for contribs in runs)
@@ -421,9 +440,18 @@ class TestSharedRun:
             data_samples.append(data_rx.shape[0] * data_rx.shape[2])
             return pilot_rx, data_rx
 
+        calls = []
+        real_run_single = harness.run_single
+
+        def recording(*args):
+            calls.append(args[1])
+            return real_run_single(*args)
+
         monkeypatch.setattr(harness, "simulate_blocks", counting)
+        monkeypatch.setattr(harness, "run_single", recording)
         vectors = count_channel_vectors(monkeypatch)
         assert fingerprint(run_sweep(config, workers=workers)) == expected
+        assert len(calls) == jobs
         assert sum(blocks) == synthesized
         assert sum(data_samples) == data_blocks * config.system.tau_u
         links = config.system.cells * config.system.ues_per_cell
@@ -442,19 +470,19 @@ class TestSharedRun:
             [short.system_for(20), long.system_for(40)], long.eval_blocks
         )
         seed = (long.master_seed, 0)
-        run_single(short, 20, seed, shared)
+        run_single(short, [20], seed, shared)
         vectors = count_channel_vectors(monkeypatch)
-        taken = run_single(long, 40, seed, shared)
+        taken = run_single(long, [40], seed, shared)
         links = long.system.cells * long.system.ues_per_cell
         assert vectors == [8 * links] * 3
         assert shared._store == {}
-        assert taken == run_single(long, 40, seed)
+        assert taken == run_single(long, [40], seed)
 
     def test_each_key_has_one_owner_under_contention(self, monkeypatch):
         # More threads than cores claim the same keys; every key must get
         # exactly one owner, every reader must see that owner's value, and
-        # the last claim of each key must drop it.  Six points of distinct
-        # tau_p receive every one-block training batch, one point a thread.
+        # the last claim of each key must drop it.  Six jobs of distinct
+        # tau_p receive every one-block training batch, one job a thread.
         threads_n, keys = 6, 2000
         monkeypatch.setattr(harness, "BATCH_BLOCKS", 1)
         system = dataclasses.replace(small_config().system, blocks=keys)
@@ -568,7 +596,7 @@ class TestSharedRun:
 
         # A single point stores nothing.
         created.clear()
-        run_single(config, sweep.values[0], (config.master_seed, 0))
+        run_single(config, sweep.values[:1], (config.master_seed, 0))
         (single,) = created
         assert set(single.owners.values()) == {1}
         assert single.stored == set()
@@ -579,6 +607,8 @@ class TestSharedRun:
 
         class Recorded(harness._SharedRun):
             def __init__(self, *args):
+                # Long enough for the other job of the run to start meanwhile.
+                time.sleep(0.05)
                 super().__init__(*args)
                 created.append(weakref.ref(self))
 
@@ -595,8 +625,9 @@ class TestSharedRun:
 
         monkeypatch.setattr(harness, "_SharedRun", Recorded)
         monkeypatch.setattr(harness, "run_single", recording)
+        # A tau_p sweep: two jobs per run, which can start together.
         config = small_config(
-            sweep=SweepSpec(variable="T", values=[20, 40]),
+            sweep=SweepSpec(variable="tau_p", values=[2, 4]),
             estimators=[EstimatorSpec("gevd", rank=3)],
             monte_carlo_runs=3,
         )
@@ -606,7 +637,7 @@ class TestSharedRun:
             run_sweep(config, workers=workers)
         finally:
             sys.setswitchinterval(interval)
-        # One state per run, also when points of a run start together.
+        # One state per run, also when jobs of a run start together.
         assert len(created) == 3
         # Jobs run run-major, so only the states of runs in flight are alive.
         assert len(live_at_start) == 6
