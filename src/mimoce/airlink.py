@@ -106,6 +106,21 @@ def _unit_symbols(phases: np.ndarray) -> np.ndarray:
     return symbols
 
 
+def _add_noise(rx: np.ndarray, noise_factor, rng: np.random.Generator) -> None:
+    """Add noise F z to the samples rx (B, N, S) in place, z standard complex
+    normal, F an (N, N) factor or a float s for s I."""
+    if np.ndim(noise_factor):
+        rx += noise_factor @ complex_normal(rng, rx.shape)
+        return
+    # complex_normal's draws and scaling, then s z: each (N, N) product
+    # s z_n + 0 z_m rounds to s z_n, so the bits match the matrix path.
+    x = rng.standard_normal((2, *rx.shape))
+    x *= np.sqrt(0.5)
+    x *= noise_factor
+    rx.real += x[0]
+    rx.imag += x[1]
+
+
 def simulate_blocks(
     channels: np.ndarray,
     pilot_indices: np.ndarray,
@@ -126,9 +141,11 @@ def simulate_blocks(
         Pilot chosen by each UE in each block.
     powers : (L, K) ndarray
         Per-UE transmit power, applied in both phases.
-    noise_factor : (N, N) ndarray
+    noise_factor : (N, N) ndarray or float
         Square factor F with F F^H equal to the noise covariance; noise is
-        drawn independently per sample.
+        drawn independently per sample.  A float s stands for F = s I
+        (white noise of power s^2) and is added without the matrix product,
+        with the same bits as passing s I.
     pilot_rng, data_rng : Generator
         Streams of the pilot-phase noise and of the data phase (symbol
         phases, then data noise).  pilot_rx depends on pilot_rng only and
@@ -150,7 +167,7 @@ def simulate_blocks(
 
     seq = pilot_book.sequences[pilot_indices.reshape(b_blocks, cells * ues)]
     pilot_rx = weighted_t @ seq
-    pilot_rx += noise_factor @ complex_normal(pilot_rng, (b_blocks, n, tau_p))
+    _add_noise(pilot_rx, noise_factor, pilot_rng)
 
     if tau_u > 0:
         if data_rng is None:
@@ -158,7 +175,7 @@ def simulate_blocks(
         phases = data_rng.uniform(0.0, 2.0 * np.pi, size=(b_blocks, cells * ues, tau_u))
         # A temporary, freed before the noise below is drawn.
         data_rx = weighted_t @ _unit_symbols(phases)
-        data_rx += noise_factor @ complex_normal(data_rng, (b_blocks, n, tau_u))
+        _add_noise(data_rx, noise_factor, data_rng)
     else:
         data_rx = np.zeros((b_blocks, n, 0), dtype=complex)
     return pilot_rx, data_rx

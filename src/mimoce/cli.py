@@ -27,7 +27,7 @@ from .config import (
     SweepSpec,
     SystemConfig,
 )
-from .harness import NmseResult, run_sweep, shared_channel_bytes
+from .harness import NmseResult, run_sweep, shared_channel_bytes, simulated_blocks
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -196,10 +196,6 @@ def validate_config(config: ExperimentConfig) -> str:
 
     matrices = sysc.cells * sysc.ues_per_cell
     cov_mb = matrices * sysc.antennas**2 * 16 / 1e6
-    blocks = sum(
-        (v if config.sweep.variable == "T" else sysc.blocks) + config.eval_blocks
-        for v in config.sweep.values
-    ) * config.monte_carlo_runs
 
     lines = [
         "OK" if not findings else "ISSUES FOUND:",
@@ -208,7 +204,7 @@ def validate_config(config: ExperimentConfig) -> str:
         f"(~{cov_mb:.1f} MB)",
         f"channels kept for sharing per run in flight: "
         f"~{shared_channel_bytes(config) / 1e6:.1f} MB",
-        f"nominal simulated blocks (shared batches are synthesized once): {blocks}",
+        f"simulated blocks per sweep: {simulated_blocks(config)}",
     ]
     return "\n".join(lines)
 

@@ -53,6 +53,16 @@ class LowRankCovEstimate:
     lam: np.ndarray  # (rank_effective,)
     loaded: bool
 
+    def truncated(self, rank: int) -> LowRankCovEstimate:
+        """The estimate gevd_lowrank_estimator returns for `rank` (at most
+        rank_requested) on the same pencil, bit for bit, without a second
+        GEVD: the leading modes of this one."""
+        if not 1 <= rank <= self.rank_requested:
+            raise ValueError(f"rank must be in [1, {self.rank_requested}], got {rank}")
+        if rank == self.rank_requested:
+            return self
+        return _lowrank(self.q, self.x, self.sigma, self.lam, rank, self.loaded)
+
 
 class AllCovAccumulator:
     """Streaming accumulator for the combined sample covariance.
@@ -148,20 +158,25 @@ def gevd_lowrank_estimator(
         result = gevd(pilot_cov, load_diagonal(b, FALLBACK_LOADING))
         loaded = True
 
-    above_one = result.eigenvalues > 1.0 + SIGMA_ONE_TOL
-    rank_effective = int(min(rank, above_one.sum()))
-    sigma = result.eigenvalues[:rank_effective]
+    above_one = int((result.eigenvalues > 1.0 + SIGMA_ONE_TOL).sum())
+    sigma = result.eigenvalues[:above_one]
     lam = (sigma - 1.0) / (tau_p - 1.0)
-    q = result.Q[:, :rank_effective]
-    x = result.X[:, :rank_effective]
-    scaled = (q * lam) @ q.conj().T
+    return _lowrank(result.Q, result.X, sigma, lam, rank, loaded)
+
+
+def _lowrank(q, x, sigma, lam, rank: int, loaded: bool) -> LowRankCovEstimate:
+    """The estimate of rank at most `rank` from pencil modes q, x in
+    descending order; sigma and lam hold every mode above one, or at least
+    `rank` of them."""
+    r = min(rank, len(sigma))
+    q = q[:, :r]
     return LowRankCovEstimate(
-        scaled_matrix=scaled,
+        scaled_matrix=(q * lam[:r]) @ q.conj().T,
         rank_requested=rank,
-        rank_effective=rank_effective,
+        rank_effective=r,
         q=q,
-        x=x,
-        sigma=sigma,
-        lam=lam,
+        x=x[:, :r],
+        sigma=sigma[:r],
+        lam=lam[:r],
         loaded=loaded,
     )

@@ -8,7 +8,8 @@ pilot choices, and the least-squares and fixed-allocation MMSE baselines.
 
 A filter is an (N, N) array W, or a (K, N, N) stack with one filter per
 UE; the estimate of a despread vector y is W^H y, computed for a whole
-batch of vectors (..., N) as y @ W.conj().
+batch of vectors (..., N) as y @ W.conj().  The improved filter, built
+per pilot pattern for a few vectors each, stays factored (`MmseFilter`).
 """
 
 from __future__ import annotations
@@ -32,14 +33,32 @@ IMPROVED_EIG_FLOOR = 8e-3
 
 @dataclass
 class MmseFilter:
-    """Result of improved_mmse_filter: the filter w (N, N) and whether its
-    corrected pilot covariance had its spectrum floored (clamped).
+    """Result of improved_mmse_filter, kept factored: the filter is
+    W = V diag(1 / eigenvalues) V^H S / sqrt(power), with V and the
+    eigenvalues of the corrected pilot covariance and S the UE's scaled
+    covariance estimate.  clamped tells whether the spectrum was floored.
 
-    Every other builder returns a plain array.
+    `apply` filters a few vectors without forming W; every other builder
+    returns a plain (N, N) array.
     """
 
-    w: np.ndarray  # (N, N)
+    basis: np.ndarray  # (N, N) eigenvectors V
+    eigenvalues: np.ndarray  # (N,), floored when clamped
+    target: np.ndarray  # (N, N) S
+    power: float
     clamped: bool = False
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """Estimates W^H y of despread vectors y (..., N), as y @ w.conj()."""
+        v = self.basis
+        projected = (y @ v.conj()) / self.eigenvalues
+        return (projected @ v.T) @ self.target.conj() / np.sqrt(self.power)
+
+    @property
+    def w(self) -> np.ndarray:
+        """The dense filter W (N, N)."""
+        w = (self.basis / self.eigenvalues) @ (self.basis.conj().T @ self.target)
+        return w / np.sqrt(self.power)
 
 
 def mmse_optimal_filter(r_pilot: np.ndarray, r_cov: np.ndarray, power: float) -> np.ndarray:
@@ -65,6 +84,19 @@ def approx_mmse_filter(lowrank: LowRankCovEstimate, power: float) -> np.ndarray:
     return (lowrank.x * v) @ lowrank.q.conj().T / np.sqrt(power)
 
 
+def improved_pilot_base(
+    pilot_cov: np.ndarray, intracell_lowranks: list[LowRankCovEstimate], ue: int
+) -> np.ndarray:
+    """The part of improved_mmse_filter's corrected pilot covariance that no
+    pilot pattern changes: pilot_cov minus every other intra-cell UE's
+    scaled covariance estimate, (N, N)."""
+    base = np.array(pilot_cov, dtype=complex)
+    for i, lowrank in enumerate(intracell_lowranks):
+        if i != ue:
+            base -= lowrank.scaled_matrix
+    return base
+
+
 def improved_mmse_filter(
     pilot_cov: np.ndarray,
     intracell_lowranks: list[LowRankCovEstimate],
@@ -72,6 +104,7 @@ def improved_mmse_filter(
     ue: int,
     tau_p: int,
     power: float,
+    base: np.ndarray | None = None,
 ) -> MmseFilter:
     """Per-block MMSE filter using the serving cell's known pilot choices.
 
@@ -81,11 +114,16 @@ def improved_mmse_filter(
     contributes at full despreading gain (weight tau_p - 1 on its scaled
     covariance estimate), a UE on another pilot is removed entirely
     (weight -1), replacing the all-UEs-average embedded in the
-    time-averaged pilot covariance.  The corrected matrix
+    time-averaged pilot covariance.  The matrix is assembled as the
+    pattern-independent `base` (improved_pilot_base, computed here unless
+    a caller that builds several patterns of one UE passes it) plus tau_p
+    times each sharer's estimate.  The corrected matrix
     inherits the estimation noise of every subtracted term and is often
     indefinite; its spectrum is floored (see IMPROVED_EIG_FLOOR) whenever
     it is not comfortably positive definite, so the filter stays usable
-    instead of amplifying noise through a near-singular inverse.
+    instead of amplifying noise through a near-singular inverse.  The
+    result keeps the eigendecomposition, so applying it to a few vectors
+    costs no (N, N) filter.
 
     Raises
     ------
@@ -94,24 +132,21 @@ def improved_mmse_filter(
         signals unusable covariance estimates; callers should fall back to
         the block-independent approximate filter and record the event.
     """
+    if base is None:
+        base = improved_pilot_base(pilot_cov, intracell_lowranks, ue)
     pilot_row = np.asarray(pilot_row)
-    shares = pilot_row == pilot_row[ue]
-    m = np.array(pilot_cov, dtype=complex)
+    m = base.copy()
     for i, lowrank in enumerate(intracell_lowranks):
-        if i == ue:
-            continue
-        weight = (tau_p - 1.0) if shares[i] else -1.0
-        m += weight * lowrank.scaled_matrix
-    m = hermitize(m)
-    eigenvalues, basis = np.linalg.eigh(m)
+        if i != ue and pilot_row[i] == pilot_row[ue]:
+            m += tau_p * lowrank.scaled_matrix
+    eigenvalues, basis = np.linalg.eigh(hermitize(m))
     if eigenvalues[-1] <= 0:
         raise NotPositiveDefinite("corrected pilot covariance has no signal power")
     clamped = eigenvalues[0] <= IMPROVED_EIG_GATE * eigenvalues[-1]
     if clamped:
         eigenvalues = np.maximum(eigenvalues, IMPROVED_EIG_FLOOR * eigenvalues[-1])
     target = intracell_lowranks[ue].scaled_matrix
-    w = (basis / eigenvalues) @ (basis.conj().T @ target)
-    return MmseFilter(w=w / np.sqrt(power), clamped=clamped)
+    return MmseFilter(basis, eigenvalues, target, power, bool(clamped))
 
 
 def ls_estimate(y_pilot: np.ndarray, power: float, tau_p: int) -> np.ndarray:

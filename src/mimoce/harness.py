@@ -66,6 +66,7 @@ from .covest import (
 from .estimators import (
     approx_mmse_filter,
     improved_mmse_filter,
+    improved_pilot_base,
     ls_estimate,
     mmse_fixed_filter,
     mmse_optimal_filter,
@@ -276,7 +277,6 @@ class _RunState:
         self.shared = shared
         self.kinds = {spec.kind for spec in config.estimators}
         self.fallbacks = {spec.label: 0 for spec in config.estimators}
-        self._impr_cache: dict[tuple, tuple[np.ndarray, bool]] = {}
 
         sysc = system
         self.power = sysc.uplink_power
@@ -320,8 +320,12 @@ class _RunState:
             a = steering_vector(sysc.antennas, math.radians(sysc.jammer_angle_deg))
             jammer = (a, sysc.jammer_power)
         r_nn = make_noise_covariance(sysc.antennas, sysc.noise_power, jammer)
+        # White noise is coloured by the scalar sqrt(sigma^2): psd_factor of
+        # sigma^2 I is exactly sqrt(sigma^2) I, and simulate_blocks adds the
+        # scalar path's noise with the same bits.
+        noise_factor = psd_factor(r_nn) if jammer else math.sqrt(sysc.noise_power)
         total_cov = self.power * np.einsum("lkij->ij", covs)
-        return covs, covariance_factors(covs), r_nn, psd_factor(r_nn), total_cov
+        return covs, covariance_factors(covs), r_nn, noise_factor, total_cov
 
     def pilot_cov_true(self) -> np.ndarray:
         """Despread-signal covariances (K, N, N) of the center UEs under random allocation."""
@@ -454,13 +458,16 @@ class _RunState:
         self.all_cov = data.estimate()
         self.pilot_covs = estimate_pilot_cov(despread, sysc.tau_p, sysc.cov_loading)
         self.fallbacks = dict.fromkeys(self.fallbacks, 0)
-        # Only the ranked kinds (gevd, gevd_impr) carry a rank.
-        ranks = sorted({spec.rank for spec in self.config.estimators if spec.rank})
-        for rank in ranks:
-            self.lowranks[rank] = [
-                gevd_lowrank_estimator(pilot, self.all_cov, sysc.tau_p, self.power, rank)
+        # Only the ranked kinds (gevd, gevd_impr) carry a rank.  One GEVD
+        # per UE at the largest rank serves every rank: a smaller one keeps
+        # the leading modes of the same pencil.
+        ranks = {spec.rank for spec in self.config.estimators if spec.rank}
+        if ranks:
+            top = [
+                gevd_lowrank_estimator(pilot, self.all_cov, sysc.tau_p, self.power, max(ranks))
                 for pilot in self.pilot_covs
             ]
+            self.lowranks = {rank: [low.truncated(rank) for low in top] for rank in ranks}
         for spec in self.config.estimators:
             if spec.kind in RANKED_KINDS:
                 # One fallback per UE estimate whose GEVD loaded all_cov.
@@ -529,19 +536,23 @@ class _RunState:
     def evaluate(self) -> dict[str, float]:
         """Mean NMSE per estimator over the held-out blocks, with the
         filters of the training window in hand."""
-        self._impr_cache = {}
         err = {spec.label: 0.0 for spec in self.config.estimators}
         if self.held_out is None:
             self.held_out = self._held_out(self.config.eval_blocks)
         rows, batches = self.held_out
+        improved = {}  # per gevd_impr label, its estimates of every block
+        for spec in self.config.estimators:
+            if spec.kind == "gevd_impr":
+                d_random = np.concatenate([d["random"] for _, _, d in batches], axis=1)
+                improved[spec.label] = self._improved_estimates(
+                    spec.rank, spec.label, rows["random"], d_random
+                )
         for blocks, h_center, despread in batches:
             for spec in self.config.estimators:
-                d = despread[_ALLOCATION[spec.kind]]
                 if spec.kind == "gevd_impr":
-                    h_hat = self._improved_estimates(
-                        spec.rank, spec.label, rows["random"][blocks], d
-                    )
+                    h_hat = improved[spec.label][:, blocks]
                 else:
+                    d = despread[_ALLOCATION[spec.kind]]
                     h_hat = d @ self.static_filters[spec.label].conj()
                 err[spec.label] += float(
                     nmse(h_center, h_hat, self.covs[0][:, None]).sum()
@@ -552,43 +563,41 @@ class _RunState:
     def _improved_estimates(
         self, rank: int, label: str, rows: np.ndarray, d_random: np.ndarray
     ) -> np.ndarray:
-        """Apply the per-block improved filters to despread vectors (K, B, N).
+        """Apply the per-block improved filters to despread vectors (K, E, N)
+        received under pilot rows (E, L, K): every held-out block at once.
 
         A filter depends on the block only through which center-cell UEs
-        share UE k's pilot, so blocks are grouped by that pattern and each
-        filter is built once per run (cached) and applied once per batch.
-        Fallbacks count degraded filters per (block, UE) use.
+        share UE k's pilot, so blocks are grouped by that pattern.  Each
+        (UE, pattern) filter is built once per training window, from the
+        UE's pattern-independent matrix (assembled once), and applied in
+        factored form to that pattern's vectors alone.  Fallbacks count
+        degraded filters per (block, UE) use.
         """
-        center = rows[:, 0]  # (B, K)
+        center = rows[:, 0]  # (E, K)
+        lowranks = self.lowranks[rank]
         h_hat = np.empty_like(d_random)
         for k in range(center.shape[1]):
+            base = improved_pilot_base(self.pilot_covs[k], lowranks, k)
             patterns, first, group = np.unique(
                 center == center[:, k : k + 1],
                 axis=0,
                 return_index=True,
                 return_inverse=True,
             )
-            for g, pattern in enumerate(patterns):
-                key = (rank, k, pattern.tobytes())
-                cached = self._impr_cache.get(key)
-                if cached is None:
-                    try:
-                        filt = improved_mmse_filter(
-                            self.pilot_covs[k],
-                            self.lowranks[rank],
-                            center[first[g]],
-                            k,
-                            self.system.tau_p,
-                            self.power,
-                        )
-                        cached = (filt.w, filt.clamped)
-                    except NotPositiveDefinite:
-                        lowrank = self.lowranks[rank][k]
-                        cached = (approx_mmse_filter(lowrank, self.power), True)
-                    self._impr_cache[key] = cached
-                w, degraded = cached
+            for g in range(len(patterns)):
                 blocks = np.flatnonzero(group == g)
-                h_hat[k, blocks] = d_random[k, blocks] @ w.conj()
+                d = d_random[k, blocks]
+                try:
+                    filt = improved_mmse_filter(
+                        self.pilot_covs[k], lowranks, center[first[g]], k,
+                        self.system.tau_p, self.power, base,
+                    )
+                except NotPositiveDefinite:
+                    h_hat[k, blocks] = d @ approx_mmse_filter(lowranks[k], self.power).conj()
+                    degraded = True
+                else:
+                    h_hat[k, blocks] = filt.apply(d)
+                    degraded = filt.clamped
                 if degraded:
                     self.fallbacks[label] += len(blocks)
         return h_hat
@@ -633,19 +642,37 @@ def run_single(
     return [per_window[system.blocks] for system in systems]
 
 
-def shared_channel_bytes(config: ExperimentConfig) -> int:
-    """Most bytes of channel draws that one Monte-Carlo run in flight keeps
-    for a second job of the run: its training and held-out windows in a
-    tau_p sweep, nothing in a T sweep."""
+def _job_batches(config: ExperimentConfig) -> dict[tuple, int]:
+    """Per batch key of a channel stream, how many jobs of one run receive
+    it; training batches only where a data-driven estimator trains."""
     systems = [config.system_for(value) for value in config.sweep.values]
     uses = _SharedRun(systems, config.eval_blocks).uses
     streams = {"eval_channels"}
     if {spec.kind for spec in config.estimators} & DATA_DRIVEN_KINDS:
         streams.add("est_channels")
-    blocks = sum(key[2] for key, n in uses.items() if key[0] in streams and n > 1)
+    return {key: n for key, n in uses.items() if key[0] in streams}
+
+
+def shared_channel_bytes(config: ExperimentConfig) -> int:
+    """Most bytes of channel draws that one Monte-Carlo run in flight keeps
+    for a second job of the run: its training and held-out windows in a
+    tau_p sweep, nothing in a T sweep."""
+    blocks = sum(key[2] for key, n in _job_batches(config).items() if n > 1)
     sysc = config.system
     links = sysc.cells * sysc.ues_per_cell
     return blocks * links * sysc.antennas * np.dtype(complex).itemsize
+
+
+def simulated_blocks(config: ExperimentConfig) -> int:
+    """Blocks a sweep passes to simulate_blocks: each job receives its
+    training batches once and its held-out batches once per pilot
+    allocation in use."""
+    modes = len({_ALLOCATION[spec.kind] for spec in config.estimators})
+    per_run = sum(
+        size * n * (modes if stream == "eval_channels" else 1)
+        for (stream, _, size), n in _job_batches(config).items()
+    )
+    return per_run * config.monte_carlo_runs
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[NmseResult]:

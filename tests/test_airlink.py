@@ -1,5 +1,7 @@
 """Tests for pilot books, allocation, signal synthesis and despreading."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -257,6 +259,29 @@ class TestSimulation:
         assert np.array_equal(pilot_b, pilot_only)
         assert np.array_equal(data_c, data_a)
         assert not np.array_equal(data_b, data_a)
+
+    @pytest.mark.parametrize("n", [32, 100])
+    def test_white_noise_scalar_matches_its_matrix_factor(self, n):
+        # psd_factor(sigma^2 I) is sqrt(sigma^2) I exactly, and the scalar
+        # noise path adds the same bits without the (N, N) product.
+        rng = ensure_rng(21)
+        blocks, cells, ues, tau_p, noise_power = 3, 2, 3, 4, 0.3
+        factor = psd_factor(make_noise_covariance(n, noise_power))
+        assert factor.tobytes() == (math.sqrt(noise_power) * np.eye(n, dtype=complex)).tobytes()
+        book = make_pilot_book(tau_p)
+        h = rng.standard_normal((blocks, cells, ues, n)) + 1j * rng.standard_normal(
+            (blocks, cells, ues, n)
+        )
+        rows = rng.integers(0, tau_p, (blocks, cells, ues))
+        powers = rng.uniform(0.5, 2.0, (cells, ues))
+
+        def receive(noise_factor):
+            return simulate_blocks(
+                h, rows, book, powers, noise_factor, ensure_rng(1), 6, ensure_rng(2)
+            )
+
+        for got, expected in zip(receive(math.sqrt(noise_power)), receive(factor)):
+            assert got.tobytes() == expected.tobytes()
 
     def test_data_phase_needs_its_generator(self):
         book = make_pilot_book(2)

@@ -145,9 +145,17 @@ class TestValidate:
         report = validate_config(ExperimentConfig())
         assert report.startswith("OK")
         assert "covariance storage" in report
-        assert "nominal simulated blocks" in report
+        assert "simulated blocks per sweep: " in report
         # A T sweep keeps no channel draw for a second point.
         assert "channels kept for sharing per run in flight: ~0.0 MB" in report
+
+    def test_desk_scale_block_count(self):
+        # Per run: the union of the windows' training batch shapes (75;
+        # 150; 256 + 44; then 256 + 88 for T=600 and 256 + 256 + 176 for
+        # T=1200), and 200 held-out blocks under each of two pilot
+        # allocations.
+        report = validate_config(parse_config("configs/desk_scale.yaml"))
+        assert "simulated blocks per sweep: 19570" in report
 
     def test_unsupported_layout_flagged(self):
         config = ExperimentConfig(system=SystemConfig(cells=3))

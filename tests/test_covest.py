@@ -1,5 +1,7 @@
 """Tests for the covariance estimators: sample statistics, subtraction, GEVD."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -244,6 +246,30 @@ class TestGevdLowRank:
         direct = gevd_lowrank_estimator(a, loaded_b, tau_p=4, power=1.0, rank=4)
         assert not direct.loaded
         assert np.array_equal(out.scaled_matrix, direct.scaled_matrix)
+
+    @pytest.mark.parametrize("singular", [False, True], ids=["plain", "loaded"])
+    def test_truncated_matches_a_fresh_estimate(self, singular):
+        rng = np.random.default_rng(13)
+        if singular:
+            b = random_psd(rng, 8, rank=5)  # loaded, two modes above one
+            a = b + random_psd(rng, 8, rank=2)
+            tau_p, power, top_rank = 4, 1.0, 6
+        else:
+            net = make_synthetic(rng, desired_rank=4)  # four modes above one
+            a, b, tau_p, power, top_rank = net.r_pilot, net.r_all, net.tau_p, 0.8, 7
+        top = gevd_lowrank_estimator(a, b, tau_p, power, rank=top_rank)
+        assert top.loaded == singular
+        assert 1 < top.rank_effective < top_rank
+        # Ranks below, at and above rank_effective, each bit for bit.
+        for rank in range(1, top_rank + 1):
+            fresh = gevd_lowrank_estimator(a, b, tau_p, power, rank=rank)
+            cut = top.truncated(rank)
+            for field in dataclasses.fields(fresh):
+                got, expected = getattr(cut, field.name), getattr(fresh, field.name)
+                assert np.array_equal(got, expected), (rank, field.name)
+                assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+        with pytest.raises(ValueError):
+            top.truncated(top_rank + 1)
 
     def test_rank_bounds(self):
         eye = np.eye(4, dtype=complex)

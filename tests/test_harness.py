@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from mimoce import covest, harness
-from mimoce.airlink import allocate_pilots
 from mimoce.config import EstimatorSpec, ExperimentConfig, SweepSpec, SystemConfig
 from mimoce.estimators import approx_mmse_filter, improved_mmse_filter, ls_estimate
 from mimoce.harness import (
@@ -135,30 +134,50 @@ def improved_reference(state, rank, rows, d_random):
 
 
 class TestImprovedEstimates:
-    def test_grouped_matches_per_vector_loop(self):
+    def test_grouped_matches_per_vector_loop(self, monkeypatch):
         # tau_p = 2 with 4 UEs per cell: sharing patterns repeat across
         # blocks, and the short training window makes many filters clamped.
+        # Batches of 16 blocks: the 30 held-out blocks span two batches.
+        monkeypatch.setattr(harness, "BATCH_BLOCKS", 16)
         system = SystemConfig(
             cells=7, ues_per_cell=4, antennas=8, tau_p=2, tau_u=6, blocks=20,
             noise_power=0.2,
         )
         spec = EstimatorSpec("gevd_impr", rank=3)
-        config = small_config(system=system, estimators=[spec])
+        config = small_config(system=system, estimators=[spec], eval_blocks=30)
         state = trained_state(config, system, (3, 0))
-        rng = np.random.default_rng(2)
-        shape = (system.ues_per_cell, 30, system.antennas)
-        d_random = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        rows = allocate_pilots(30, 7, system.ues_per_cell, system.tau_p, "random", rng).indices
+
+        builds = []
+        real_filter = harness.improved_mmse_filter
+
+        def counting(pilot_cov, lowranks, pilot_row, ue, *args):
+            row = np.asarray(pilot_row)
+            builds.append((ue, tuple(row == row[ue])))
+            return real_filter(pilot_cov, lowranks, pilot_row, ue, *args)
+
+        applied = []
+        real_estimates = _RunState._improved_estimates
+
+        def recording(self, rank, label, rows, d_random):
+            h_hat = real_estimates(self, rank, label, rows, d_random)
+            applied.append((rows, d_random, h_hat))
+            return h_hat
+
+        monkeypatch.setattr(harness, "improved_mmse_filter", counting)
+        monkeypatch.setattr(_RunState, "_improved_estimates", recording)
+        state.evaluate()
+        assert len(state.held_out[1]) == 2
+
+        # One call over every held-out block, one build per (UE, pattern).
+        ((rows, d_random, got),) = applied
+        assert d_random.shape[1] == config.eval_blocks
+        center = rows[:, 0]
+        patterns = {
+            (k, tuple(row == row[k])) for row in center for k in range(system.ues_per_cell)
+        }
+        assert sorted(builds) == sorted(patterns)
 
         expected, expected_fallbacks = improved_reference(state, 3, rows, d_random)
-        # two batches, so the second one is served from the filter cache
-        got = np.concatenate(
-            [
-                state._improved_estimates(3, spec.label, rows[:17], d_random[:, :17]),
-                state._improved_estimates(3, spec.label, rows[17:], d_random[:, 17:]),
-            ],
-            axis=1,
-        )
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
         assert 0 < expected_fallbacks < d_random.shape[0] * d_random.shape[1]
         assert state.fallbacks[spec.label] == expected_fallbacks
@@ -452,7 +471,7 @@ class TestSharedRun:
         vectors = count_channel_vectors(monkeypatch)
         assert fingerprint(run_sweep(config, workers=workers)) == expected
         assert len(calls) == jobs
-        assert sum(blocks) == synthesized
+        assert sum(blocks) == synthesized == harness.simulated_blocks(config)
         assert sum(data_samples) == data_blocks * config.system.tau_u
         links = config.system.cells * config.system.ues_per_cell
         assert sum(vectors) == drawn_blocks * links
