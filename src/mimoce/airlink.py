@@ -109,16 +109,15 @@ def _unit_symbols(phases: np.ndarray) -> np.ndarray:
 def _add_noise(rx: np.ndarray, noise_factor, rng: np.random.Generator) -> None:
     """Add noise F z to the samples rx (B, N, S) in place, z standard complex
     normal, F an (N, N) factor or a float s for s I."""
+    z = complex_normal(rng, rx.shape)
     if np.ndim(noise_factor):
-        rx += noise_factor @ complex_normal(rng, rx.shape)
+        rx += noise_factor @ z
         return
-    # complex_normal's draws and scaling, then s z: each (N, N) product
-    # s z_n + 0 z_m rounds to s z_n, so the bits match the matrix path.
-    x = rng.standard_normal((2, *rx.shape))
-    x *= np.sqrt(0.5)
-    x *= noise_factor
-    rx.real += x[0]
-    rx.imag += x[1]
+    # s z with real arithmetic: each (N, N) product s z_n + 0 z_m rounds to
+    # s z_n, so the bits match the matrix path.
+    parts = z.view(float)
+    parts *= noise_factor
+    rx += z
 
 
 def simulate_blocks(
@@ -130,6 +129,7 @@ def simulate_blocks(
     pilot_rng: np.random.Generator,
     tau_u: int,
     data_rng: np.random.Generator | None = None,
+    data_noise_rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Synthesize received pilot- and data-phase signals for a batch of blocks.
 
@@ -146,18 +146,21 @@ def simulate_blocks(
         drawn independently per sample.  A float s stands for F = s I
         (white noise of power s^2) and is added without the matrix product,
         with the same bits as passing s I.
-    pilot_rng, data_rng : Generator
-        Streams of the pilot-phase noise and of the data phase (symbol
-        phases, then data noise).  pilot_rx depends on pilot_rng only and
-        data_rx on data_rng only, so a caller can redraw one phase without
-        the other; passing one generator as both draws the phases in turn.
+    pilot_rng, data_rng, data_noise_rng : Generator
+        Streams of the pilot-phase noise, the data symbol phases and the
+        data-phase noise.  pilot_rx depends on pilot_rng only and data_rx
+        on the data streams only, so a caller can redraw one phase without
+        the other; passing one generator as all three draws in turn.
     tau_u : int
-        Data samples per block; 0 skips the data phase, and data_rng is
-        then not needed.
+        Data samples per block; 0 skips the data phase, and the data
+        streams are then not needed.
 
     Returns
     -------
-    (pilot_rx, data_rx) with shapes (B, N, tau_p) and (B, N, tau_u).
+    (pilot_rx, data_rx) with shapes (B, N, tau_p) and (B, N, tau_u).  Every
+    draw is block-major, so with three distinct generators the first t
+    blocks of both are, bit for bit, what the first t channel blocks and
+    pilot rows give from generators at the same positions.
     """
     b_blocks, cells, ues, n = channels.shape
     tau_p = pilot_book.tau_p
@@ -170,12 +173,12 @@ def simulate_blocks(
     _add_noise(pilot_rx, noise_factor, pilot_rng)
 
     if tau_u > 0:
-        if data_rng is None:
-            raise ValueError("tau_u > 0 needs a data-phase generator")
+        if data_rng is None or data_noise_rng is None:
+            raise ValueError("tau_u > 0 needs the data-phase generators")
         phases = data_rng.uniform(0.0, 2.0 * np.pi, size=(b_blocks, cells * ues, tau_u))
         # A temporary, freed before the noise below is drawn.
         data_rx = weighted_t @ _unit_symbols(phases)
-        _add_noise(data_rx, noise_factor, data_rng)
+        _add_noise(data_rx, noise_factor, data_noise_rng)
     else:
         data_rx = np.zeros((b_blocks, n, 0), dtype=complex)
     return pilot_rx, data_rx

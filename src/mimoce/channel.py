@@ -217,7 +217,9 @@ def sample_channels(
 
     Returns
     -------
-    (..., N) or (blocks, ..., N) ndarray of channel vectors.
+    (..., N) or (blocks, ..., N) ndarray of channel vectors.  The first t
+    blocks of a draw equal, bit for bit, a t-block draw from a generator
+    at the same position.
     """
     rng = ensure_rng(rng)
     factors = np.asarray(factors, dtype=complex)
@@ -226,10 +228,14 @@ def sample_channels(
     squeeze = blocks is None
     b = 1 if blocks is None else blocks
     z = complex_normal(rng, (b, *lead, n))
+    if b == 1:
+        # numpy hands a single row to gemv, which rounds unlike gemm; with a
+        # zero second row one block stays the first block of a larger draw.
+        z = np.concatenate([z, np.zeros_like(z)])
     # h^T = z^T F^T: one GEMM per link over all blocks, which reads z in
     # place and leaves each channel vector contiguous.
     h = np.moveaxis(np.moveaxis(z, 0, -2) @ np.swapaxes(factors, -1, -2), -2, 0)
-    return h[0] if squeeze else h
+    return h[0] if squeeze else h[:b]
 
 
 def dominant_eigenvalue_count(matrix: np.ndarray, rel_threshold: float = 0.01) -> int:

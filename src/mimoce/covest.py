@@ -36,8 +36,9 @@ class DegeneratePilotCount(ValueError):
 class LowRankCovEstimate:
     """Rank-limited estimate of one UE's scaled channel covariance.
 
-    scaled_matrix equals power * R_hat and is assembled as
-    Q_r diag(lam) Q_r^H from the retained pencil modes.  sigma holds the
+    scaled_matrix equals power * R_hat and is assembled as the Hermitian
+    part of Q_r diag(lam) Q_r^H from the retained pencil modes, so that it
+    equals its conjugate transpose bit for bit.  sigma holds the
     retained generalized eigenvalues (all > 1), lam the mode weights
     (sigma - 1) / (tau_p - 1), and x the dual basis columns satisfying
     x_r^H q_s = delta_rs.  loaded is True when the combined covariance
@@ -171,7 +172,8 @@ def _lowrank(q, x, sigma, lam, rank: int, loaded: bool) -> LowRankCovEstimate:
     r = min(rank, len(sigma))
     q = q[:, :r]
     return LowRankCovEstimate(
-        scaled_matrix=(q * lam[:r]) @ q.conj().T,
+        # Exactly Hermitian, so that sums of estimates are too.
+        scaled_matrix=hermitize((q * lam[:r]) @ q.conj().T),
         rank_requested=rank,
         rank_effective=r,
         q=q,

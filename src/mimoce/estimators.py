@@ -108,8 +108,9 @@ def improved_mmse_filter(
 ) -> MmseFilter:
     """Per-block MMSE filter using the serving cell's known pilot choices.
 
-    pilot_cov is UE `ue`'s (N, N) pilot covariance and pilot_row (K,) the
-    serving cell's pilots in this block.  The pilot-phase covariance is
+    pilot_cov is UE `ue`'s (N, N) pilot covariance, exactly Hermitian as
+    estimate_pilot_cov returns it, and pilot_row (K,) the serving cell's
+    pilots in this block.  The pilot-phase covariance is
     corrected per intra-cell UE i != ue: a UE sharing this block's pilot
     contributes at full despreading gain (weight tau_p - 1 on its scaled
     covariance estimate), a UE on another pilot is removed entirely
@@ -139,7 +140,9 @@ def improved_mmse_filter(
     for i, lowrank in enumerate(intracell_lowranks):
         if i != ue and pilot_row[i] == pilot_row[ue]:
             m += tau_p * lowrank.scaled_matrix
-    eigenvalues, basis = np.linalg.eigh(hermitize(m))
+    # Exactly Hermitian: pilot_cov and every scaled_matrix are, and so are
+    # their sums and real multiples.
+    eigenvalues, basis = np.linalg.eigh(m)
     if eigenvalues[-1] <= 0:
         raise NotPositiveDefinite("corrected pilot covariance has no signal power")
     clamped = eigenvalues[0] <= IMPROVED_EIG_GATE * eigenvalues[-1]

@@ -18,20 +18,22 @@ The sweep points of one Monte-Carlo run draw from the same run-keyed
 streams, so a sweep runs one job per (run, tau_p) (`run_single`).  The
 points of a job differ only in their training window T: the job builds
 the network, the held-out blocks and the true-covariance filters once,
-and walks the training blocks of its longest window once, finishing
-every shorter window on the way (`_RunState.train`).  The jobs of one
-run at other tau_p draw the same network, the same channels of every
-training and held-out batch, and the same data phase of every training
-batch (it has its own batch-keyed stream); `_SharedRun` computes each of
-these once per run, keeps it only where a second job needs it, and drops
-it when the last one takes it.  So a job of a tau_p sweep synthesizes
-only its own pilot phase.  Neither the walk nor the sharing changes a
-result bit.
+and walks the training batches of its longest window once.  Every
+random draw is block-major, so the first T blocks of that walk are the
+blocks a run of window T alone receives, bit for bit: each shorter
+window is finished on the way from a prefix of the batch it ends in
+(`_RunState.train`), and a T sweep synthesizes only its longest window.
+The jobs of one run at other tau_p draw the same network, the same
+channels of every training and held-out batch, and the same data phase
+of every training batch (it has its own batch-keyed streams);
+`_SharedRun` computes each of these once per run, keeps it only where a
+second job needs it, and drops it when the last one takes it.  So a job
+of a tau_p sweep synthesizes only its own pilot phase.  Neither the walk
+nor the sharing changes a result bit.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import threading
 from collections import Counter, defaultdict
@@ -90,10 +92,12 @@ _STREAMS = {
     "eval_signals_random": 6,
     "eval_signals_fixed_cyclic": 7,
 }
-# The data phase of training batch i is drawn from the stream keyed by
-# (*run keys, _DATA_STREAM, i), so it depends only on the run, the batch
-# index and the batch size, never on tau_p.
+# The data phase of training batch i draws its symbol phases from the
+# stream keyed by (*run keys, _DATA_STREAM, i) and its noise from
+# (*run keys, _DATA_NOISE_STREAM, i), so it depends only on the run and the
+# batch index, never on tau_p, and a shorter batch i draws a prefix of it.
 _DATA_STREAM = 8
+_DATA_NOISE_STREAM = 9
 
 # Pilot allocation under which each estimator kind is evaluated.
 _ALLOCATION = {
@@ -167,6 +171,13 @@ def _batch_shapes(start: int, stop: int) -> list[tuple[int, int]]:
     ]
 
 
+def _gram(samples: np.ndarray, antennas: int) -> AllCovAccumulator:
+    """An accumulator holding the samples (B, N, S)."""
+    acc = AllCovAccumulator(antennas)
+    acc.add(samples)
+    return acc
+
+
 def _publish(future: Future, compute):
     """Set `future` to compute() and return it, or set the exception raised."""
     try:
@@ -193,16 +204,18 @@ class _SharedRun:
     Streams are keyed by run index, so every job of a run builds the same
     network, and a batch of blocks [first, first + size) of a channel
     stream holds the same channels in every job that draws it.  The data
-    phase of training batch i comes from its own stream keyed by i, so its
-    Gram sum is a function of the run, i and the batch size alone, and one
-    job synthesizes it for all.
+    phase of training batch i comes from its own streams keyed by i, so its
+    Gram sums are functions of the run, i and the cut alone, and one job
+    synthesizes it for all.
 
     `uses` counts, per key, the jobs that will claim it: each job claims
-    every batch its training walk and its held-out blocks receive, once.
-    A key claimed fewer than twice is never stored, and a stored item is
-    dropped when its last claim takes it, so a T sweep (one job per run)
-    stores nothing and a tau_p sweep holds each batch only until its last
-    job takes it.
+    every batch of its longest training window and of its held-out
+    blocks, once.  A key claimed fewer than twice is never stored, and a
+    stored item is dropped when its last claim takes it, so a T sweep (one
+    job per run) stores nothing and a tau_p sweep holds each batch only
+    until its last job takes it.  `cuts` lists, per training batch key,
+    the prefix lengths whose data-phase Gram some window needs: the whole
+    batch and each window of the run that ends inside it.
 
     Each kept item is a Future owned by the first job that claims it.  The
     owner computes it outside the lock and publishes it, or the exception
@@ -218,12 +231,14 @@ class _SharedRun:
         for system in systems:
             windows[system.tau_p].add(system.blocks)
         self.uses = Counter({("network",): len(windows)})
+        self.cuts: dict[tuple, set[int]] = defaultdict(set)
         for group in windows.values():
-            # The walk receives the batches of its longest window and the
-            # partial last batch of each shorter one.
-            for first, size in {s for blocks in group for s in _batch_shapes(0, blocks)}:
+            for first, size in _batch_shapes(0, max(group)):
                 self.uses[("est_channels", first, size)] += 1
                 self.uses[("data", first, size)] += 1
+                self.cuts[first, size] |= {size} | {
+                    blocks - first for blocks in group if first < blocks < first + size
+                }
             for first, size in _batch_shapes(0, eval_blocks):
                 self.uses[("eval_channels", first, size)] += 1
         self._store: dict[tuple, Future] = {}
@@ -353,31 +368,32 @@ class _RunState:
             rng.bit_generator.state = state
             yield slice(first, first + size), h
 
-    def _receive(self, h, rows, signals_stream, tau_u: int = 0, data_stream=None):
-        """Receive a batch under pilot rows (B, L, K).
+    def _receive(self, h, rows, signals_stream, tau_u: int = 0, *data_streams):
+        """Receive a batch under pilot rows (B, L, K); a data phase needs
+        its phase and noise streams.
 
         Returns pilot_rx (B, N, tau_p), data_rx (B, N, tau_u) and the
         despread pilot vectors of every center UE, shape (K, B, N).
         """
         pilot_rx, data_rx = simulate_blocks(
             h, rows, self.book, self.powers, self.noise_factor, signals_stream, tau_u,
-            data_stream,
+            *data_streams,
         )
         d = despread_batch(pilot_rx, self.book, rows[:, 0])  # (B, K, N)
         return pilot_rx, data_rx, d.transpose(1, 0, 2)
 
     def train(self, windows: list[int]):
         """Yield each training window T of `windows` (ascending, the last
-        one `system.blocks`) once the estimates from its first T blocks
-        are built.
+        one `system.blocks`, each a window of `shared`'s systems) once the
+        estimates from its first T blocks are built.
 
         One walk over the batches of the longest window serves every
-        window.  The pilot rows of a shorter window are a prefix of the
-        longer one's, and so are its full batches: the same shapes drawn
-        from the same stream positions.  A window that ends inside a batch
-        draws its partial last batch from the stream positions before that
-        batch, as a run of that window alone would; the walk then restores
-        them and draws the whole batch.
+        window.  Every draw is block-major, so the first T blocks of the
+        walk are the blocks a run of window T alone receives, bit for bit.
+        A window that ends inside a batch takes the pilot-phase accumulator
+        of the batches before it plus the Gram of the batch's first
+        T - first blocks of pilot samples, that batch's data-phase Gram of
+        the same cut, and the despread prefix of T blocks.
         """
         if not self.kinds & DATA_DRIVEN_KINDS:
             yield from windows
@@ -387,73 +403,72 @@ class _RunState:
             sysc.blocks, sysc.cells, sysc.ues_per_cell, sysc.tau_p, "random",
             self.rngs["est_alloc"],
         ).indices
-        streams = [self.rngs["est_channels"], self.rngs["est_signals"]]
-        acc = AllCovAccumulator(sysc.antennas)  # pilot phase
+        acc = AllCovAccumulator(sysc.antennas)  # pilot phase of the full batches walked
         despread = np.empty((sysc.ues_per_cell, sysc.blocks, sysc.antennas), dtype=complex)
-        grams: list[Future] = []  # per batch, its data-phase accumulator
-        for first, size in _batch_shapes(0, sysc.blocks):
-            stop = first + size
-            for blocks in windows:
-                if first < blocks < stop:
-                    saved = [rng.bit_generator.state for rng in streams]
-                    tail = copy.deepcopy(acc)
-                    tail_grams = self._train(rows, tail, despread, first, blocks)
-                    self._estimate(tail, grams + tail_grams, despread[:, :blocks])
-                    for rng, state in zip(streams, saved):
-                        rng.bit_generator.state = state
-                    yield blocks
-            grams += self._train(rows, acc, despread, first, stop)
-            if stop in windows:
-                self._estimate(acc, grams, despread[:, :stop])
-                yield stop
-
-    def _train(self, rows, acc, despread, start: int, stop: int) -> list[Future]:
-        """Receive training blocks [start, stop): the pilot phase into `acc`
-        and `despread`.
-
-        Returns per batch the Future of its data-phase accumulator.  The
-        run's first job to claim a batch synthesizes its data phase and
-        publishes it at once; every other job receives the pilot phase
-        only and waits for the data phase when it builds its estimates.  A
-        batch's channels are claimed before its data phase, so the owner
-        of a channel batch waits on nothing before it publishes.
-        """
-        grams = []
-        for blocks, h in self._batches(start, stop, "est_channels"):
-            index = blocks.start // BATCH_BLOCKS
-            gram, owner = self.shared.claim(("data", blocks.start, len(h)))
-            try:
-                pilot_rx, data_rx, d = self._receive(
-                    h,
-                    rows[blocks],
-                    self.rngs["est_signals"],
-                    self.system.tau_u if owner else 0,
-                    derive_rng(*self.keys, _DATA_STREAM, index) if owner else None,
-                )
-                if owner:
-                    data = AllCovAccumulator(self.system.antennas)
-                    data.add(data_rx)
-                    gram.set_result(data)
-            except BaseException as exc:
-                if owner:
-                    gram.set_exception(exc)
-                raise
-            acc.add(pilot_rx)
+        grams: list[tuple[Future, int]] = []  # per batch walked, its data item and cut
+        for blocks, h in self._batches(0, sysc.blocks, "est_channels"):
+            pilot_rx, data, d = self._train(h, rows[blocks], blocks.start)
             despread[:, blocks] = d
-            grams.append(gram)
-        return grams
+            for window in windows:
+                if blocks.start < window <= blocks.stop:
+                    cut = window - blocks.start
+                    window_acc = _gram(pilot_rx[:cut], sysc.antennas)
+                    window_acc.merge(acc)
+                    self._estimate(window_acc, [*grams, (data, cut)], despread[:, :window])
+                    yield window
+            if blocks.stop < sysc.blocks:  # a later window takes this batch whole
+                acc.add(pilot_rx)
+                grams.append((data, len(h)))
+
+    def _train(self, h, rows, first: int) -> tuple[np.ndarray, Future, np.ndarray]:
+        """Receive the training batch of channels h that starts at block
+        `first` under pilot rows (B, L, K).
+
+        Returns its pilot_rx, the Future of its data item (per cut in
+        `shared.cuts`, the data-phase accumulator of the batch's first cut
+        blocks) and its despread vectors (K, B, N).  The run's first job to
+        claim a batch synthesizes its data phase and publishes it at once;
+        every other job receives the pilot phase only and waits for the
+        data phase when it builds its estimates.  A batch's channels are
+        claimed before its data phase, so the owner of a channel batch
+        waits on nothing before it publishes.
+        """
+        key = (first, len(h))
+        data, owner = self.shared.claim(("data", *key))
+        data_phase = ()
+        if owner:
+            index = first // BATCH_BLOCKS
+            data_phase = (
+                self.system.tau_u,
+                derive_rng(*self.keys, _DATA_STREAM, index),
+                derive_rng(*self.keys, _DATA_NOISE_STREAM, index),
+            )
+        try:
+            pilot_rx, data_rx, d = self._receive(
+                h, rows, self.rngs["est_signals"], *data_phase
+            )
+            if owner:
+                data.set_result({
+                    cut: _gram(data_rx[:cut], self.system.antennas)
+                    for cut in self.shared.cuts[key]
+                })
+        except BaseException as exc:
+            if owner:
+                data.set_exception(exc)
+            raise
+        return pilot_rx, data, d
 
     def _estimate(self, acc, grams, despread) -> None:
         """Build the sample covariances and the filters of one training
-        window from its pilot-phase accumulator, the Futures of its
-        data-phase accumulators in batch order and its despread vectors
+        window from its pilot-phase accumulator, the (data item Future,
+        cut) of each of its batches in batch order and its despread vectors
         (K, T, N); `acc` is left as it was."""
         sysc = self.system
         # The phases are summed apart, each in batch order, so the sum does
         # not depend on which job synthesized which data phase.
         data = AllCovAccumulator(sysc.antennas)
-        for gram in grams:
-            data.merge(gram.result())
+        for item, cut in grams:
+            data.merge(item.result()[cut])
         data.merge(acc)
         self.all_cov = data.estimate()
         self.pilot_covs = estimate_pilot_cov(despread, sysc.tau_p, sysc.cov_loading)
@@ -618,14 +633,17 @@ def run_single(
     (geometry, estimation blocks, evaluation blocks), so a point gets the
     same contributions in any group.  `shared` holds what the run's jobs
     at other tau_p compute too; it must come from the same config and
-    run_seed, and the result is the same with or without it.  BLAS runs
-    single-threaded for the duration of the call.
+    run_seed and include these sweep values, and the result is the same
+    with or without it.  BLAS runs single-threaded for the duration of the
+    call.
     """
     config.validate()
     systems = [config.system_for(value) for value in sweep_values]
     if len({system.tau_p for system in systems}) != 1:
         raise ValueError("run_single takes sweep values of one tau_p")
     longest = max(systems, key=lambda system: system.blocks)
+    if shared is None:
+        shared = _SharedRun(systems, config.eval_blocks)
     per_window = {}
     with single_threaded_blas():
         state = _RunState(config, longest, run_seed, shared)
@@ -664,9 +682,9 @@ def shared_channel_bytes(config: ExperimentConfig) -> int:
 
 
 def simulated_blocks(config: ExperimentConfig) -> int:
-    """Blocks a sweep passes to simulate_blocks: each job receives its
-    training batches once and its held-out batches once per pilot
-    allocation in use."""
+    """Blocks a sweep passes to simulate_blocks: each job receives the
+    training batches of its longest window once and its held-out batches
+    once per pilot allocation in use."""
     modes = len({_ALLOCATION[spec.kind] for spec in config.estimators})
     per_run = sum(
         size * n * (modes if stream == "eval_channels" else 1)

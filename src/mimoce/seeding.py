@@ -2,15 +2,17 @@
 
 All randomness in the package flows through numpy Generators derived from
 a single master seed with explicit integer keys, so that runs are
-reproducible and independent of thread scheduling.  Samplers draw whole
-batch shapes at once, so the values a stream yields depend on how the
-consumer splits its draws: equal keys and equal draw shapes give equal
-values, but a prefix of a larger batch is not a smaller batch.
+reproducible and independent of thread scheduling.  Samplers draw
+block-major: the values of block 0 come first, then those of block 1,
+and so on, each complex value as a (real, imaginary) pair.  So the first
+t blocks of a b-block draw are, bit for bit, the t-block draw from the
+same stream position, and a prefix of a larger batch is a smaller batch.
 
 A stream may also be keyed by a batch index, so that what a batch draws
 does not depend on what was drawn before it: the data phase of training
-batch i is keyed by (master seed, run, data stream id, i) and therefore
-depends only on the run, i and the batch size, at every tau_p.
+batch i draws its symbol phases and its noise from two streams keyed by
+(master seed, run, stream id, i), and therefore depends only on the run
+and i, at every tau_p; a shorter batch i draws a prefix of it.
 """
 
 from __future__ import annotations
@@ -43,10 +45,10 @@ def complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarr
     """I.i.d. standard circularly-symmetric complex normal samples.
 
     Unit variance per complex entry: real and imaginary parts each have
-    variance 1/2.
+    variance 1/2.  Each entry takes the next two normals of the stream as
+    its real and imaginary part, in C order over `shape`, so the leading
+    entries of a larger draw equal a smaller draw.
     """
-    z = np.empty(shape, dtype=complex)
-    z.real = rng.standard_normal(shape)
-    z.imag = rng.standard_normal(shape)
-    z *= np.sqrt(0.5)
-    return z
+    pairs = rng.standard_normal((*shape, 2))
+    pairs *= np.sqrt(0.5)
+    return pairs.view(complex).reshape(shape)

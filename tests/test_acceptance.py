@@ -193,7 +193,7 @@ def test_criterion_3_expectation_consistency():
     for stop in checkpoints:
         h = sample_channels(factors, rng, blocks=stop - done)
         pilot_rx, data_rx = simulate_blocks(
-            h, alloc.indices[done:stop], book, powers, noise_factor, rng, tau_u, rng
+            h, alloc.indices[done:stop], book, powers, noise_factor, rng, tau_u, rng, rng
         )
         acc.add(np.concatenate([pilot_rx, data_rx], axis=2))
         despread_rows.append(despread_batch(pilot_rx, book, alloc.indices[done:stop, 0, 0]))
@@ -442,7 +442,7 @@ def test_criterion_8_end_to_end_equivariance():
     alloc = allocate_pilots(blocks + eval_blocks, 1, ues, tau_p, "random", rng)
     h = sample_channels(factors, rng, blocks=blocks + eval_blocks)
     pilot_rx, data_rx = simulate_blocks(
-        h, alloc.indices, book, powers, noise_factor, rng, tau_u, rng
+        h, alloc.indices, book, powers, noise_factor, rng, tau_u, rng, rng
     )
     transform = well_conditioned_transform(np.random.default_rng(1010), n)
 

@@ -162,7 +162,7 @@ class TestSimulation:
         h = np.zeros((1, 1, 1, 3), dtype=complex)
         pilot_rx, data_rx = simulate_blocks(
             h, np.zeros((1, 1, 1), dtype=int), book, np.ones((1, 1)),
-            psd_factor(1e-30 * np.eye(3)), ensure_rng(0), 4, ensure_rng(1),
+            psd_factor(1e-30 * np.eye(3)), ensure_rng(0), 4, ensure_rng(1), ensure_rng(2),
         )
         assert pilot_rx.shape == (1, 3, 2)
         assert data_rx.shape == (1, 3, 4)
@@ -223,7 +223,7 @@ class TestSimulation:
         h = sample_channels(covariance_factors(covs), rng, blocks=blocks)
         pilot_rx, data_rx = simulate_blocks(
             h, ensure_rng(12).integers(0, tau_p, (blocks, 2, 2)), book, powers,
-            psd_factor(r_nn), rng, 2, rng,
+            psd_factor(r_nn), rng, 2, rng, rng,
         )
         samples = np.concatenate([pilot_rx, data_rx], axis=2)
         flat = np.moveaxis(samples, 1, 0).reshape(n, -1)
@@ -247,7 +247,8 @@ class TestSimulation:
         def receive(pilot_seed, data_seed, tau_u):
             data_rng = None if data_seed is None else ensure_rng(data_seed)
             return simulate_blocks(
-                h, rows, book, powers, factor, ensure_rng(pilot_seed), tau_u, data_rng
+                h, rows, book, powers, factor, ensure_rng(pilot_seed), tau_u, data_rng,
+                data_rng,
             )
 
         pilot_only, no_data = receive(1, None, 0)
@@ -277,20 +278,49 @@ class TestSimulation:
 
         def receive(noise_factor):
             return simulate_blocks(
-                h, rows, book, powers, noise_factor, ensure_rng(1), 6, ensure_rng(2)
+                h, rows, book, powers, noise_factor, ensure_rng(1), 6, ensure_rng(2),
+                ensure_rng(3),
             )
 
         for got, expected in zip(receive(math.sqrt(noise_power)), receive(factor)):
             assert got.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("t", [1, 75, 255])
+    def test_prefix_of_a_batch_is_a_smaller_batch(self, t):
+        # With the data noise on a stream of its own, the first t blocks of
+        # both phases of a 256-block batch are, bit for bit, a t-block batch
+        # from generators at the same positions.
+        rng = ensure_rng(22)
+        blocks, cells, ues, n, tau_p, tau_u = 256, 7, 5, 32, 10, 40
+        book = make_pilot_book(tau_p)
+        h = rng.standard_normal((blocks, cells, ues, n)) + 1j * rng.standard_normal(
+            (blocks, cells, ues, n)
+        )
+        rows = rng.integers(0, tau_p, (blocks, cells, ues))
+        powers = rng.uniform(0.5, 2.0, (cells, ues))
+
+        def receive(size, noise_factor):
+            return simulate_blocks(
+                h[:size], rows[:size], book, powers, noise_factor, ensure_rng(1), tau_u,
+                ensure_rng(2), ensure_rng(3),
+            )
+
+        for noise_factor in (math.sqrt(0.3), psd_factor(make_noise_covariance(n, 0.3))):
+            full = receive(blocks, noise_factor)
+            part = receive(t, noise_factor)
+            for got, expected in zip(part, full):
+                assert got.shape[0] == t
+                assert got.tobytes() == expected[:t].tobytes()
+
     def test_data_phase_needs_its_generator(self):
         book = make_pilot_book(2)
         h = np.ones((1, 1, 1, 2), dtype=complex)
-        with pytest.raises(ValueError, match="data-phase generator"):
-            simulate_blocks(
-                h, np.zeros((1, 1, 1), dtype=int), book, np.ones((1, 1)),
-                np.eye(2), ensure_rng(0), 3,
-            )
+        for data_rngs in ((), (ensure_rng(1),), (None, ensure_rng(2))):
+            with pytest.raises(ValueError, match="data-phase generator"):
+                simulate_blocks(
+                    h, np.zeros((1, 1, 1), dtype=int), book, np.ones((1, 1)),
+                    np.eye(2), ensure_rng(0), 3, *data_rngs,
+                )
 
     def test_data_symbols_unit_modulus(self):
         book = make_pilot_book(2)
@@ -298,7 +328,7 @@ class TestSimulation:
         rng = ensure_rng(13)
         _, data_rx = simulate_blocks(
             h, np.zeros((3, 1, 1), dtype=int), book, np.ones((1, 1)),
-            np.zeros((2, 2)), rng, 8, rng,
+            np.zeros((2, 2)), rng, 8, rng, rng,
         )
         # noise-free single-UE data samples have |s| = 1 on each antenna
         assert np.allclose(np.abs(data_rx), 1.0, atol=1e-12)

@@ -204,3 +204,16 @@ class TestSampling:
         assert h.shape == (10, 7, 3, 4)
         single = sample_channels(f, rng=9)
         assert single.shape == (7, 3, 4)
+
+    @pytest.mark.parametrize("n", [32, 100])
+    @pytest.mark.parametrize("t", [1, 75, 255])
+    def test_prefix_is_a_smaller_draw(self, t, n):
+        # The first t blocks of a 256-block draw are, bit for bit, a t-block
+        # draw from the same stream position; numpy's single-row (gemv)
+        # path must not change the one-block draw.
+        geo = build_geometry(7, 5, rng=10)
+        f = covariance_factors(bs_covariances(geo, 0, n, np.deg2rad(10)))
+        full = sample_channels(f, np.random.default_rng(11), blocks=256)
+        part = sample_channels(f, np.random.default_rng(11), blocks=t)
+        assert part.shape == (t, 7, 5, n)
+        assert full[:t].tobytes() == part.tobytes()

@@ -150,12 +150,11 @@ class TestValidate:
         assert "channels kept for sharing per run in flight: ~0.0 MB" in report
 
     def test_desk_scale_block_count(self):
-        # Per run: the union of the windows' training batch shapes (75;
-        # 150; 256 + 44; then 256 + 88 for T=600 and 256 + 256 + 176 for
-        # T=1200), and 200 held-out blocks under each of two pilot
-        # allocations.
+        # Per run: the training batches of the longest window (1200
+        # blocks; every shorter window is a prefix of them) and 200
+        # held-out blocks under each of two pilot allocations.
         report = validate_config(parse_config("configs/desk_scale.yaml"))
-        assert "simulated blocks per sweep: 19570" in report
+        assert "simulated blocks per sweep: 16000" in report
 
     def test_unsupported_layout_flagged(self):
         config = ExperimentConfig(system=SystemConfig(cells=3))
@@ -167,6 +166,8 @@ class TestValidate:
         config = parse_config("configs/full_scale.yaml")
         report = validate_config(config)
         assert "70 matrices of 100x100" in report
+        # 20 runs of 1500 training blocks and 2 x 200 held-out blocks.
+        assert "simulated blocks per sweep: 38000" in report
         # A tau_p sweep keeps both windows' channels, (1500 + 200) blocks
         # of 7 x 10 links of 100 antennas at 16 bytes each.
         config.sweep = SweepSpec(variable="tau_p", values=[5, 10])

@@ -23,7 +23,8 @@ def cn(rng, *shape):
 
 
 def simulate_blocks_reference(
-    channels, pilot_indices, book, powers, noise_factor, rng, tau_u, data_rng=None
+    channels, pilot_indices, book, powers, noise_factor, rng, tau_u, data_rng=None,
+    data_noise_rng=None,
 ):
     b_blocks, cells, ues, n = channels.shape
     weighted = (channels * np.sqrt(powers)[None, :, :, None]).reshape(b_blocks, cells * ues, n)
@@ -37,7 +38,7 @@ def simulate_blocks_reference(
     phases = data_rng.uniform(0.0, 2.0 * np.pi, size=(b_blocks, cells * ues, tau_u))
     data_rx = np.einsum("bun,but->bnt", weighted, np.exp(1j * phases))
     data_rx += np.einsum(
-        "nm,bmt->bnt", noise_factor, complex_normal(data_rng, (b_blocks, n, tau_u))
+        "nm,bmt->bnt", noise_factor, complex_normal(data_noise_rng, (b_blocks, n, tau_u))
     )
     return pilot_rx, data_rx
 
@@ -52,7 +53,7 @@ def case_simulate_blocks(tau_u):
         fn = simulate_blocks if impl == "matmul" else simulate_blocks_reference
         return fn(
             channels, indices, book, powers, noise_factor, np.random.default_rng(5), tau_u,
-            np.random.default_rng(6),
+            np.random.default_rng(6), np.random.default_rng(7),
         )
 
     return run

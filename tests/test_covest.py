@@ -151,7 +151,7 @@ class TestSubtraction:
             h = sample_channels(factors, rng, blocks=blocks)
             alloc = allocate_pilots(blocks, 1, 1, tau_p, "random", rng)
             pilot_rx, data_rx = simulate_blocks(
-                h, alloc.indices, book, np.ones((1, 1)), noise_factor, rng, 6, rng
+                h, alloc.indices, book, np.ones((1, 1)), noise_factor, rng, 6, rng, rng
             )
             d = despread_batch(pilot_rx, book, alloc.indices[:, 0, 0])
             pilot_cov = estimate_pilot_cov(d, tau_p)
@@ -271,6 +271,15 @@ class TestGevdLowRank:
         with pytest.raises(ValueError):
             top.truncated(top_rank + 1)
 
+    def test_scaled_matrix_is_exactly_hermitian(self):
+        # Bit for bit, at every rank, so that sums of estimates stay exactly
+        # Hermitian too.
+        net = make_synthetic(np.random.default_rng(14), desired_rank=4)
+        top = gevd_lowrank_estimator(net.r_pilot, net.r_all, net.tau_p, 0.8, rank=7)
+        for rank in range(1, 8):
+            m = top.truncated(rank).scaled_matrix
+            assert np.array_equal(m, m.conj().T)
+
     def test_rank_bounds(self):
         eye = np.eye(4, dtype=complex)
         with pytest.raises(ValueError):
@@ -304,7 +313,7 @@ class TestConvergenceToAnalytic:
         alloc = allocate_pilots(blocks, cells, ues, tau_p, "random", rng)
         h = sample_channels(factors, rng, blocks=blocks)
         pilot_rx, data_rx = simulate_blocks(
-            h, alloc.indices, book, powers, noise_factor, rng, tau_u, rng
+            h, alloc.indices, book, powers, noise_factor, rng, tau_u, rng, rng
         )
         d = despread_batch(pilot_rx, book, alloc.indices[:, 0, 0])
         pilot_err = []

@@ -16,6 +16,7 @@ from mimoce import covest, harness
 from mimoce.config import EstimatorSpec, ExperimentConfig, SweepSpec, SystemConfig
 from mimoce.estimators import approx_mmse_filter, improved_mmse_filter, ls_estimate
 from mimoce.harness import (
+    _DATA_NOISE_STREAM,
     _DATA_STREAM,
     _STREAMS,
     NmseResult,
@@ -220,12 +221,17 @@ class TestStaticFilters:
 
 def test_stream_ids_are_distinct():
     # Training and evaluation draw from disjoint streams: every stream id,
-    # the data phase's included, is used once, and no two streams of a run
-    # coincide (SeedSequence equates keys that differ by trailing zeros).
-    ids = [*_STREAMS.values(), _DATA_STREAM]
+    # the data phase's two included, is used once, and no two streams of a
+    # run coincide (SeedSequence equates keys that differ by trailing
+    # zeros, so (7, 0, 9, 0) must not meet a 3-key stream).
+    ids = [*_STREAMS.values(), _DATA_STREAM, _DATA_NOISE_STREAM]
     assert len(set(ids)) == len(ids)
     rngs = [*_streams((7, 0)).values()]
-    rngs += [derive_rng(7, 0, _DATA_STREAM, batch) for batch in range(3)]
+    rngs += [
+        derive_rng(7, 0, stream, batch)
+        for stream in (_DATA_STREAM, _DATA_NOISE_STREAM)
+        for batch in range(3)
+    ]
     first = [rng.integers(2**63) for rng in rngs]
     assert len(set(first)) == len(first)
 
@@ -414,13 +420,13 @@ class TestSharedRun:
         "sweep, jobs, synthesized, data_blocks, drawn_blocks",
         [
             # One job per run.  Per run: training batches 0-4 once (40
-            # blocks) and the partial batch of T=20 (4), held-out blocks once
+            # blocks; T=20 takes a prefix of batch 2), held-out blocks once
             # (25 per allocation).  The data phase and the channels of those
-            # 44 blocks, and the channels of the 25 held-out blocks, are
+            # 40 blocks, and the channels of the 25 held-out blocks, are
             # drawn once.
             (
                 SweepSpec(variable="T", values=[20, 8, 40, 16, 40]),
-                2, 2 * (40 + 4 + 50), 2 * 44, 2 * (44 + 25),
+                2, 2 * (40 + 50), 2 * 40, 2 * (40 + 25),
             ),
             # One job per run and tau_p.  Per run: tau_p=4 trains and
             # evaluates once, tau_p=2 once; the data phase and the channels
@@ -437,8 +443,9 @@ class TestSharedRun:
         self, monkeypatch, workers, sweep, jobs, synthesized, data_blocks, drawn_blocks
     ):
         # Batches of 8 blocks: T=40 trains on 5 full batches, T=20 on two
-        # and a partial one; the 25 held-out blocks are 3 full batches and
-        # a partial one.
+        # and a prefix of the third (a run of T=20 alone draws a partial
+        # batch there); the 25 held-out blocks are 3 full batches and a
+        # partial one.
         monkeypatch.setattr(harness, "BATCH_BLOCKS", 8)
         config = small_config(sweep=sweep, monte_carlo_runs=2)
         expected = []
@@ -542,11 +549,15 @@ class TestSharedRun:
         data_phases = itertools.count()
         real_simulate_blocks = harness.simulate_blocks
 
-        def failing(channels, rows, book, powers, noise, pilot_rng, tau_u, data_rng=None):
+        def failing(
+            channels, rows, book, powers, noise, pilot_rng, tau_u, data_rng=None,
+            data_noise_rng=None,
+        ):
             if tau_u and next(data_phases) == 1:
                 raise RuntimeError("data phase failed")
             return real_simulate_blocks(
-                channels, rows, book, powers, noise, pilot_rng, tau_u, data_rng
+                channels, rows, book, powers, noise, pilot_rng, tau_u, data_rng,
+                data_noise_rng,
             )
 
         monkeypatch.setattr(harness, "simulate_blocks", failing)
