@@ -19,10 +19,11 @@ stack, and only the rank-limited estimate carries its pencil modes in a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .linalg import FALLBACK_LOADING, NotPositiveDefinite, gevd, hermitize, load_diagonal
+from .linalg import gevd, hermitize, load_diagonal, retry_loaded
 
 # Eigenvalues this close to 1 carry no usable signal power and are never kept.
 SIGMA_ONE_TOL = 1e-9
@@ -152,12 +153,7 @@ def gevd_lowrank_estimator(
     n = b.shape[0]
     if not 1 <= rank <= n:
         raise ValueError(f"rank must be in [1, {n}], got {rank}")
-    loaded = False
-    try:
-        result = gevd(pilot_cov, b)
-    except NotPositiveDefinite:
-        result = gevd(pilot_cov, load_diagonal(b, FALLBACK_LOADING))
-        loaded = True
+    result, loaded = retry_loaded(partial(gevd, pilot_cov), b)
 
     above_one = int((result.eigenvalues > 1.0 + SIGMA_ONE_TOL).sum())
     sigma = result.eigenvalues[:above_one]

@@ -23,20 +23,22 @@ random draw is block-major, so the first T blocks of that walk are the
 blocks a run of window T alone receives, bit for bit: each shorter
 window is finished on the way from a prefix of the batch it ends in
 (`_RunState.train`), and a T sweep synthesizes only its longest window.
-The jobs of one run at other tau_p draw the same network, the same
-channels of every training and held-out batch, and the same data phase
-of every training batch (it has its own batch-keyed streams);
-`_SharedRun` computes each of these once per run, keeps it only where a
-second job needs it, and drops it when the last one takes it.  So a job
-of a tau_p sweep synthesizes only its own pilot phase.  Neither the walk
-nor the sharing changes a result bit.
+A sweep varies one variable, so every job of a run walks the same
+batches: a T sweep has one job per run, and the jobs of a tau_p sweep
+share the one window `system.blocks`.  They draw the same network, the
+same channels of every training and held-out batch, and the same data
+phase of every training batch (it has its own batch-keyed streams);
+`_SharedRun` computes each of these once per run and drops it when the
+last of the run's jobs takes it.  So a job of a tau_p sweep synthesizes
+only its own pilot phase.  Neither the walk nor the sharing changes a
+result bit.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from collections import Counter, defaultdict
+from collections import defaultdict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -73,7 +75,7 @@ from .estimators import (
     mmse_fixed_filter,
     mmse_optimal_filter,
 )
-from .linalg import FALLBACK_LOADING, NotPositiveDefinite, load_diagonal, psd_factor
+from .linalg import NotPositiveDefinite, psd_factor, retry_loaded
 from .seeding import derive_rng
 
 # Blocks simulated per vectorized batch; a fixed constant so that the
@@ -153,21 +155,15 @@ def nmse(h_true: np.ndarray, h_hat: np.ndarray, covariance: np.ndarray) -> np.nd
     return sq.sum(axis=-1) / trace
 
 
-def _run_keys(run_seed) -> tuple[int, ...]:
-    return tuple(run_seed) if isinstance(run_seed, (tuple, list)) else (run_seed,)
-
-
 def _streams(run_seed) -> dict[str, np.random.Generator]:
-    keys = _run_keys(run_seed)
-    return {name: derive_rng(*keys, i) for name, i in _STREAMS.items()}
+    return {name: derive_rng(*run_seed, i) for name, i in _STREAMS.items()}
 
 
-def _batch_shapes(start: int, stop: int) -> list[tuple[int, int]]:
-    """(first block, size) of each batch of blocks [start, stop); `start`
-    is a multiple of BATCH_BLOCKS."""
+def _batch_shapes(stop: int) -> list[tuple[int, int]]:
+    """(first block, size) of each batch of blocks [0, stop)."""
     return [
         (first, min(BATCH_BLOCKS, stop - first))
-        for first in range(start, stop, BATCH_BLOCKS)
+        for first in range(0, stop, BATCH_BLOCKS)
     ]
 
 
@@ -189,17 +185,8 @@ def _publish(future: Future, compute):
     return result
 
 
-def _mmse_form_filter(pilot_matrix, target, power):
-    """MMSE-form filter sqrt(p) pilot^{-1} target with one loading retry."""
-    try:
-        return mmse_optimal_filter(pilot_matrix, target, power), 0
-    except NotPositiveDefinite:
-        loaded = load_diagonal(pilot_matrix, FALLBACK_LOADING)
-        return mmse_optimal_filter(loaded, target, power), 1
-
-
 class _SharedRun:
-    """What the jobs of one Monte-Carlo run, one per tau_p, compute identically.
+    """What the `jobs` jobs of one Monte-Carlo run compute identically.
 
     Streams are keyed by run index, so every job of a run builds the same
     network, and a batch of blocks [first, first + size) of a channel
@@ -208,14 +195,10 @@ class _SharedRun:
     Gram sums are functions of the run, i and the cut alone, and one job
     synthesizes it for all.
 
-    `uses` counts, per key, the jobs that will claim it: each job claims
-    every batch of its longest training window and of its held-out
-    blocks, once.  A key claimed fewer than twice is never stored, and a
-    stored item is dropped when its last claim takes it, so a T sweep (one
-    job per run) stores nothing and a tau_p sweep holds each batch only
-    until its last job takes it.  `cuts` lists, per training batch key,
-    the prefix lengths whose data-phase Gram some window needs: the whole
-    batch and each window of the run that ends inside it.
+    The jobs of a run walk the same batches, so each of them claims every
+    key once: a claimed item is kept until `jobs` claims have taken it,
+    and then dropped.  With fewer than two jobs (a T sweep) every claim
+    gets a Future of its own and nothing is kept.
 
     Each kept item is a Future owned by the first job that claims it.  The
     owner computes it outside the lock and publishes it, or the exception
@@ -225,47 +208,33 @@ class _SharedRun:
     back to a job that is waiting.
     """
 
-    def __init__(self, systems: list[SystemConfig], eval_blocks: int):
+    def __init__(self, jobs: int):
+        self.jobs = jobs
         self._lock = threading.Lock()
-        windows = defaultdict(set)  # per tau_p, its training windows T
-        for system in systems:
-            windows[system.tau_p].add(system.blocks)
-        self.uses = Counter({("network",): len(windows)})
-        self.cuts: dict[tuple, set[int]] = defaultdict(set)
-        for group in windows.values():
-            for first, size in _batch_shapes(0, max(group)):
-                self.uses[("est_channels", first, size)] += 1
-                self.uses[("data", first, size)] += 1
-                self.cuts[first, size] |= {size} | {
-                    blocks - first for blocks in group if first < blocks < first + size
-                }
-            for first, size in _batch_shapes(0, eval_blocks):
-                self.uses[("eval_channels", first, size)] += 1
         self._store: dict[tuple, Future] = {}
-        self._left: Counter = Counter()  # claims still to come per stored key
+        self._left: dict[tuple, int] = {}  # claims still to come per stored key
 
     def claim(self, key: tuple) -> tuple[Future, bool]:
         """The Future of `key` and whether the caller owns it.
 
         The owner must publish the result or an exception before it waits
-        on anything but a channel batch; a key claimed fewer than twice per
-        run gets a Future of its own.
+        on anything but a channel batch.
         """
-        if self.uses[key] < 2:
+        if self.jobs < 2:
             return Future(), True
         with self._lock:
             future = self._store.get(key)
             owner = future is None
             if owner:
                 future = self._store[key] = Future()
-                self._left[key] = self.uses[key]
+                self._left[key] = self.jobs
             self._left[key] -= 1
             if not self._left[key]:
                 del self._store[key], self._left[key]
             return future, owner
 
     def get(self, key: tuple, compute):
-        """compute(), once per run where two claims need it."""
+        """compute(), once per run."""
         future, owner = self.claim(key)
         return _publish(future, compute) if owner else future.result()
 
@@ -285,11 +254,9 @@ class _RunState:
     ):
         self.config = config
         self.system = system  # its blocks are the longest training window
-        self.keys = _run_keys(run_seed)
+        self.keys = tuple(run_seed)
         self.rngs = _streams(self.keys)
-        if shared is None:
-            shared = _SharedRun([system], config.eval_blocks)
-        self.shared = shared
+        self.shared = _SharedRun(1) if shared is None else shared
         self.kinds = {spec.kind for spec in config.estimators}
         self.fallbacks = {spec.label: 0 for spec in config.estimators}
 
@@ -347,12 +314,11 @@ class _RunState:
         tau_p = self.system.tau_p
         return self.total_cov + self.power * (tau_p - 1) * self.covs[0] + self.r_nn
 
-    def _batches(self, start: int, stop: int, stream: str):
+    def _batches(self, stop: int, stream: str):
         """Yield (block slice, channels (B, L, K, N)) per batch of blocks
-        [start, stop) of a channel stream; `start` is a multiple of
-        BATCH_BLOCKS.
+        [0, stop) of a channel stream.
 
-        A batch that another job of the run draws too is drawn once and
+        A batch that the run's other jobs draw too is drawn once and
         shared, read-only; the stream is then left where that draw left it.
         The owner of a batch publishes it right after the draw.
         """
@@ -363,7 +329,7 @@ class _RunState:
             h.flags.writeable = False
             return h, rng.bit_generator.state
 
-        for first, size in _batch_shapes(start, stop):
+        for first, size in _batch_shapes(stop):
             h, state = self.shared.get((stream, first, size), partial(draw, size))
             rng.bit_generator.state = state
             yield slice(first, first + size), h
@@ -384,8 +350,8 @@ class _RunState:
 
     def train(self, windows: list[int]):
         """Yield each training window T of `windows` (ascending, the last
-        one `system.blocks`, each a window of `shared`'s systems) once the
-        estimates from its first T blocks are built.
+        one `system.blocks`) once the estimates from its first T blocks are
+        built.
 
         One walk over the batches of the longest window serves every
         window.  Every draw is block-major, so the first T blocks of the
@@ -406,8 +372,8 @@ class _RunState:
         acc = AllCovAccumulator(sysc.antennas)  # pilot phase of the full batches walked
         despread = np.empty((sysc.ues_per_cell, sysc.blocks, sysc.antennas), dtype=complex)
         grams: list[tuple[Future, int]] = []  # per batch walked, its data item and cut
-        for blocks, h in self._batches(0, sysc.blocks, "est_channels"):
-            pilot_rx, data, d = self._train(h, rows[blocks], blocks.start)
+        for blocks, h in self._batches(sysc.blocks, "est_channels"):
+            pilot_rx, data, d = self._train(h, rows[blocks], blocks.start, windows)
             despread[:, blocks] = d
             for window in windows:
                 if blocks.start < window <= blocks.stop:
@@ -420,21 +386,25 @@ class _RunState:
                 acc.add(pilot_rx)
                 grams.append((data, len(h)))
 
-    def _train(self, h, rows, first: int) -> tuple[np.ndarray, Future, np.ndarray]:
+    def _train(
+        self, h, rows, first: int, windows: list[int]
+    ) -> tuple[np.ndarray, Future, np.ndarray]:
         """Receive the training batch of channels h that starts at block
         `first` under pilot rows (B, L, K).
 
-        Returns its pilot_rx, the Future of its data item (per cut in
-        `shared.cuts`, the data-phase accumulator of the batch's first cut
-        blocks) and its despread vectors (K, B, N).  The run's first job to
-        claim a batch synthesizes its data phase and publishes it at once;
-        every other job receives the pilot phase only and waits for the
-        data phase when it builds its estimates.  A batch's channels are
+        Returns its pilot_rx, the Future of its data item (per cut, the
+        data-phase accumulator of the batch's first cut blocks) and its
+        despread vectors (K, B, N).  The cuts are the batch size and each
+        of `windows` that ends inside the batch; every job of the run has
+        the same windows, so they are the cuts every job needs.  The run's
+        first job to claim a batch synthesizes its data phase and publishes
+        it at once; every other job receives the pilot phase only and waits
+        for the data phase when it builds its estimates.  A batch's channels are
         claimed before its data phase, so the owner of a channel batch
         waits on nothing before it publishes.
         """
-        key = (first, len(h))
-        data, owner = self.shared.claim(("data", *key))
+        size = len(h)
+        data, owner = self.shared.claim(("data", first, size))
         data_phase = ()
         if owner:
             index = first // BATCH_BLOCKS
@@ -448,10 +418,10 @@ class _RunState:
                 h, rows, self.rngs["est_signals"], *data_phase
             )
             if owner:
-                data.set_result({
-                    cut: _gram(data_rx[:cut], self.system.antennas)
-                    for cut in self.shared.cuts[key]
-                })
+                cuts = {size} | {w - first for w in windows if first < w < first + size}
+                data.set_result(
+                    {cut: _gram(data_rx[:cut], self.system.antennas) for cut in cuts}
+                )
         except BaseException as exc:
             if owner:
                 data.set_exception(exc)
@@ -494,7 +464,9 @@ class _RunState:
                 )
                 # Per UE, so that a failed Cholesky loads only that UE's matrix.
                 built = [
-                    _mmse_form_filter(pilot, estimate, self.power)
+                    retry_loaded(
+                        partial(mmse_optimal_filter, r_cov=estimate, power=self.power), pilot
+                    )
                     for pilot, estimate in zip(self.pilot_covs, estimates)
                 ]
                 self.fallbacks[spec.label] += sum(events for _, events in built)
@@ -536,7 +508,7 @@ class _RunState:
             for mode in modes
         }
         batches = []
-        for blocks, h in self._batches(0, eval_blocks, "eval_channels"):
+        for blocks, h in self._batches(eval_blocks, "eval_channels"):
             # A copy: a kept view would hold every cell's channels.
             h_center = np.moveaxis(h[:, 0].copy(), 0, 1)
             despread = {
@@ -631,19 +603,17 @@ def run_single(
     the training blocks serves them all.  Deterministic given (config,
     sweep value, run_seed): the seed keys every random stream of the run
     (geometry, estimation blocks, evaluation blocks), so a point gets the
-    same contributions in any group.  `shared` holds what the run's jobs
-    at other tau_p compute too; it must come from the same config and
-    run_seed and include these sweep values, and the result is the same
-    with or without it.  BLAS runs single-threaded for the duration of the
-    call.
+    same contributions in any group.  `shared` holds what the run's other
+    jobs compute too; it may be passed only by jobs of one config and
+    run_seed that walk the same batches (the jobs of one run of a sweep),
+    and it is built for their number.  The result is the same with or
+    without it.  BLAS runs single-threaded for the duration of the call.
     """
     config.validate()
     systems = [config.system_for(value) for value in sweep_values]
     if len({system.tau_p for system in systems}) != 1:
         raise ValueError("run_single takes sweep values of one tau_p")
     longest = max(systems, key=lambda system: system.blocks)
-    if shared is None:
-        shared = _SharedRun(systems, config.eval_blocks)
     per_window = {}
     with single_threaded_blas():
         state = _RunState(config, longest, run_seed, shared)
@@ -660,22 +630,23 @@ def run_single(
     return [per_window[system.blocks] for system in systems]
 
 
-def _job_batches(config: ExperimentConfig) -> dict[tuple, int]:
-    """Per batch key of a channel stream, how many jobs of one run receive
-    it; training batches only where a data-driven estimator trains."""
+def _walk(config: ExperimentConfig) -> tuple[int, int]:
+    """Jobs per run, and the training blocks each of them walks: its
+    longest window, where a data-driven estimator trains."""
     systems = [config.system_for(value) for value in config.sweep.values]
-    uses = _SharedRun(systems, config.eval_blocks).uses
-    streams = {"eval_channels"}
+    jobs = len({system.tau_p for system in systems})
+    training = 0
     if {spec.kind for spec in config.estimators} & DATA_DRIVEN_KINDS:
-        streams.add("est_channels")
-    return {key: n for key, n in uses.items() if key[0] in streams}
+        training = max([0, *(system.blocks for system in systems)])
+    return jobs, training
 
 
 def shared_channel_bytes(config: ExperimentConfig) -> int:
     """Most bytes of channel draws that one Monte-Carlo run in flight keeps
     for a second job of the run: its training and held-out windows in a
     tau_p sweep, nothing in a T sweep."""
-    blocks = sum(key[2] for key, n in _job_batches(config).items() if n > 1)
+    jobs, training = _walk(config)
+    blocks = training + max(config.eval_blocks, 0) if jobs > 1 else 0
     sysc = config.system
     links = sysc.cells * sysc.ues_per_cell
     return blocks * links * sysc.antennas * np.dtype(complex).itemsize
@@ -685,12 +656,10 @@ def simulated_blocks(config: ExperimentConfig) -> int:
     """Blocks a sweep passes to simulate_blocks: each job receives the
     training batches of its longest window once and its held-out batches
     once per pilot allocation in use."""
+    jobs, training = _walk(config)
     modes = len({_ALLOCATION[spec.kind] for spec in config.estimators})
-    per_run = sum(
-        size * n * (modes if stream == "eval_channels" else 1)
-        for (stream, _, size), n in _job_batches(config).items()
-    )
-    return per_run * config.monte_carlo_runs
+    per_job = training + modes * max(config.eval_blocks, 0)
+    return per_job * jobs * config.monte_carlo_runs
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[NmseResult]:
@@ -708,19 +677,16 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[NmseResult]:
         groups[system.tau_p].append(value)
     # One job per (run, tau_p): a T sweep is one job per run, whose single
     # training walk serves every T.  Run-major, so that a run's jobs run
-    # close together and its shared state is released early: memory grows
-    # with the runs in flight, not with monte_carlo_runs.
-    jobs = [
-        (run_index, values)
-        for run_index in range(config.monte_carlo_runs)
-        for values in groups.values()
-    ]
-    live: dict[int, _SharedRun] = {}
-    jobs_left = Counter(run_index for run_index, _ in jobs)
-    live_lock = threading.Lock()
+    # close together: each shared item is dropped at the run's last claim
+    # of it, so memory grows with the runs in flight, not with
+    # monte_carlo_runs.
+    jobs = []
+    for run_index in range(config.monte_carlo_runs):
+        shared = _SharedRun(len(groups))
+        jobs += [(run_index, values, shared) for values in groups.values()]
 
     def execute(job):
-        run_index, values = job
+        run_index, values, shared = job
         # Streams are keyed by run index only, so run r sees the same
         # geometry and evaluation blocks at every sweep point: sweep curves
         # are paired comparisons.  The channels and data phase of a batch
@@ -729,18 +695,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[NmseResult]:
         # computes each once per run and drops it at its last use.  Jobs of
         # one run that run at once split that work between them: each
         # draws the channel batches and data phases it claims first.
-        seed = (config.master_seed, run_index)
-        with live_lock:
-            if run_index not in live:
-                live[run_index] = _SharedRun(systems, config.eval_blocks)
-            shared = live[run_index]
-        try:
-            contributions = run_single(config, values, seed, shared)
-        finally:
-            with live_lock:
-                jobs_left[run_index] -= 1
-                if not jobs_left[run_index]:
-                    del live[run_index]
+        contributions = run_single(config, values, (config.master_seed, run_index), shared)
         return {(value, run_index): c for value, c in zip(values, contributions)}
 
     store: dict[tuple[int, int], list[RunContribution]] = {}

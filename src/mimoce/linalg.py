@@ -2,7 +2,8 @@
 
 Provides Cholesky factorization with a scale-aware definiteness check,
 Hermitian solves, PSD square factors, relative diagonal loading (these
-four also on stacks (..., N, N), matrix by matrix), and the
+four also on stacks (..., N, N), matrix by matrix), the one loading
+retry that callers report as a fallback (`retry_loaded`), and the
 generalized eigenvalue decomposition (GEVD) of a Hermitian-definite matrix
 pencil {A, B}.  The GEVD is LAPACK's Hermitian-definite solver (zhegvd,
 through scipy.linalg.eigh), which normalizes X^H B X = I; the pencil is
@@ -98,6 +99,18 @@ def load_diagonal(m: np.ndarray, factor: float) -> np.ndarray:
     n = m.shape[-1]
     loading = factor * np.trace(m, axis1=-2, axis2=-1).real / n
     return m + loading[..., None, None] * np.eye(n)
+
+
+def retry_loaded(solve, m: np.ndarray):
+    """(solve(m), False), or, if m fails as not positive definite,
+    (solve(m loaded by FALLBACK_LOADING), True); a second failure raises.
+
+    The one loading retry every caller reports as a fallback.
+    """
+    try:
+        return solve(m), False
+    except NotPositiveDefinite:
+        return solve(load_diagonal(m, FALLBACK_LOADING)), True
 
 
 def gevd(a: np.ndarray, b: np.ndarray) -> GevdResult:

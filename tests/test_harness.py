@@ -1,12 +1,9 @@
 """Tests for the Monte-Carlo experiment driver."""
 
 import dataclasses
-import gc
 import itertools
 import sys
 import threading
-import time
-import weakref
 from collections import Counter
 
 import numpy as np
@@ -484,36 +481,41 @@ class TestSharedRun:
         assert sum(vectors) == drawn_blocks * links
 
     def test_stream_continues_after_a_shared_batch(self, monkeypatch):
-        # A point that takes shared channel batches and then draws on must
-        # continue the stream where the shared draws left it.  A sweep never
-        # needs this (the points of a tau_p sweep share every window), so
-        # the run is built by hand: T=20 at tau_p=2 draws batches 0 and 1
-        # of 8 blocks, which T=40 at tau_p=4 takes before drawing 2-4.
+        # A job that takes shared channel batches and then draws on must
+        # continue the stream where the shared draws left it.  Two jobs of
+        # one run, tau_p 2 (A) and 4 (B), walk the same 5 batches of 8
+        # blocks: A draws batches 0 and 1, and B takes them before it draws
+        # 2-4 itself.
         monkeypatch.setattr(harness, "BATCH_BLOCKS", 8)
-        short = small_config(system=dataclasses.replace(small_config().system, tau_p=2))
-        long = small_config()
-        shared = harness._SharedRun(
-            [short.system_for(20), long.system_for(40)], long.eval_blocks
-        )
-        seed = (long.master_seed, 0)
-        run_single(short, [20], seed, shared)
-        vectors = count_channel_vectors(monkeypatch)
-        taken = run_single(long, [40], seed, shared)
-        links = long.system.cells * long.system.ues_per_cell
-        assert vectors == [8 * links] * 3
-        assert shared._store == {}
-        assert taken == run_single(long, [40], seed)
+        config = small_config()
+        seed = (config.master_seed, 0)
 
-    def test_each_key_has_one_owner_under_contention(self, monkeypatch):
+        def state(tau_p, shared=None):
+            system = dataclasses.replace(config.system, tau_p=tau_p, blocks=40)
+            return _RunState(config, system, seed, shared)
+
+        unshared = [h for _, h in state(4)._batches(40, "est_channels")]
+        shared = harness._SharedRun(2)
+        walk_a = state(2, shared)._batches(40, "est_channels")
+        walk_b = state(4, shared)._batches(40, "est_channels")
+        vectors = count_channel_vectors(monkeypatch)
+        next(walk_a), next(walk_a)
+        taken = [h for _, h in walk_b]
+        assert len(taken) == len(unshared) == 5
+        for h, expected in zip(taken, unshared):
+            assert h.tobytes() == expected.tobytes()
+        links = config.system.cells * config.system.ues_per_cell
+        assert vectors == [8 * links] * 5
+        assert len(list(walk_a)) == 3
+        assert shared._store == {}
+
+    def test_each_key_has_one_owner_under_contention(self):
         # More threads than cores claim the same keys; every key must get
         # exactly one owner, every reader must see that owner's value, and
-        # the last claim of each key must drop it.  Six jobs of distinct
-        # tau_p receive every one-block training batch, one job a thread.
+        # the last claim of each key must drop it.  Six jobs of one run
+        # claim every one-block training batch, one job a thread.
         threads_n, keys = 6, 2000
-        monkeypatch.setattr(harness, "BATCH_BLOCKS", 1)
-        system = dataclasses.replace(small_config().system, blocks=keys)
-        systems = [dataclasses.replace(system, tau_p=2 + t) for t in range(threads_n)]
-        shared = harness._SharedRun(systems, 0)
+        shared = harness._SharedRun(threads_n)
         owned, seen = Counter(), [[] for _ in range(threads_n)]
         lock = threading.Lock()
         start = threading.Barrier(threads_n)
@@ -580,12 +582,13 @@ class TestSharedRun:
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize(
-        "sweep, stored_channels",
+        "sweep, jobs, stored_channels",
         [
-            (SweepSpec(variable="T", values=[20, 8, 40, 16, 40]), set()),
-            # Both training windows and the held-out blocks, in batches of 8.
+            (SweepSpec(variable="T", values=[20, 8, 40, 16, 40]), 1, set()),
+            # The training window and the held-out blocks, in batches of 8.
             (
                 SweepSpec(variable="tau_p", values=[4, 2, 4]),
+                2,
                 {("est_channels", first, 8) for first in range(0, 40, 8)}
                 | {("eval_channels", first, 8) for first in range(0, 24, 8)}
                 | {("eval_channels", 24, 1)},
@@ -593,16 +596,21 @@ class TestSharedRun:
         ],
         ids=["T", "tau_p"],
     )
-    def test_items_dropped_at_last_use(self, monkeypatch, workers, sweep, stored_channels):
+    def test_items_dropped_at_last_use(
+        self, monkeypatch, workers, sweep, jobs, stored_channels
+    ):
         # Every item is computed once per run and dropped by its last
-        # claim.  Only a tau_p sweep keeps channel batches: keeping them in
-        # a T sweep, where no second point takes them, costs memory only.
+        # claim.  Every job of a run walks the same batches, so each key is
+        # claimed once per job, and a run whose jobs are done holds nothing.
+        # Only a tau_p sweep keeps channel batches: keeping them in a T
+        # sweep, where no second job takes them, costs memory only.
         monkeypatch.setattr(harness, "BATCH_BLOCKS", 8)
         created = []
 
         class Recorded(harness._SharedRun):
             def __init__(self, *args):
                 super().__init__(*args)
+                self.claims = Counter()
                 self.owners = Counter()
                 self.stored = set()
                 created.append(self)
@@ -610,6 +618,7 @@ class TestSharedRun:
             def claim(self, key):
                 future, owner = super().claim(key)
                 with self._lock:
+                    self.claims[key] += 1
                     self.owners[key] += owner
                     self.stored.update(self._store)
                 return future, owner
@@ -619,6 +628,8 @@ class TestSharedRun:
         run_sweep(config, workers=workers)
         assert len(created) == 2
         for shared in created:
+            assert shared.jobs == jobs
+            assert set(shared.claims.values()) == {jobs}
             assert set(shared.owners.values()) == {1}
             assert shared._store == {}
             channels = {key for key in shared.stored if key[0].endswith("_channels")}
@@ -628,48 +639,6 @@ class TestSharedRun:
         created.clear()
         run_single(config, sweep.values[:1], (config.master_seed, 0))
         (single,) = created
+        assert set(single.claims.values()) == {1}
         assert set(single.owners.values()) == {1}
         assert single.stored == set()
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_run_state_released_after_its_last_point(self, monkeypatch, workers):
-        created = []
-
-        class Recorded(harness._SharedRun):
-            def __init__(self, *args):
-                # Long enough for the other job of the run to start meanwhile.
-                time.sleep(0.05)
-                super().__init__(*args)
-                created.append(weakref.ref(self))
-
-        def live():
-            gc.collect()
-            return sum(ref() is not None for ref in created)
-
-        live_at_start = []
-        real_run_single = harness.run_single
-
-        def recording(*args, **kwargs):
-            live_at_start.append(live())
-            return real_run_single(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "_SharedRun", Recorded)
-        monkeypatch.setattr(harness, "run_single", recording)
-        # A tau_p sweep: two jobs per run, which can start together.
-        config = small_config(
-            sweep=SweepSpec(variable="tau_p", values=[2, 4]),
-            estimators=[EstimatorSpec("gevd", rank=3)],
-            monte_carlo_runs=3,
-        )
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            run_sweep(config, workers=workers)
-        finally:
-            sys.setswitchinterval(interval)
-        # One state per run, also when jobs of a run start together.
-        assert len(created) == 3
-        # Jobs run run-major, so only the states of runs in flight are alive.
-        assert len(live_at_start) == 6
-        assert 1 <= min(live_at_start) and max(live_at_start) <= workers
-        assert live() == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mimoce.linalg import (
+    FALLBACK_LOADING,
     GevdResult,
     NotPositiveDefinite,
     cholesky,
@@ -11,6 +12,7 @@ from mimoce.linalg import (
     hermitize,
     load_diagonal,
     psd_factor,
+    retry_loaded,
     solve_hermitian,
 )
 
@@ -224,3 +226,32 @@ class TestLoadDiagonal:
         assert np.allclose(loaded[1], m[1] + 10.0 * np.eye(2))
         for k in range(2):
             assert np.array_equal(loaded[k], load_diagonal(m[k], 0.5))
+
+
+class TestRetryLoaded:
+    def test_definite_matrix_is_solved_as_is(self):
+        m = random_hpd(np.random.default_rng(15), 4)
+        result, loaded = retry_loaded(cholesky, m)
+        assert not loaded
+        assert np.array_equal(result, cholesky(m))
+
+    def test_singular_matrix_is_loaded_once(self):
+        m = np.diag([1.0, 0.0]).astype(complex)
+        seen = []
+
+        def solve(matrix):
+            seen.append(matrix)
+            return cholesky(matrix)
+
+        result, loaded = retry_loaded(solve, m)
+        assert loaded
+        assert len(seen) == 2
+        assert np.array_equal(seen[1], load_diagonal(m, FALLBACK_LOADING))
+        assert np.array_equal(result, cholesky(seen[1]))
+
+    def test_second_failure_raises(self):
+        def never(matrix):
+            raise NotPositiveDefinite("still singular")
+
+        with pytest.raises(NotPositiveDefinite):
+            retry_loaded(never, np.eye(2, dtype=complex))
