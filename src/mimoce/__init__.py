@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .linalg import GevdResult, NotPositiveDefinite
 from .channel import NetworkGeometry, UnsupportedLayout, InvalidSpread
-from .airlink import PilotBook, PilotAllocation
+from .airlink import PilotBook
 from .covest import LowRankCovEstimate, DegeneratePilotCount
 from .estimators import MmseFilter
 from .config import SystemConfig, ExperimentConfig, EstimatorSpec, SweepSpec, ConfigInvalid
@@ -22,7 +22,6 @@ __all__ = [
     "UnsupportedLayout",
     "InvalidSpread",
     "PilotBook",
-    "PilotAllocation",
     "LowRankCovEstimate",
     "DegeneratePilotCount",
     "MmseFilter",

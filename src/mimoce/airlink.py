@@ -28,17 +28,6 @@ class PilotBook:
     sequences: np.ndarray  # (tau_p, tau_p)
 
 
-@dataclass
-class PilotAllocation:
-    """Pilot index chosen by each UE in each block.
-
-    indices[t, l, k] is the 0-based pilot index of UE (l, k) in block t.
-    """
-
-    mode: str  # "random" | "fixed_cyclic"
-    indices: np.ndarray  # (T, L, K) integer
-
-
 def make_pilot_book(tau_p: int) -> PilotBook:
     """DFT pilot book: s_b(p) = exp(-2i pi b p / tau_p), 0-based b and p."""
     if tau_p < 1:
@@ -55,8 +44,9 @@ def allocate_pilots(
     tau_p: int,
     mode: str = "random",
     rng: int | np.random.Generator | None = None,
-) -> PilotAllocation:
-    """Draw or assign pilot indices for every UE and block.
+) -> np.ndarray:
+    """Draw or assign pilot indices for every UE and block: a (T, L, K)
+    integer array whose [t, l, k] is the pilot of UE (l, k) in block t.
 
     random: each UE independently picks one of the tau_p pilots uniformly
     in every block.  fixed_cyclic: constant over blocks; pilots are
@@ -74,7 +64,7 @@ def allocate_pilots(
         indices = np.broadcast_to(per_block, (blocks, cells, ues_per_cell)).copy()
     else:
         raise ValueError(f"unknown allocation mode: {mode!r}")
-    return PilotAllocation(mode=mode, indices=indices)
+    return indices
 
 
 def make_noise_covariance(

@@ -9,7 +9,8 @@ full-scale profile (N=100, K=10, 20 runs) for full-size reproduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict, replace
+import math
+from dataclasses import dataclass, field, fields, asdict, replace
 
 
 class ConfigInvalid(ValueError):
@@ -60,6 +61,11 @@ class SystemConfig:
 
     def validate(self) -> None:
         checks = [
+            *(
+                (math.isfinite(getattr(self, f.name)), f"{f.name} finite")
+                for f in fields(self)
+                if f.type == "float"
+            ),
             (self.cells in (1, 7), "cells in (1, 7)"),
             (self.ues_per_cell >= 1, "ues_per_cell >= 1"),
             (self.antennas >= 1, "antennas >= 1"),

@@ -14,6 +14,13 @@ antenna samples and the despread vectors of all center UEs
 (`_RunState._receive`).  Every estimator is a filter applied to those
 vectors: a per-UE (K, N, N) stack, or per pilot pattern for gevd_impr.
 
+Every random value is drawn from one layout: a fresh Generator keyed by
+(master seed, run, stream id, batch) (`_STREAMS`, `_RunState._rng`).
+Batch i of a batched stream (training and held-out channels, pilot noise,
+the data phase) draws from key i; whole-run draws (geometry and the two
+pilot allocations) take batch 0.  No Generator is carried from one batch
+to the next, so what a batch holds depends only on its key.
+
 The sweep points of one Monte-Carlo run draw from the same run-keyed
 streams, so a sweep runs one job per (run, tau_p) (`run_single`).  The
 points of a job differ only in their training window T: the job builds
@@ -27,8 +34,8 @@ A sweep varies one variable, so every job of a run walks the same
 batches: a T sweep has one job per run, and the jobs of a tau_p sweep
 share the one window `system.blocks`.  They draw the same network, the
 same channels of every training and held-out batch, and the same data
-phase of every training batch (it has its own batch-keyed streams);
-`_SharedRun` computes each of these once per run and drops it when the
+phase of every training batch (it has streams of its own, not the pilot
+noise's); `_SharedRun` computes each of these once per run and drops it when the
 last of the run's jobs takes it.  So a job of a tau_p sweep synthesizes
 only its own pilot phase.  Neither the walk nor the sharing changes a
 result bit.
@@ -78,12 +85,13 @@ from .estimators import (
 from .linalg import NotPositiveDefinite, psd_factor, retry_loaded
 from .seeding import derive_rng
 
-# Blocks simulated per vectorized batch; a fixed constant so that the
-# per-run random streams are consumed identically on every machine.
+# Blocks simulated per vectorized batch; a fixed constant, because batch i
+# of a stream draws blocks [i * BATCH_BLOCKS, ...) from its own key.
 BATCH_BLOCKS = 256
 
-# Fresh evaluation blocks are drawn from dedicated streams, so estimation
-# and evaluation data are disjoint by construction.
+# Stream ids of the run's keys (master seed, run, stream id, batch).  Fresh
+# evaluation blocks are drawn from dedicated streams, so estimation and
+# evaluation data are disjoint by construction.
 _STREAMS = {
     "geometry": 0,
     "est_alloc": 1,
@@ -93,13 +101,9 @@ _STREAMS = {
     "eval_channels": 5,
     "eval_signals_random": 6,
     "eval_signals_fixed_cyclic": 7,
+    "data": 8,
+    "data_noise": 9,
 }
-# The data phase of training batch i draws its symbol phases from the
-# stream keyed by (*run keys, _DATA_STREAM, i) and its noise from
-# (*run keys, _DATA_NOISE_STREAM, i), so it depends only on the run and the
-# batch index, never on tau_p, and a shorter batch i draws a prefix of it.
-_DATA_STREAM = 8
-_DATA_NOISE_STREAM = 9
 
 # Pilot allocation under which each estimator kind is evaluated.
 _ALLOCATION = {
@@ -155,18 +159,6 @@ def nmse(h_true: np.ndarray, h_hat: np.ndarray, covariance: np.ndarray) -> np.nd
     return sq.sum(axis=-1) / trace
 
 
-def _streams(run_seed) -> dict[str, np.random.Generator]:
-    return {name: derive_rng(*run_seed, i) for name, i in _STREAMS.items()}
-
-
-def _batch_shapes(stop: int) -> list[tuple[int, int]]:
-    """(first block, size) of each batch of blocks [0, stop)."""
-    return [
-        (first, min(BATCH_BLOCKS, stop - first))
-        for first in range(0, stop, BATCH_BLOCKS)
-    ]
-
-
 def _gram(samples: np.ndarray, antennas: int) -> AllCovAccumulator:
     """An accumulator holding the samples (B, N, S)."""
     acc = AllCovAccumulator(antennas)
@@ -188,17 +180,17 @@ def _publish(future: Future, compute):
 class _SharedRun:
     """What the `jobs` jobs of one Monte-Carlo run compute identically.
 
-    Streams are keyed by run index, so every job of a run builds the same
-    network, and a batch of blocks [first, first + size) of a channel
-    stream holds the same channels in every job that draws it.  The data
-    phase of training batch i comes from its own streams keyed by i, so its
-    Gram sums are functions of the run, i and the cut alone, and one job
-    synthesizes it for all.
+    Every draw is keyed by (master seed, run, stream, batch), so every job
+    of a run builds the same network, batch i of a channel stream is one
+    read-only array in every job that draws it, and the data phase of
+    training batch i, drawn from its own batch-i keys, has Gram sums that
+    are functions of the run, i and the cut alone: one job computes each
+    of these for all.
 
     The jobs of a run walk the same batches, so each of them claims every
     key once: a claimed item is kept until `jobs` claims have taken it,
-    and then dropped.  With fewer than two jobs (a T sweep) every claim
-    gets a Future of its own and nothing is kept.
+    and then dropped.  With one job (a T sweep) a key is dropped by the
+    claim that stores it, so nothing is kept.
 
     Each kept item is a Future owned by the first job that claims it.  The
     owner computes it outside the lock and publishes it, or the exception
@@ -220,8 +212,6 @@ class _SharedRun:
         The owner must publish the result or an exception before it waits
         on anything but a channel batch.
         """
-        if self.jobs < 2:
-            return Future(), True
         with self._lock:
             future = self._store.get(key)
             owner = future is None
@@ -255,7 +245,6 @@ class _RunState:
         self.config = config
         self.system = system  # its blocks are the longest training window
         self.keys = tuple(run_seed)
-        self.rngs = _streams(self.keys)
         self.shared = _SharedRun(1) if shared is None else shared
         self.kinds = {spec.kind for spec in config.estimators}
         self.fallbacks = {spec.label: 0 for spec in config.estimators}
@@ -292,7 +281,7 @@ class _RunState:
             sysc.cell_radius,
             sysc.ring_radius,
             sysc.pathloss_exponent,
-            self.rngs["geometry"],
+            self._rng("geometry"),
         )
         covs = bs_covariances(
             geometry, 0, sysc.antennas, math.radians(sysc.half_spread_deg)
@@ -314,25 +303,30 @@ class _RunState:
         tau_p = self.system.tau_p
         return self.total_cov + self.power * (tau_p - 1) * self.covs[0] + self.r_nn
 
+    def _rng(self, stream: str, batch: int = 0) -> np.random.Generator:
+        """A fresh Generator of batch `batch` of one of the run's streams;
+        whole-run draws take batch 0."""
+        return derive_rng(*self.keys, _STREAMS[stream], batch)
+
     def _batches(self, stop: int, stream: str):
-        """Yield (block slice, channels (B, L, K, N)) per batch of blocks
-        [0, stop) of a channel stream.
+        """Yield (batch index i, block slice, channels (B, L, K, N)) per
+        batch of blocks [0, stop) of a channel stream.
 
-        A batch that the run's other jobs draw too is drawn once and
-        shared, read-only; the stream is then left where that draw left it.
-        The owner of a batch publishes it right after the draw.
+        Batch i is drawn from the stream's batch-i key, so it is a read-only
+        array that depends only on its key: a batch that the run's other
+        jobs draw too is drawn once and shared.  The owner of a batch
+        publishes it right after the draw.
         """
-        rng = self.rngs[stream]
 
-        def draw(size):
-            h = sample_channels(self.factors, rng, blocks=size)
+        def draw(batch, size):
+            h = sample_channels(self.factors, self._rng(stream, batch), blocks=size)
             h.flags.writeable = False
-            return h, rng.bit_generator.state
+            return h
 
-        for first, size in _batch_shapes(stop):
-            h, state = self.shared.get((stream, first, size), partial(draw, size))
-            rng.bit_generator.state = state
-            yield slice(first, first + size), h
+        for batch, first in enumerate(range(0, stop, BATCH_BLOCKS)):
+            size = min(BATCH_BLOCKS, stop - first)
+            h = self.shared.get((stream, first, size), partial(draw, batch, size))
+            yield batch, slice(first, first + size), h
 
     def _receive(self, h, rows, signals_stream, tau_u: int = 0, *data_streams):
         """Receive a batch under pilot rows (B, L, K); a data phase needs
@@ -367,13 +361,13 @@ class _RunState:
         sysc = self.system
         rows = allocate_pilots(
             sysc.blocks, sysc.cells, sysc.ues_per_cell, sysc.tau_p, "random",
-            self.rngs["est_alloc"],
-        ).indices
+            self._rng("est_alloc"),
+        )
         acc = AllCovAccumulator(sysc.antennas)  # pilot phase of the full batches walked
         despread = np.empty((sysc.ues_per_cell, sysc.blocks, sysc.antennas), dtype=complex)
         grams: list[tuple[Future, int]] = []  # per batch walked, its data item and cut
-        for blocks, h in self._batches(sysc.blocks, "est_channels"):
-            pilot_rx, data, d = self._train(h, rows[blocks], blocks.start, windows)
+        for batch, blocks, h in self._batches(sysc.blocks, "est_channels"):
+            pilot_rx, data, d = self._train(batch, h, rows[blocks], blocks.start, windows)
             despread[:, blocks] = d
             for window in windows:
                 if blocks.start < window <= blocks.stop:
@@ -387,10 +381,12 @@ class _RunState:
                 grams.append((data, len(h)))
 
     def _train(
-        self, h, rows, first: int, windows: list[int]
+        self, batch: int, h, rows, first: int, windows: list[int]
     ) -> tuple[np.ndarray, Future, np.ndarray]:
-        """Receive the training batch of channels h that starts at block
-        `first` under pilot rows (B, L, K).
+        """Receive training batch `batch`, of channels h, which starts at
+        block `first`, under pilot rows (B, L, K).  Its pilot noise comes
+        from the batch's `est_signals` key and its data phase from its
+        `data` and `data_noise` keys.
 
         Returns its pilot_rx, the Future of its data item (per cut, the
         data-phase accumulator of the batch's first cut blocks) and its
@@ -407,15 +403,12 @@ class _RunState:
         data, owner = self.shared.claim(("data", first, size))
         data_phase = ()
         if owner:
-            index = first // BATCH_BLOCKS
             data_phase = (
-                self.system.tau_u,
-                derive_rng(*self.keys, _DATA_STREAM, index),
-                derive_rng(*self.keys, _DATA_NOISE_STREAM, index),
+                self.system.tau_u, self._rng("data", batch), self._rng("data_noise", batch)
             )
         try:
             pilot_rx, data_rx, d = self._receive(
-                h, rows, self.rngs["est_signals"], *data_phase
+                h, rows, self._rng("est_signals", batch), *data_phase
             )
             if owner:
                 cuts = {size} | {w - first for w in windows if first < w < first + size}
@@ -485,7 +478,7 @@ class _RunState:
         if kind == "mmse_fixed":
             fixed_row = allocate_pilots(
                 1, sysc.cells, sysc.ues_per_cell, sysc.tau_p, "fixed_cyclic"
-            ).indices[0]
+            )[0]
             return mmse_fixed_filter(self.covs, self.power, fixed_row, self.r_nn, sysc.tau_p)
         w = ls_estimate(np.eye(sysc.antennas), self.power, sysc.tau_p)  # ls_fixed
         return np.stack([w] * sysc.ues_per_cell)
@@ -493,59 +486,50 @@ class _RunState:
     def _held_out(self, eval_blocks: int):
         """Draw the held-out blocks.
 
-        Returns the pilot rows (blocks, L, K) of each allocation in use and,
-        per batch, (block slice, center-cell channels (K, B, N), despread
-        vectors (K, B, N) per allocation).  All allocations see the same
-        channel draws.
+        Returns the pilot rows (E, L, K) of each allocation in use, the
+        center-cell channels (K, E, N) and the despread vectors (K, E, N) of
+        each allocation.  All allocations see the same channel draws;
+        held-out batch i takes its pilot noise from batch i of the
+        allocation's `eval_signals` stream.
         """
         sysc = self.system
         modes = sorted({_ALLOCATION[kind] for kind in self.kinds})
         rows = {
             mode: allocate_pilots(
                 eval_blocks, sysc.cells, sysc.ues_per_cell, sysc.tau_p, mode,
-                self.rngs["eval_alloc"],
-            ).indices
+                self._rng("eval_alloc"),
+            )
             for mode in modes
         }
-        batches = []
-        for blocks, h in self._batches(eval_blocks, "eval_channels"):
-            # A copy: a kept view would hold every cell's channels.
-            h_center = np.moveaxis(h[:, 0].copy(), 0, 1)
-            despread = {
-                mode: self._receive(
-                    h, rows[mode][blocks], self.rngs[f"eval_signals_{mode}"]
-                )[2]
-                for mode in modes
-            }
-            batches.append((blocks, h_center, despread))
-        return rows, batches
+        channels, despread = [], {mode: [] for mode in modes}
+        for batch, blocks, h in self._batches(eval_blocks, "eval_channels"):
+            # A C-order copy, so that h_center is block-major in memory
+            # whatever the layout of h: that fixes the order in which
+            # evaluate sums the NMSE terms.
+            channels.append(h[:, 0].copy())
+            for mode in modes:
+                signals = self._rng(f"eval_signals_{mode}", batch)
+                despread[mode].append(self._receive(h, rows[mode][blocks], signals)[2])
+        h_center = np.concatenate(channels).transpose(1, 0, 2)
+        return rows, h_center, {mode: np.concatenate(d, axis=1) for mode, d in despread.items()}
 
     def evaluate(self) -> dict[str, float]:
         """Mean NMSE per estimator over the held-out blocks, with the
         filters of the training window in hand."""
-        err = {spec.label: 0.0 for spec in self.config.estimators}
         if self.held_out is None:
             self.held_out = self._held_out(self.config.eval_blocks)
-        rows, batches = self.held_out
-        improved = {}  # per gevd_impr label, its estimates of every block
+        rows, h_center, despread = self.held_out
+        total = self.config.eval_blocks * self.system.ues_per_cell
+        err = {}
         for spec in self.config.estimators:
             if spec.kind == "gevd_impr":
-                d_random = np.concatenate([d["random"] for _, _, d in batches], axis=1)
-                improved[spec.label] = self._improved_estimates(
-                    spec.rank, spec.label, rows["random"], d_random
+                h_hat = self._improved_estimates(
+                    spec.rank, spec.label, rows["random"], despread["random"]
                 )
-        for blocks, h_center, despread in batches:
-            for spec in self.config.estimators:
-                if spec.kind == "gevd_impr":
-                    h_hat = improved[spec.label][:, blocks]
-                else:
-                    d = despread[_ALLOCATION[spec.kind]]
-                    h_hat = d @ self.static_filters[spec.label].conj()
-                err[spec.label] += float(
-                    nmse(h_center, h_hat, self.covs[0][:, None]).sum()
-                )
-        total = self.config.eval_blocks * self.system.ues_per_cell
-        return {label: value / total for label, value in err.items()}
+            else:
+                h_hat = despread[_ALLOCATION[spec.kind]] @ self.static_filters[spec.label].conj()
+            err[spec.label] = float(nmse(h_center, h_hat, self.covs[0][:, None]).sum()) / total
+        return err
 
     def _improved_estimates(
         self, rank: int, label: str, rows: np.ndarray, d_random: np.ndarray
@@ -691,7 +675,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[NmseResult]:
         # geometry and evaluation blocks at every sweep point: sweep curves
         # are paired comparisons.  The channels and data phase of a batch
         # are the same at every tau_p (the channel streams carry no pilots,
-        # and the data phase has its own batch-keyed stream), so _SharedRun
+        # and the data phase has streams of its own), so _SharedRun
         # computes each once per run and drops it at its last use.  Jobs of
         # one run that run at once split that work between them: each
         # draws the channel batches and data phases it claims first.

@@ -2,17 +2,18 @@
 
 All randomness in the package flows through numpy Generators derived from
 a single master seed with explicit integer keys, so that runs are
-reproducible and independent of thread scheduling.  Samplers draw
-block-major: the values of block 0 come first, then those of block 1,
-and so on, each complex value as a (real, imaginary) pair.  So the first
-t blocks of a b-block draw are, bit for bit, the t-block draw from the
-same stream position, and a prefix of a larger batch is a smaller batch.
+reproducible and independent of thread scheduling.  The sweep harness
+uses one layout: every value is drawn from a fresh
+derive_rng(master seed, run, stream id, batch).  Batch i of a batched
+stream draws from key i, and whole-run draws take batch 0, so no
+Generator outlives the batch it draws and what a batch holds depends on
+its key alone, never on what was drawn before it.
 
-A stream may also be keyed by a batch index, so that what a batch draws
-does not depend on what was drawn before it: the data phase of training
-batch i draws its symbol phases and its noise from two streams keyed by
-(master seed, run, stream id, i), and therefore depends only on the run
-and i, at every tau_p; a shorter batch i draws a prefix of it.
+Samplers draw block-major: the values of block 0 come first, then those
+of block 1, and so on, each complex value as a (real, imaginary) pair.
+So the first t blocks of a b-block draw are, bit for bit, the t-block
+draw from the same key, and a prefix of a larger batch is a smaller
+batch.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ def derive_rng(*keys: int) -> np.random.Generator:
 
     Distinct key tuples yield statistically independent streams; equal
     tuples yield identical streams.  Exception: SeedSequence pads short
-    entropy with zeros, so short tuples that differ only by trailing
-    zeros, such as (1, 8) and (1, 8, 0), give the same stream; keys of one
-    kind must therefore have one length.
+    entropy with zeros, so short tuples of keys below 2**32 that differ
+    only by trailing zeros, such as (1, 8) and (1, 8, 0), give the same
+    stream; keys of one kind must therefore have one length.
     """
     if any(k < 0 for k in keys):
         raise ValueError("stream keys must be non-negative integers")

@@ -193,10 +193,10 @@ def test_criterion_3_expectation_consistency():
     for stop in checkpoints:
         h = sample_channels(factors, rng, blocks=stop - done)
         pilot_rx, data_rx = simulate_blocks(
-            h, alloc.indices[done:stop], book, powers, noise_factor, rng, tau_u, rng, rng
+            h, alloc[done:stop], book, powers, noise_factor, rng, tau_u, rng, rng
         )
         acc.add(np.concatenate([pilot_rx, data_rx], axis=2))
-        despread_rows.append(despread_batch(pilot_rx, book, alloc.indices[done:stop, 0, 0]))
+        despread_rows.append(despread_batch(pilot_rx, book, alloc[done:stop, 0, 0]))
         acc_by_t[stop] = acc.estimate()
         done = stop
 
@@ -442,19 +442,19 @@ def test_criterion_8_end_to_end_equivariance():
     alloc = allocate_pilots(blocks + eval_blocks, 1, ues, tau_p, "random", rng)
     h = sample_channels(factors, rng, blocks=blocks + eval_blocks)
     pilot_rx, data_rx = simulate_blocks(
-        h, alloc.indices, book, powers, noise_factor, rng, tau_u, rng, rng
+        h, alloc, book, powers, noise_factor, rng, tau_u, rng, rng
     )
     transform = well_conditioned_transform(np.random.default_rng(1010), n)
 
     def pipeline(pilot_phase, data_phase):
-        d = despread_batch(pilot_phase[:blocks], book, alloc.indices[:blocks, 0, 0])
+        d = despread_batch(pilot_phase[:blocks], book, alloc[:blocks, 0, 0])
         pilot_cov = estimate_pilot_cov(d, tau_p)
         acc = AllCovAccumulator(n)
         acc.add(np.concatenate([pilot_phase[:blocks], data_phase[:blocks]], axis=2))
         all_cov = acc.estimate()
         low = gevd_lowrank_estimator(pilot_cov, all_cov, tau_p, 1.0, rank=rank)
         d_eval = despread_batch(
-            pilot_phase[blocks:], book, alloc.indices[blocks:, 0, 0]
+            pilot_phase[blocks:], book, alloc[blocks:, 0, 0]
         )
         return d_eval @ approx_mmse_filter(low, 1.0).conj()
 

@@ -41,38 +41,38 @@ class TestAllocation:
     def test_tau_p_one(self):
         for mode in ("random", "fixed_cyclic"):
             alloc = allocate_pilots(5, 2, 3, 1, mode, rng=0)
-            assert np.all(alloc.indices == 0)
+            assert np.all(alloc == 0)
 
     def test_fixed_cyclic_continues_across_cells(self):
         alloc = allocate_pilots(2, 7, 10, 4, "fixed_cyclic")
         # cell 0 cycles 0,1,2,3,... and cell 1 continues without restart
-        assert list(alloc.indices[0, 0]) == [0, 1, 2, 3, 0, 1, 2, 3, 0, 1]
-        assert list(alloc.indices[0, 1]) == [2, 3, 0, 1, 2, 3, 0, 1, 2, 3]
-        assert np.array_equal(alloc.indices[0], alloc.indices[1])
+        assert list(alloc[0, 0]) == [0, 1, 2, 3, 0, 1, 2, 3, 0, 1]
+        assert list(alloc[0, 1]) == [2, 3, 0, 1, 2, 3, 0, 1, 2, 3]
+        assert np.array_equal(alloc[0], alloc[1])
 
     def test_random_uniform(self):
         alloc = allocate_pilots(10_000, 2, 5, 4, "random", rng=1)
-        counts = np.bincount(alloc.indices.ravel(), minlength=4)
-        freqs = counts / alloc.indices.size
+        counts = np.bincount(alloc.ravel(), minlength=4)
+        freqs = counts / alloc.size
         assert np.all(np.abs(freqs - 0.25) < 0.01)
 
     def test_random_reproducible(self):
         a = allocate_pilots(50, 2, 2, 6, "random", rng=99)
         b = allocate_pilots(50, 2, 2, 6, "random", rng=99)
-        assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("tau_p", [2, 4, 5, 10, 15, 20])
     def test_random_rows_of_a_shorter_window_are_a_prefix(self, tau_p):
         # The sweep harness shares training batches across T on this property.
-        longer = allocate_pilots(1500, 7, 5, tau_p, "random", rng=5).indices
+        longer = allocate_pilots(1500, 7, 5, tau_p, "random", rng=5)
         for blocks in (1, 75, 256, 300, 1499):
-            shorter = allocate_pilots(blocks, 7, 5, tau_p, "random", rng=5).indices
+            shorter = allocate_pilots(blocks, 7, 5, tau_p, "random", rng=5)
             assert np.array_equal(shorter, longer[:blocks])
 
     def test_collision_probability(self):
         tau_p = 4
         alloc = allocate_pilots(100_000, 2, 1, tau_p, "random", rng=2)
-        collisions = alloc.indices[:, 0, 0] == alloc.indices[:, 1, 0]
+        collisions = alloc[:, 0, 0] == alloc[:, 1, 0]
         assert abs(collisions.mean() - 1.0 / tau_p) < 0.01
 
     def test_unknown_mode(self):

@@ -1,5 +1,6 @@
 """Tests for config parsing, result emission and the CLI commands."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -40,6 +41,18 @@ master_seed: 5
 """
 
 
+# Every float field of SystemConfig; each must be finite.
+FLOAT_FIELDS = (
+    "uplink_power", "noise_power", "jammer_power", "jammer_angle_deg", "cell_radius",
+    "ring_radius", "pathloss_exponent", "half_spread_deg", "cov_loading",
+)
+
+
+def test_float_fields_listed():
+    fields = dataclasses.fields(SystemConfig)
+    assert FLOAT_FIELDS == tuple(f.name for f in fields if f.type == "float")
+
+
 @pytest.fixture
 def fast_config_path(tmp_path):
     path = tmp_path / "config.yaml"
@@ -76,6 +89,12 @@ class TestParseConfig:
     def test_invalid_tau_p_names_invariant(self, fast_config_path):
         with pytest.raises(ConfigInvalid, match="tau_p >= 1"):
             parse_config(fast_config_path, overrides=["system.tau_p=0"])
+
+    @pytest.mark.parametrize("value", [".inf", "-.inf", ".nan"])
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
+    def test_non_finite_float_names_invariant(self, fast_config_path, field, value):
+        with pytest.raises(ConfigInvalid, match=f"violated invariant: {field} finite"):
+            parse_config(fast_config_path, overrides=[f"system.{field}={value}"])
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -227,6 +246,15 @@ class TestMain:
             argv += ["--output", str(tmp_path / "out")]
         assert main(argv) == EXIT_CONFIG_ERROR
         assert f"violated invariant: {named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_non_finite_float_exit_code(self, fast_config_path, tmp_path, capsys, command, field):
+        argv = [command, "--config", str(fast_config_path), "--set", f"system.{field}=.inf"]
+        if command == "run":
+            argv += ["--output", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG_ERROR
+        assert f"violated invariant: {field} finite" in capsys.readouterr().err
 
     def test_tau_p_1_allowed_without_data_driven_estimators(self, fast_config_path):
         overrides = ["--set", "system.tau_p=1",

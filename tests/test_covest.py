@@ -151,9 +151,9 @@ class TestSubtraction:
             h = sample_channels(factors, rng, blocks=blocks)
             alloc = allocate_pilots(blocks, 1, 1, tau_p, "random", rng)
             pilot_rx, data_rx = simulate_blocks(
-                h, alloc.indices, book, np.ones((1, 1)), noise_factor, rng, 6, rng, rng
+                h, alloc, book, np.ones((1, 1)), noise_factor, rng, 6, rng, rng
             )
-            d = despread_batch(pilot_rx, book, alloc.indices[:, 0, 0])
+            d = despread_batch(pilot_rx, book, alloc[:, 0, 0])
             pilot_cov = estimate_pilot_cov(d, tau_p)
             all_cov = all_cov_of(np.concatenate([pilot_rx, data_rx], axis=2))
             estimate = subtraction_estimator(pilot_cov, all_cov, tau_p, 1.0)
@@ -313,9 +313,9 @@ class TestConvergenceToAnalytic:
         alloc = allocate_pilots(blocks, cells, ues, tau_p, "random", rng)
         h = sample_channels(factors, rng, blocks=blocks)
         pilot_rx, data_rx = simulate_blocks(
-            h, alloc.indices, book, powers, noise_factor, rng, tau_u, rng, rng
+            h, alloc, book, powers, noise_factor, rng, tau_u, rng, rng
         )
-        d = despread_batch(pilot_rx, book, alloc.indices[:, 0, 0])
+        d = despread_batch(pilot_rx, book, alloc[:, 0, 0])
         pilot_err = []
         all_err = []
         for t in (100, 1000, 10_000):

@@ -61,14 +61,14 @@ class TestOptimalFilter:
         alloc = allocate_pilots(blocks, 1, len(net.covariances), net.tau_p, "random", rng)
         pilot_rx, _ = simulate_blocks(
             h[:, None, :, :],
-            alloc.indices.reshape(blocks, 1, -1),
+            alloc.reshape(blocks, 1, -1),
             book,
             net.powers[None, :],
             psd_factor(net.r_nn),
             rng,
             0,
         )
-        y = despread_batch(pilot_rx, book, alloc.indices[:, 0, 0])
+        y = despread_batch(pilot_rx, book, alloc[:, 0, 0])
         h_des = h[:, 0, :]
         w_opt = mmse_optimal_filter(net.r_pilot, net.r_desired, net.power_desired)
 
@@ -90,10 +90,10 @@ class TestOptimalFilter:
         book = make_pilot_book(net.tau_p)
         alloc = allocate_pilots(blocks, 1, len(net.covariances), net.tau_p, "random", rng)
         pilot_rx, _ = simulate_blocks(
-            h[:, None, :, :], alloc.indices.reshape(blocks, 1, -1), book,
+            h[:, None, :, :], alloc.reshape(blocks, 1, -1), book,
             net.powers[None, :], psd_factor(net.r_nn), rng, 0,
         )
-        y = despread_batch(pilot_rx, book, alloc.indices[:, 0, 0])
+        y = despread_batch(pilot_rx, book, alloc[:, 0, 0])
         w = mmse_optimal_filter(net.r_pilot, net.r_desired, net.power_desired)
         mse_mmse = np.mean(np.abs(y @ w.conj() - h[:, 0, :]) ** 2)
         mse_ls = np.mean(
@@ -393,7 +393,7 @@ class TestMmseFixedFilter:
             ]
         )
         r_nn = 0.1 * np.eye(n, dtype=complex)
-        row = allocate_pilots(1, cells, ues, tau_p, "fixed_cyclic").indices[0]
+        row = allocate_pilots(1, cells, ues, tau_p, "fixed_cyclic")[0]
         w = mmse_fixed_filter(covs, power, row, r_nn, tau_p)
         expected = mmse_fixed_reference(covs, power, row, r_nn, tau_p)
         assert w.shape == (ues, n, n)

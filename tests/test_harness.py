@@ -12,14 +12,12 @@ import pytest
 from mimoce import covest, harness
 from mimoce.config import EstimatorSpec, ExperimentConfig, SweepSpec, SystemConfig
 from mimoce.estimators import approx_mmse_filter, improved_mmse_filter, ls_estimate
+from mimoce.channel import sample_channels
 from mimoce.harness import (
-    _DATA_NOISE_STREAM,
-    _DATA_STREAM,
     _STREAMS,
     NmseResult,
     ZeroTraceCovariance,
     _RunState,
-    _streams,
     nmse,
     run_single,
     run_sweep,
@@ -163,8 +161,10 @@ class TestImprovedEstimates:
 
         monkeypatch.setattr(harness, "improved_mmse_filter", counting)
         monkeypatch.setattr(_RunState, "_improved_estimates", recording)
+        vectors = count_channel_vectors(monkeypatch)
         state.evaluate()
-        assert len(state.held_out[1]) == 2
+        links = system.cells * system.ues_per_cell
+        assert vectors == [16 * links, 14 * links]
 
         # One call over every held-out block, one build per (UE, pattern).
         ((rows, d_random, got),) = applied
@@ -217,20 +217,78 @@ class TestStaticFilters:
 
 
 def test_stream_ids_are_distinct():
-    # Training and evaluation draw from disjoint streams: every stream id,
-    # the data phase's two included, is used once, and no two streams of a
-    # run coincide (SeedSequence equates keys that differ by trailing
-    # zeros, so (7, 0, 9, 0) must not meet a 3-key stream).
-    ids = [*_STREAMS.values(), _DATA_STREAM, _DATA_NOISE_STREAM]
+    # Training and evaluation draw from disjoint streams: every stream id is
+    # used once, and no two (stream, batch) keys of a run give one stream.
+    # Every key has four entries, so SeedSequence's zero padding of short
+    # keys cannot equate two of them.
+    ids = list(_STREAMS.values())
     assert len(set(ids)) == len(ids)
-    rngs = [*_streams((7, 0)).values()]
-    rngs += [
-        derive_rng(7, 0, stream, batch)
-        for stream in (_DATA_STREAM, _DATA_NOISE_STREAM)
-        for batch in range(3)
+    first = [
+        derive_rng(7, 0, stream, batch).integers(2**63) for stream in ids for batch in range(3)
     ]
-    first = [rng.integers(2**63) for rng in rngs]
     assert len(set(first)) == len(first)
+
+
+def test_every_draw_comes_from_its_batch_key(monkeypatch):
+    # Every random value of a run is drawn from a fresh
+    # derive_rng(master_seed, run, stream id, batch): channels, pilot noise
+    # and data phase of training batch i, channels and pilot noise of
+    # held-out batch i, and batch 0 for the geometry and the allocations.
+    # Batches of 8 blocks: 5 training batches and 4 held-out ones.
+    monkeypatch.setattr(harness, "BATCH_BLOCKS", 8)
+    config = small_config(eval_blocks=25)
+    system = dataclasses.replace(config.system, blocks=40)
+    seed = (config.master_seed, 1)
+
+    def key_state(stream, batch=0):
+        return derive_rng(*seed, _STREAMS[stream], batch).bit_generator.state
+
+    geometry, allocations, received = [], [], []
+    real_build_geometry = harness.build_geometry
+    real_allocate_pilots = harness.allocate_pilots
+    real_simulate_blocks = harness.simulate_blocks
+
+    def recording_geometry(*args):
+        geometry.append(args[-1].bit_generator.state)
+        return real_build_geometry(*args)
+
+    def recording_allocation(blocks, cells, ues, tau_p, mode, rng=None):
+        if mode == "random":
+            allocations.append(rng.bit_generator.state)
+        return real_allocate_pilots(blocks, cells, ues, tau_p, mode, rng)
+
+    def recording_blocks(channels, rows, book, powers, noise, *rngs_and_tau_u):
+        pilot_rng, tau_u, *data_rngs = rngs_and_tau_u
+        states = [rng.bit_generator.state for rng in (pilot_rng, *data_rngs)]
+        received.append((channels, states))
+        return real_simulate_blocks(channels, rows, book, powers, noise, *rngs_and_tau_u)
+
+    monkeypatch.setattr(harness, "build_geometry", recording_geometry)
+    monkeypatch.setattr(harness, "allocate_pilots", recording_allocation)
+    monkeypatch.setattr(harness, "simulate_blocks", recording_blocks)
+    state = trained_state(config, system, seed)
+    state.evaluate()
+
+    def channels(stream, batch, size):
+        rng = derive_rng(*seed, _STREAMS[stream], batch)
+        return sample_channels(state.factors, rng, blocks=size).tobytes()
+
+    assert geometry == [key_state("geometry")]
+    assert allocations == [key_state("est_alloc"), key_state("eval_alloc")]
+    training, held_out = received[:5], received[5:]
+    for i, (h, states) in enumerate(training):
+        assert h.tobytes() == channels("est_channels", i, 8)
+        assert states == [key_state(s, i) for s in ("est_signals", "data", "data_noise")]
+    # Per held-out batch, one receive per allocation in use.
+    batches = itertools.product(zip(range(4), [8, 8, 8, 1]), ["fixed_cyclic", "random"])
+    assert len(held_out) == 8
+    for (h, states), ((i, size), mode) in zip(held_out, batches):
+        assert h.tobytes() == channels("eval_channels", i, size)
+        assert states == [key_state(f"eval_signals_{mode}", i)]
+    # SeedSequence pads short keys with zeros, so batch 0 of a stream is the
+    # 3-key stream (master_seed, run, id).
+    for stream, stream_id in _STREAMS.items():
+        assert key_state(stream) == derive_rng(*seed, stream_id).bit_generator.state
 
 
 class TestRunSingle:
@@ -482,10 +540,10 @@ class TestSharedRun:
 
     def test_stream_continues_after_a_shared_batch(self, monkeypatch):
         # A job that takes shared channel batches and then draws on must
-        # continue the stream where the shared draws left it.  Two jobs of
-        # one run, tau_p 2 (A) and 4 (B), walk the same 5 batches of 8
-        # blocks: A draws batches 0 and 1, and B takes them before it draws
-        # 2-4 itself.
+        # draw the batches that an unshared walk draws.  Two jobs of one
+        # run, tau_p 2 (A) and 4 (B), walk the same 5 batches of 8 blocks:
+        # A draws batches 0 and 1, and B takes them before it draws 2-4
+        # itself.
         monkeypatch.setattr(harness, "BATCH_BLOCKS", 8)
         config = small_config()
         seed = (config.master_seed, 0)
@@ -494,13 +552,13 @@ class TestSharedRun:
             system = dataclasses.replace(config.system, tau_p=tau_p, blocks=40)
             return _RunState(config, system, seed, shared)
 
-        unshared = [h for _, h in state(4)._batches(40, "est_channels")]
+        unshared = [h for _, _, h in state(4)._batches(40, "est_channels")]
         shared = harness._SharedRun(2)
         walk_a = state(2, shared)._batches(40, "est_channels")
         walk_b = state(4, shared)._batches(40, "est_channels")
         vectors = count_channel_vectors(monkeypatch)
         next(walk_a), next(walk_a)
-        taken = [h for _, h in walk_b]
+        taken = [h for _, _, h in walk_b]
         assert len(taken) == len(unshared) == 5
         for h, expected in zip(taken, unshared):
             assert h.tobytes() == expected.tobytes()
