@@ -27,7 +27,7 @@ from .config import (
     SweepSpec,
     SystemConfig,
 )
-from .harness import NmseResult, run_sweep, shared_channel_bytes, simulated_blocks
+from .harness import NmseResult, run_sweep, simulated_blocks
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -202,8 +202,6 @@ def validate_config(config: ExperimentConfig) -> str:
         *(f"  - {f}" for f in findings),
         f"covariance storage: {matrices} matrices of {sysc.antennas}x{sysc.antennas} "
         f"(~{cov_mb:.1f} MB)",
-        f"channels kept for sharing per run in flight: "
-        f"~{shared_channel_bytes(config) / 1e6:.1f} MB",
         f"simulated blocks per sweep: {simulated_blocks(config)}",
     ]
     return "\n".join(lines)
@@ -259,6 +257,13 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.workers < 1:
         print("config error: violated invariant: --workers >= 1", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+
+    # Before the sweep, so that a bad --output does not cost the sweep.
+    try:
+        Path(args.output).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: cannot create output directory {args.output}: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
     try:

@@ -56,7 +56,7 @@ def test_run_sweep_runs_blas_single_threaded(monkeypatch, libraries, workers):
     monkeypatch.setattr(harness, "run_single", recording)
     before = thread_counts(libraries)
     harness.run_sweep(tiny_config(), workers=workers)
-    assert len(seen) == 2  # one job per run: the T sweep has one tau_p
+    assert len(seen) == 2  # one job per run
     assert all(set(counts.values()) == {1} for counts in seen)
     assert thread_counts(libraries) == before
 

@@ -165,8 +165,6 @@ class TestValidate:
         assert report.startswith("OK")
         assert "covariance storage" in report
         assert "simulated blocks per sweep: " in report
-        # A T sweep keeps no channel draw for a second point.
-        assert "channels kept for sharing per run in flight: ~0.0 MB" in report
 
     def test_desk_scale_block_count(self):
         # Per run: the training batches of the longest window (1200
@@ -187,11 +185,10 @@ class TestValidate:
         assert "70 matrices of 100x100" in report
         # 20 runs of 1500 training blocks and 2 x 200 held-out blocks.
         assert "simulated blocks per sweep: 38000" in report
-        # A tau_p sweep keeps both windows' channels, (1500 + 200) blocks
-        # of 7 x 10 links of 100 antennas at 16 bytes each.
+        # A tau_p sweep receives those blocks under each of its tau_p.
         config.sweep = SweepSpec(variable="tau_p", values=[5, 10])
         report = validate_config(config)
-        assert "channels kept for sharing per run in flight: ~190.4 MB" in report
+        assert "simulated blocks per sweep: 76000" in report
 
 
 class TestMain:
@@ -269,6 +266,28 @@ class TestMain:
         assert "--workers >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("below", [(), ("out",)], ids=["file", "below_a_file"])
+    def test_unusable_output_fails_before_the_sweep(
+        self, fast_config_path, tmp_path, capsys, monkeypatch, below
+    ):
+        # An output path that is a file, or lies below one, is a config
+        # error found before the sweep runs, not after.
+        import mimoce.cli as cli
+
+        def never(config, workers=1):
+            raise AssertionError("run_sweep was called")
+
+        monkeypatch.setattr(cli, "run_sweep", never)
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        output = blocker.joinpath(*below)
+        argv = ["run", "--config", str(fast_config_path), "--output", str(output)]
+        assert main(argv) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot create output directory")
+        assert str(output) in err
+        assert blocker.read_text() == ""
+
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "nope.yaml")]) == EXIT_CONFIG_ERROR
 
@@ -321,7 +340,7 @@ class TestMain:
         main(["run", "--config", str(replay_config), "--output", str(out2)])
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
 
-    def test_numeric_failure_exit_code(self, fast_config_path, capsys, monkeypatch):
+    def test_numeric_failure_exit_code(self, fast_config_path, tmp_path, capsys, monkeypatch):
         import numpy as np
 
         import mimoce.cli as cli
@@ -330,5 +349,6 @@ class TestMain:
             raise np.linalg.LinAlgError("synthetic blow-up")
 
         monkeypatch.setattr(cli, "run_sweep", boom)
-        assert main(["run", "--config", str(fast_config_path)]) == 2
+        argv = ["run", "--config", str(fast_config_path), "--output", str(tmp_path / "out")]
+        assert main(argv) == 2
         assert "numeric failure" in capsys.readouterr().err

@@ -380,6 +380,38 @@ class TestMmseFixedFilter:
         nmse = float(np.mean(np.abs(y @ w[0].conj() - h) ** 2) * n / np.trace(r).real)
         assert nmse >= 0.45
 
+    def test_matches_closed_form_normal_equations(self):
+        # The setting of the regression above, with its moments in closed
+        # form: y = sqrt(p) tau (h + h_int) + n with h, h_int ~ CN(0, R)
+        # and n ~ CN(0, tau R_nn) has E[y y^H] = 2 p tau^2 R + tau R_nn and
+        # E[y h^H] = sqrt(p) tau R.  The LMMSE filter solves the normal
+        # equations E[y y^H] W = E[y h^H], with no sampling error.
+        rng = np.random.default_rng(23)
+        n, tau_p, power = 6, 5, 0.7
+        r = random_psd(rng, n) + 0.2 * np.eye(n)
+
+        def filter_and_nmse(r_nn):
+            w = mmse_fixed_filter(
+                np.stack([r, r])[None], power, np.zeros((1, 2), int), r_nn, tau_p
+            )
+            gram = 2 * power * tau_p**2 * r + tau_p * r_nn
+            cross = np.sqrt(power) * tau_p * r
+            expected = np.linalg.solve(gram, cross)
+            for w_k in w:
+                assert rel_err(w_k, expected) <= 1e-10
+            # The error covariance of W^H y is R - E[h y^H] W.
+            error = r - cross.conj().T @ w[0]
+            return np.trace(error).real / np.trace(r).real
+
+        # Coloured noise: white plus a rank-one interferer.
+        r_nn = 0.05 * np.eye(n) + random_psd(rng, n, rank=1, scale=0.1)
+        # Two UEs of equal statistics on one pilot cannot be told apart:
+        # even without noise the best estimate is (h + h_int) / 2, whose
+        # NMSE is 1/2.  Noise keeps the NMSE above that floor, and it
+        # approaches the floor as the noise vanishes.
+        assert filter_and_nmse(r_nn) > 0.5 + 1e-3
+        assert 0.5 < filter_and_nmse(1e-9 * r_nn) < 0.5 + 1e-6
+
     @pytest.mark.parametrize("tau_p", [2, 5])
     def test_stack_matches_per_ue_shared_lists(self, tau_p):
         # 7 cells of 3 UEs on fixed cyclic pilots: UEs share pilots across

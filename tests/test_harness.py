@@ -4,7 +4,10 @@ import dataclasses
 import itertools
 import sys
 import threading
+import weakref
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +20,8 @@ from mimoce.harness import (
     _STREAMS,
     NmseResult,
     ZeroTraceCovariance,
+    _fan_out,
+    _Run,
     _RunState,
     nmse,
     run_single,
@@ -101,9 +106,14 @@ class TestNmse:
 
 
 def trained_state(config, system, run_seed):
-    """A run state whose estimates come from system.blocks training blocks."""
-    state = _RunState(config, system, run_seed)
-    assert list(state.train([system.blocks])) == [system.blocks]
+    """The run state of `system`, with its held-out blocks received and
+    its estimates built from system.blocks training blocks.  The run's
+    network comes from config.system, so `system` may differ from it only
+    in blocks and tau_p."""
+    run = _Run(config, run_seed)
+    state = _RunState(run, system)
+    ((acc,),) = run.receive([state], [system.blocks], None)
+    state._estimate(acc, system.blocks)
     return state
 
 
@@ -118,11 +128,11 @@ def improved_reference(state, rank, rows, d_random):
             try:
                 filt = improved_mmse_filter(
                     state.pilot_covs[k], state.lowranks[rank], center_row, k,
-                    state.system.tau_p, state.power,
+                    state.system.tau_p, state.run.power,
                 )
                 w, degraded = filt.w, filt.clamped
             except NotPositiveDefinite:
-                w = approx_mmse_filter(state.lowranks[rank][k], state.power)
+                w = approx_mmse_filter(state.lowranks[rank][k], state.run.power)
                 degraded = True
             h_hat[k, b] = d_random[k, b] @ w.conj()
             fallbacks += degraded
@@ -141,7 +151,11 @@ class TestImprovedEstimates:
         )
         spec = EstimatorSpec("gevd_impr", rank=3)
         config = small_config(system=system, estimators=[spec], eval_blocks=30)
+        vectors = count_channel_vectors(monkeypatch)
         state = trained_state(config, system, (3, 0))
+        # 20 training blocks, then 30 held-out ones.
+        links = system.cells * system.ues_per_cell
+        assert vectors == [16 * links, 4 * links, 16 * links, 14 * links]
 
         builds = []
         real_filter = harness.improved_mmse_filter
@@ -161,10 +175,7 @@ class TestImprovedEstimates:
 
         monkeypatch.setattr(harness, "improved_mmse_filter", counting)
         monkeypatch.setattr(_RunState, "_improved_estimates", recording)
-        vectors = count_channel_vectors(monkeypatch)
         state.evaluate()
-        links = system.cells * system.ues_per_cell
-        assert vectors == [16 * links, 14 * links]
 
         # One call over every held-out block, one build per (UE, pattern).
         ((rows, d_random, got),) = applied
@@ -184,14 +195,14 @@ class TestImprovedEstimates:
 class TestStaticFilters:
     def test_ls_fixed_filter_matches_ls_estimate(self):
         config = small_config(estimators=[EstimatorSpec("ls_fixed")])
-        system = dataclasses.replace(config.system, uplink_power=0.7)
-        state = _RunState(config, system, (4, 0))
+        system = config.system = dataclasses.replace(config.system, uplink_power=0.7)
+        state = _RunState(_Run(config, (4, 0)), system)
         w = state.static_filters["ls_fixed"]
         assert w.shape == (system.ues_per_cell, system.antennas, system.antennas)
         rng = np.random.default_rng(3)
         shape = (system.ues_per_cell, 11, system.antennas)
         d = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        expected = ls_estimate(d, state.power, system.tau_p)
+        expected = ls_estimate(d, 0.7, system.tau_p)
         got = d @ w.conj()
         assert np.linalg.norm(got - expected) <= 1e-15 * np.linalg.norm(expected)
 
@@ -271,7 +282,7 @@ def test_every_draw_comes_from_its_batch_key(monkeypatch):
 
     def channels(stream, batch, size):
         rng = derive_rng(*seed, _STREAMS[stream], batch)
-        return sample_channels(state.factors, rng, blocks=size).tobytes()
+        return sample_channels(state.run.factors, rng, blocks=size).tobytes()
 
     assert geometry == [key_state("geometry")]
     assert allocations == [key_state("est_alloc"), key_state("eval_alloc")]
@@ -329,11 +340,15 @@ class TestRunSingle:
         (b,) = run_single(config, [30], (5, 1))
         assert [c.nmse for c in a] != [c.nmse for c in b]
 
-    def test_values_of_two_tau_p_rejected(self):
-        # A job walks the training windows of one tau_p.
+    def test_points_of_several_tau_p_match_per_value_calls(self, monkeypatch):
+        # One run serves every tau_p: the batches it draws once and
+        # receives under each tau_p give what a run of each value alone
+        # gives, bit for bit.  Batches of 8 blocks: 5 training batches.
+        monkeypatch.setattr(harness, "BATCH_BLOCKS", 8)
         config = small_config(sweep=SweepSpec(variable="tau_p", values=[2, 4]))
-        with pytest.raises(ValueError, match="one tau_p"):
-            run_single(config, [2, 4], (5, 0))
+        values = [2, 4, 3, 2]
+        together = run_single(config, values, (5, 0))
+        assert together == [run_single(config, [value], (5, 0))[0] for value in values]
 
 
 class TestRunSweep:
@@ -422,80 +437,65 @@ def count_channel_vectors(monkeypatch) -> list[int]:
     return vectors
 
 
-def assert_error_reaches_both_points(monkeypatch, message):
-    """Run a 2-worker tau_p sweep of two points that fails inside the run
-    with RuntimeError(message): both points must raise it, and so must
-    run_sweep, within a minute."""
-    # Batches of 8 blocks: both points train on 5 batches at once.
+def assert_sweep_raises(monkeypatch, name, failing, message):
+    """At each worker count 1-3, with harness.<name> replaced by
+    failing(the real one), a two-run tau_p sweep of two points fails
+    inside its runs with RuntimeError(message): run_sweep must raise it
+    within a minute."""
+    # Batches of 8 blocks: each run trains on 5 batches.
     monkeypatch.setattr(harness, "BATCH_BLOCKS", 8)
     config = small_config(
         sweep=SweepSpec(variable="tau_p", values=[4, 2]),
         estimators=[EstimatorSpec("gevd", rank=3)],
-        monte_carlo_runs=1,
+        monte_carlo_runs=2,
     )
-    raised = []
-    real_run_single = harness.run_single
-    # Both points start before anything fails: a job that has not started
-    # when another fails is cancelled by the pool.
-    started = threading.Barrier(2)
+    real = getattr(harness, name)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(harness, name, failing(real))
+        outcome = []
 
-    def recording(config, values, *args):
-        (value,) = values  # one job per tau_p
-        started.wait(timeout=30)
-        try:
-            return real_run_single(config, values, *args)
-        except RuntimeError as exc:
-            raised.append((value, str(exc)))
-            raise
+        def sweep():
+            try:
+                run_sweep(config, workers=workers)
+            except RuntimeError as exc:
+                outcome.append(str(exc))
 
-    monkeypatch.setattr(harness, "run_single", recording)
-    outcome = []
-
-    def sweep():
-        try:
-            run_sweep(config, workers=2)
-        except RuntimeError as exc:
-            outcome.append(str(exc))
-
-    thread = threading.Thread(target=sweep, daemon=True)
-    thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive(), f"run_sweep hung after: {message}"
-    assert outcome == [message]
-    assert sorted(raised) == [(2, message), (4, message)]
+        thread = threading.Thread(target=sweep, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), f"run_sweep hung at {workers} workers after: {message}"
+        assert outcome == [message]
 
 
 class TestSharedRun:
-    """One job per (run, tau_p) walks its training windows once, and the
-    jobs of one run share set-up, channel draws and data phases; no result
-    bit may change."""
+    """One run is shared by every sweep point: one job per run, whose
+    batches and per-tau_p finishing are tasks on the sweep's worker pool.
+    No result bit may change."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize(
-        "sweep, jobs, synthesized, data_blocks, drawn_blocks",
+        "sweep, synthesized, data_blocks, drawn_blocks",
         [
-            # One job per run.  Per run: training batches 0-4 once (40
-            # blocks; T=20 takes a prefix of batch 2), held-out blocks once
-            # (25 per allocation).  The data phase and the channels of those
-            # 40 blocks, and the channels of the 25 held-out blocks, are
-            # drawn once.
+            # Per run: training batches 0-4 once (40 blocks; T=20 takes a
+            # prefix of batch 2), held-out blocks once (25 per allocation).
+            # The data phase and the channels of those 40 blocks, and the
+            # channels of the 25 held-out blocks, are drawn once.
             (
                 SweepSpec(variable="T", values=[20, 8, 40, 16, 40]),
-                2, 2 * (40 + 50), 2 * 40, 2 * (40 + 25),
+                2 * (40 + 50), 2 * 40, 2 * (40 + 25),
             ),
-            # One job per run and tau_p.  Per run: tau_p=4 trains and
-            # evaluates once, tau_p=2 once; the data phase and the channels
-            # of the 40 training blocks, and the channels of the 25 held-out
-            # blocks, are drawn once.
+            # Per run: the 40 training and 25 held-out blocks are received
+            # under tau_p=4 and under tau_p=2, but their channels, and the
+            # data phase of the 40 training blocks, are drawn once.
             (
                 SweepSpec(variable="tau_p", values=[4, 2, 4]),
-                4, 2 * (40 + 50 + 40 + 50), 2 * 40, 2 * (40 + 25),
+                2 * (40 + 50 + 40 + 50), 2 * 40, 2 * (40 + 25),
             ),
         ],
         ids=["T", "tau_p"],
     )
     def test_rows_match_fresh_runs_per_point(
-        self, monkeypatch, workers, sweep, jobs, synthesized, data_blocks, drawn_blocks
+        self, monkeypatch, workers, sweep, synthesized, data_blocks, drawn_blocks
     ):
         # Batches of 8 blocks: T=40 trains on 5 full batches, T=20 on two
         # and a prefix of the third (a run of T=20 alone draws a partial
@@ -532,171 +532,129 @@ class TestSharedRun:
         monkeypatch.setattr(harness, "run_single", recording)
         vectors = count_channel_vectors(monkeypatch)
         assert fingerprint(run_sweep(config, workers=workers)) == expected
-        assert len(calls) == jobs
+        assert calls == [sweep.values] * 2  # one job per run
         assert sum(blocks) == synthesized == harness.simulated_blocks(config)
         assert sum(data_samples) == data_blocks * config.system.tau_u
         links = config.system.cells * config.system.ues_per_cell
         assert sum(vectors) == drawn_blocks * links
 
-    def test_stream_continues_after_a_shared_batch(self, monkeypatch):
-        # A job that takes shared channel batches and then draws on must
-        # draw the batches that an unshared walk draws.  Two jobs of one
-        # run, tau_p 2 (A) and 4 (B), walk the same 5 batches of 8 blocks:
-        # A draws batches 0 and 1, and B takes them before it draws 2-4
-        # itself.
-        monkeypatch.setattr(harness, "BATCH_BLOCKS", 8)
-        config = small_config()
-        seed = (config.master_seed, 0)
+    def test_data_phase_error_reaches_every_point(self, monkeypatch):
+        # The second data phase synthesized fails, and nothing hangs.
+        def failing(real_simulate_blocks):
+            data_phases = itertools.count()
 
-        def state(tau_p, shared=None):
-            system = dataclasses.replace(config.system, tau_p=tau_p, blocks=40)
-            return _RunState(config, system, seed, shared)
+            def simulate_blocks(channels, rows, book, powers, noise, pilot_rng, tau_u, *rngs):
+                if tau_u and next(data_phases) == 1:
+                    raise RuntimeError("data phase failed")
+                return real_simulate_blocks(
+                    channels, rows, book, powers, noise, pilot_rng, tau_u, *rngs
+                )
 
-        unshared = [h for _, _, h in state(4)._batches(40, "est_channels")]
-        shared = harness._SharedRun(2)
-        walk_a = state(2, shared)._batches(40, "est_channels")
-        walk_b = state(4, shared)._batches(40, "est_channels")
-        vectors = count_channel_vectors(monkeypatch)
-        next(walk_a), next(walk_a)
-        taken = [h for _, _, h in walk_b]
-        assert len(taken) == len(unshared) == 5
-        for h, expected in zip(taken, unshared):
-            assert h.tobytes() == expected.tobytes()
-        links = config.system.cells * config.system.ues_per_cell
-        assert vectors == [8 * links] * 5
-        assert len(list(walk_a)) == 3
-        assert shared._store == {}
+            return simulate_blocks
 
-    def test_each_key_has_one_owner_under_contention(self):
-        # More threads than cores claim the same keys; every key must get
-        # exactly one owner, every reader must see that owner's value, and
-        # the last claim of each key must drop it.  Six jobs of one run
-        # claim every one-block training batch, one job a thread.
-        threads_n, keys = 6, 2000
-        shared = harness._SharedRun(threads_n)
-        owned, seen = Counter(), [[] for _ in range(threads_n)]
+        assert_sweep_raises(monkeypatch, "simulate_blocks", failing, "data phase failed")
+
+    def test_channel_draw_error_reaches_every_point(self, monkeypatch):
+        # The second channel batch drawn fails, and nothing hangs.
+        def failing(real_sample_channels):
+            draws = itertools.count()
+
+            def sample_channels(*args, **kwargs):
+                if next(draws) == 1:
+                    raise RuntimeError("channel draw failed")
+                return real_sample_channels(*args, **kwargs)
+
+            return sample_channels
+
+        assert_sweep_raises(monkeypatch, "sample_channels", failing, "channel draw failed")
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_runs_in_flight_bound_the_live_runs(self, monkeypatch, workers):
+        # A run is alive only while it is in flight: no more runs than
+        # workers are alive at once, and none after the sweep.
+        runs, most_alive = [], []
+
+        class Recorded(_Run):
+            def __init__(self, *args):
+                super().__init__(*args)
+                runs.append(weakref.ref(self))
+                most_alive.append(sum(ref() is not None for ref in runs))
+
+        monkeypatch.setattr(harness, "_Run", Recorded)
+        run_sweep(small_config(monte_carlo_runs=5), workers=workers)
+        assert len(runs) == 5
+        assert max(most_alive) <= workers
+        assert [ref() for ref in runs] == [None] * 5
+
+
+class TestFanOut:
+    def test_unstarted_tasks_run_in_the_caller(self):
+        # The pool's one worker is busy, so the caller runs every task, in
+        # order, and the results come back in task order.
+        release = threading.Event()
+        ran = []
+
+        def task(i):
+            ran.append((i, threading.get_ident()))
+            return i * i
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            busy = pool.submit(release.wait, 30)
+            try:
+                results = _fan_out(pool, [lambda i=i: task(i) for i in range(4)])
+            finally:
+                release.set()
+            assert busy.result()
+        assert results == [0, 1, 4, 9]
+        assert ran == [(i, threading.get_ident()) for i in range(4)]
+
+    def test_worker_of_a_one_worker_pool_can_fan_out(self):
+        # The only worker fans out to its own pool: it takes every task
+        # back and runs it, so nothing waits for a worker that is waiting.
+        ran = []
+
+        def task(i):
+            ran.append(threading.get_ident())
+            return i
+
+        pool = ThreadPoolExecutor(max_workers=1)
+        try:
+            outer = pool.submit(_fan_out, pool, [lambda i=i: task(i) for i in range(5)])
+            assert outer.result(timeout=30) == list(range(5))
+        finally:
+            # Cancelling the queued tasks frees a worker that waits on them.
+            pool.shutdown(cancel_futures=True)
+        assert len(set(ran)) == 1 and ran[0] != threading.get_ident()
+
+    def test_each_task_runs_once_under_contention(self):
+        # More workers than cores and a short switch interval: three
+        # workers each fan out tasks to the pool they run on, as run jobs
+        # do.  Every task must run exactly once, in its fan-out's caller
+        # or in another worker, and its result must land at its index.
+        fan_outs, tasks_each, rounds = 3, 200, 5
         lock = threading.Lock()
-        start = threading.Barrier(threads_n)
+        runs = Counter()
 
-        def worker(t):
-            start.wait(timeout=30)
-            for key in range(keys):
-                future, owner = shared.claim(("data", key, 1))
-                if owner:
-                    with lock:
-                        owned[key] += 1
-                    future.set_result((key, t))
-                seen[t].append(future.result(timeout=30)[0])
+        def task(key):
+            with lock:
+                runs[key] += 1
+            return key
+
+        def fan_out(pool, outer):
+            tasks = [partial(task, (outer, i)) for i in range(tasks_each)]
+            return _fan_out(pool, tasks)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=worker, args=(t,)) for t in range(threads_n)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                for _ in range(rounds):
+                    jobs = [pool.submit(fan_out, pool, outer) for outer in range(fan_outs)]
+                    results = [job.result(timeout=60) for job in jobs]
+                    assert results == [
+                        [(outer, i) for i in range(tasks_each)] for outer in range(fan_outs)
+                    ]
         finally:
             sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert owned == Counter(range(keys))
-        assert seen == [list(range(keys))] * threads_n
-        assert shared._store == {}
-
-    def test_data_phase_error_reaches_every_point(self, monkeypatch):
-        # The second data phase synthesized fails.  Its owner raises, the
-        # other point raises when it waits for that batch, and nothing hangs.
-        data_phases = itertools.count()
-        real_simulate_blocks = harness.simulate_blocks
-
-        def failing(
-            channels, rows, book, powers, noise, pilot_rng, tau_u, data_rng=None,
-            data_noise_rng=None,
-        ):
-            if tau_u and next(data_phases) == 1:
-                raise RuntimeError("data phase failed")
-            return real_simulate_blocks(
-                channels, rows, book, powers, noise, pilot_rng, tau_u, data_rng,
-                data_noise_rng,
-            )
-
-        monkeypatch.setattr(harness, "simulate_blocks", failing)
-        assert_error_reaches_both_points(monkeypatch, "data phase failed")
-
-    def test_channel_draw_error_reaches_every_point(self, monkeypatch):
-        # Every channel batch of a two-point tau_p sweep is shared, and the
-        # second one drawn fails.  Its owner raises, the other point raises
-        # when it takes that batch, and nothing hangs.
-        draws = itertools.count()
-        real_sample_channels = harness.sample_channels
-
-        def failing(*args, **kwargs):
-            if next(draws) == 1:
-                raise RuntimeError("channel draw failed")
-            return real_sample_channels(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "sample_channels", failing)
-        assert_error_reaches_both_points(monkeypatch, "channel draw failed")
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    @pytest.mark.parametrize(
-        "sweep, jobs, stored_channels",
-        [
-            (SweepSpec(variable="T", values=[20, 8, 40, 16, 40]), 1, set()),
-            # The training window and the held-out blocks, in batches of 8.
-            (
-                SweepSpec(variable="tau_p", values=[4, 2, 4]),
-                2,
-                {("est_channels", first, 8) for first in range(0, 40, 8)}
-                | {("eval_channels", first, 8) for first in range(0, 24, 8)}
-                | {("eval_channels", 24, 1)},
-            ),
-        ],
-        ids=["T", "tau_p"],
-    )
-    def test_items_dropped_at_last_use(
-        self, monkeypatch, workers, sweep, jobs, stored_channels
-    ):
-        # Every item is computed once per run and dropped by its last
-        # claim.  Every job of a run walks the same batches, so each key is
-        # claimed once per job, and a run whose jobs are done holds nothing.
-        # Only a tau_p sweep keeps channel batches: keeping them in a T
-        # sweep, where no second job takes them, costs memory only.
-        monkeypatch.setattr(harness, "BATCH_BLOCKS", 8)
-        created = []
-
-        class Recorded(harness._SharedRun):
-            def __init__(self, *args):
-                super().__init__(*args)
-                self.claims = Counter()
-                self.owners = Counter()
-                self.stored = set()
-                created.append(self)
-
-            def claim(self, key):
-                future, owner = super().claim(key)
-                with self._lock:
-                    self.claims[key] += 1
-                    self.owners[key] += owner
-                    self.stored.update(self._store)
-                return future, owner
-
-        monkeypatch.setattr(harness, "_SharedRun", Recorded)
-        config = small_config(sweep=sweep, monte_carlo_runs=2)
-        run_sweep(config, workers=workers)
-        assert len(created) == 2
-        for shared in created:
-            assert shared.jobs == jobs
-            assert set(shared.claims.values()) == {jobs}
-            assert set(shared.owners.values()) == {1}
-            assert shared._store == {}
-            channels = {key for key in shared.stored if key[0].endswith("_channels")}
-            assert channels == stored_channels
-
-        # A single point stores nothing.
-        created.clear()
-        run_single(config, sweep.values[:1], (config.master_seed, 0))
-        (single,) = created
-        assert set(single.claims.values()) == {1}
-        assert set(single.owners.values()) == {1}
-        assert single.stored == set()
+        assert set(runs.values()) == {rounds}
+        assert len(runs) == fan_outs * tasks_each
