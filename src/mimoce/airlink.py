@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .buffers import fresh
 from .seeding import complex_normal, ensure_rng
 
 
@@ -88,18 +89,22 @@ def make_noise_covariance(
     return r
 
 
-def _unit_symbols(phases: np.ndarray) -> np.ndarray:
-    """exp(1j * phases), bit for bit, without the complex exponential."""
-    symbols = np.empty(phases.shape, dtype=complex)
+def _unit_symbols(phases: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(1j * phases), bit for bit, without the complex exponential;
+    written into `out` when given."""
+    symbols = np.empty(phases.shape, dtype=complex) if out is None else out
     np.cos(phases, out=symbols.real)
     np.sin(phases, out=symbols.imag)
     return symbols
 
 
-def _add_noise(rx: np.ndarray, noise_factor, rng: np.random.Generator) -> None:
+def _add_noise(
+    rx: np.ndarray, noise_factor, rng: np.random.Generator, out: np.ndarray | None = None
+) -> None:
     """Add noise F z to the samples rx (B, N, S) in place, z standard complex
-    normal, F an (N, N) factor or a float s for s I."""
-    z = complex_normal(rng, rx.shape)
+    normal, F an (N, N) factor or a float s for s I; z is drawn into `out`
+    when given."""
+    z = complex_normal(rng, rx.shape, out=out)
     if np.ndim(noise_factor):
         rx += noise_factor @ z
         return
@@ -120,6 +125,8 @@ def simulate_blocks(
     tau_u: int,
     data_rng: np.random.Generator | None = None,
     data_noise_rng: np.random.Generator | None = None,
+    *,
+    buffers=fresh,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Synthesize received pilot- and data-phase signals for a batch of blocks.
 
@@ -144,6 +151,11 @@ def simulate_blocks(
     tau_u : int
         Data samples per block; 0 skips the data phase, and the data
         streams are then not needed.
+    buffers : callable, optional
+        Source of the "weighted", "pilot_rx", "pilot_noise", "phases",
+        "symbols", "data_rx" and "data_noise" arrays, requested in that
+        order (see `mimoce.buffers`); pilot_rx and data_rx are views of the
+        arrays of those names.
 
     Returns
     -------
@@ -155,20 +167,24 @@ def simulate_blocks(
     b_blocks, cells, ues, n = channels.shape
     tau_p = pilot_book.tau_p
     amp = np.sqrt(powers)[None, :, :, None]  # (1, L, K, 1)
-    weighted = (channels * amp).reshape(b_blocks, cells * ues, n)
+    weighted = buffers("weighted", (b_blocks, cells * ues, n))
+    np.multiply(channels, amp, out=weighted.reshape(channels.shape))
     weighted_t = weighted.transpose(0, 2, 1)  # (B, N, L*K)
 
     seq = pilot_book.sequences[pilot_indices.reshape(b_blocks, cells * ues)]
-    pilot_rx = weighted_t @ seq
-    _add_noise(pilot_rx, noise_factor, pilot_rng)
+    pilot_rx = np.matmul(weighted_t, seq, out=buffers("pilot_rx", (b_blocks, n, tau_p)))
+    _add_noise(pilot_rx, noise_factor, pilot_rng, buffers("pilot_noise", pilot_rx.shape))
 
     if tau_u > 0:
         if data_rng is None or data_noise_rng is None:
             raise ValueError("tau_u > 0 needs the data-phase generators")
-        phases = data_rng.uniform(0.0, 2.0 * np.pi, size=(b_blocks, cells * ues, tau_u))
-        # A temporary, freed before the noise below is drawn.
-        data_rx = weighted_t @ _unit_symbols(phases)
-        _add_noise(data_rx, noise_factor, data_noise_rng)
+        # uniform(0, 2 pi) computes 0 + 2 pi U from the U that random()
+        # draws, so scaling U in place gives its bits.
+        phases = data_rng.random(out=buffers("phases", (b_blocks, cells * ues, tau_u), float))
+        phases *= 2.0 * np.pi
+        symbols = _unit_symbols(phases, buffers("symbols", phases.shape))
+        data_rx = np.matmul(weighted_t, symbols, out=buffers("data_rx", (b_blocks, n, tau_u)))
+        _add_noise(data_rx, noise_factor, data_noise_rng, buffers("data_noise", data_rx.shape))
     else:
         data_rx = np.zeros((b_blocks, n, 0), dtype=complex)
     return pilot_rx, data_rx

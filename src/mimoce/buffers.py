@@ -1,0 +1,125 @@
+"""Memory for the large arrays of one batch, reused from batch to batch.
+
+The functions that build a batch's large arrays (`channel.sample_channels`,
+`airlink.simulate_blocks`, `covest.AllCovAccumulator.add`) take an optional
+`buffers` keyword: a callable buffers(name, shape, dtype=complex) that
+returns a C-contiguous array of that shape and dtype for the function to
+overwrite, the array being named by its role.  Without it every array is a
+fresh one (`fresh`), so a plain call allocates as it always did.  The bits
+a function computes do not depend on where its arrays live.
+
+A `BatchBuffers` serves those requests from five slots of memory that it
+keeps and reuses, so a thread that receives batch after batch stops
+handing the same pages back to the allocator and faulting them in again.
+Names share a slot when a batch task never needs their arrays at the same
+time (`SLOTS`): a request may return the memory of the array last
+requested under any name of its slot.  That holds for the order in which
+the sweep harness receives a batch: the channels are drawn once and
+received under every pilot allocation, and each receive's sample
+covariances are summed before the next receive starts.  A slot is made
+at the size `slot_bytes` gives, the largest array of its names, so a
+thread's first batch does not fault in memory that it then drops for a
+larger array; a request beyond that size grows the slot.  An array a
+caller keeps is copied out of its slot first.
+"""
+
+from __future__ import annotations
+
+import math
+import threading
+
+import numpy as np
+
+# Slot of each array name.  Slot 0 holds the channel normals, then the
+# weighted channels of each receive, then the conjugate copy of the Gram
+# sums; slot 3 holds the pilot noise, then the data symbols, then the data
+# noise, then the (N, B*S) copy of the Gram sums; the symbol phases leave
+# slot 4 before the data receive matmul writes it.
+SLOTS = {
+    "normals": 0,
+    "weighted": 0,
+    "gram_conj": 0,
+    "channels": 1,
+    "pilot_rx": 2,
+    "pilot_noise": 3,
+    "symbols": 3,
+    "data_noise": 3,
+    "gram_copy": 3,
+    "phases": 4,
+    "data_rx": 4,
+}
+_SLOT_COUNT = max(SLOTS.values()) + 1
+
+
+def slot_bytes(blocks: int, links: int, antennas: int, tau_p: int, tau_u: int) -> list[int]:
+    """Bytes of each slot: the largest array of its names that receiving a
+    batch of at most `blocks` blocks requests, with `links` UEs, `antennas`
+    antennas, and at most tau_p pilot and tau_u data samples per block."""
+    # complex128 takes 16 bytes, float64 8; sample_channels draws at least
+    # two blocks.
+    channels = max(blocks, 2) * links * antennas * 16
+    pilot = blocks * antennas * tau_p * 16
+    data = blocks * antennas * tau_u * 16
+    largest = {
+        "normals": channels,
+        "channels": channels,
+        "weighted": channels,
+        "pilot_rx": pilot,
+        "pilot_noise": pilot,
+        "phases": blocks * links * tau_u * 8,
+        "symbols": blocks * links * tau_u * 16,
+        "data_rx": data,
+        "data_noise": data,
+        "gram_copy": max(pilot, data),
+        "gram_conj": max(pilot, data),
+    }
+    sizes = [0] * _SLOT_COUNT
+    for name, nbytes in largest.items():
+        sizes[SLOTS[name]] = max(sizes[SLOTS[name]], nbytes)
+    return sizes
+
+
+def fresh(name: str, shape: tuple[int, ...], dtype=complex) -> np.ndarray:
+    """A new uninitialised array: the default of every `buffers` keyword."""
+    return np.empty(shape, dtype)
+
+
+class BatchBuffers:
+    """One thread's slots, of `sizes` bytes to start with (empty without
+    them); calling it serves a `buffers` request."""
+
+    def __init__(self, sizes: list[int] | None = None):
+        sizes = sizes or [0] * _SLOT_COUNT
+        # One allocation for all slots, each starting on a 64-byte boundary,
+        # so that a set freed at the end of a sweep is one block of memory
+        # that the next sweep's set can reuse whole.
+        padded = [-(-nbytes // 64) * 64 for nbytes in sizes]
+        arena = np.empty(sum(padded), np.uint8)
+        starts = np.cumsum([0, *padded])
+        self._slots = [arena[start : start + nbytes] for start, nbytes in zip(starts, sizes)]
+
+    def __call__(self, name: str, shape: tuple[int, ...], dtype=complex) -> np.ndarray:
+        slot = SLOTS[name]
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        if self._slots[slot].nbytes < nbytes:
+            self._slots[slot] = np.empty(nbytes, np.uint8)
+        return self._slots[slot][:nbytes].view(dtype).reshape(shape)
+
+
+class ThreadBuffers:
+    """One `BatchBuffers` of slots of `sizes` bytes per thread that asks for
+    one, made on its first request.  A thread's set is freed when the
+    thread ends or when this object is."""
+
+    def __init__(self, sizes: list[int] | None = None):
+        self.sizes = sizes
+        self._local = threading.local()
+
+    def get(self) -> BatchBuffers:
+        """The calling thread's set."""
+        try:
+            return self._local.batch
+        except AttributeError:
+            self._local.batch = BatchBuffers(self.sizes)
+            return self._local.batch

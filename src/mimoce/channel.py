@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .buffers import fresh
 from .linalg import psd_factor
 from .seeding import complex_normal, ensure_rng
 
@@ -204,6 +205,8 @@ def sample_channels(
     factors: np.ndarray,
     rng: int | np.random.Generator | None = None,
     blocks: int | None = None,
+    *,
+    buffers=fresh,
 ) -> np.ndarray:
     """Correlated Rayleigh fading draws h = F z with z ~ CN(0, I).
 
@@ -214,6 +217,9 @@ def sample_channels(
         link, independent draws per link and per block.
     blocks : int, optional
         If given, a leading block axis of that length is added.
+    buffers : callable, optional
+        Source of the "normals" and "channels" arrays (see
+        `mimoce.buffers`); the result is a view of the "channels" one.
 
     Returns
     -------
@@ -227,14 +233,17 @@ def sample_channels(
     n = factors.shape[-1]
     squeeze = blocks is None
     b = 1 if blocks is None else blocks
-    z = complex_normal(rng, (b, *lead, n))
-    if b == 1:
-        # numpy hands a single row to gemv, which rounds unlike gemm; with a
-        # zero second row one block stays the first block of a larger draw.
-        z = np.concatenate([z, np.zeros_like(z)])
+    # numpy hands a single row to gemv, which rounds unlike gemm; with a
+    # zero second row one block stays the first block of a larger draw.
+    rows = max(b, 2)
+    z = buffers("normals", (rows, *lead, n))
+    complex_normal(rng, (b, *lead, n), out=z[:b])
+    z[b:] = 0
     # h^T = z^T F^T: one GEMM per link over all blocks, which reads z in
     # place and leaves each channel vector contiguous.
-    h = np.moveaxis(np.moveaxis(z, 0, -2) @ np.swapaxes(factors, -1, -2), -2, 0)
+    h_t = buffers("channels", (*lead, rows, n))
+    np.matmul(np.moveaxis(z, 0, -2), np.swapaxes(factors, -1, -2), out=h_t)
+    h = np.moveaxis(h_t, -2, 0)
     return h[0] if squeeze else h[:b]
 
 

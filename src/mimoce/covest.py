@@ -23,6 +23,7 @@ from functools import partial
 
 import numpy as np
 
+from .buffers import fresh
 from .linalg import gevd, hermitize, load_diagonal, retry_loaded
 
 # Eigenvalues this close to 1 carry no usable signal power and are never kept.
@@ -79,14 +80,21 @@ class AllCovAccumulator:
         self._sum = np.zeros((n_antennas, n_antennas), dtype=complex)
         self._samples = 0
 
-    def add(self, signals: np.ndarray) -> None:
-        """Accumulate signals of shape (N, S) or (B, N, S)."""
+    def add(self, signals: np.ndarray, *, buffers=fresh) -> None:
+        """Accumulate signals of shape (N, S) or (B, N, S).
+
+        The (N, B*S) copy of the samples and its conjugate are the
+        "gram_copy" and "gram_conj" arrays of `buffers` (see
+        `mimoce.buffers`).
+        """
         signals = np.asarray(signals, dtype=complex)
         if signals.ndim == 2:
             signals = signals[None]
         b, n, s = signals.shape
-        flat = np.moveaxis(signals, 1, 0).reshape(n, b * s)
-        self._sum += flat @ flat.conj().T
+        flat = buffers("gram_copy", (n, b * s))
+        np.copyto(flat.reshape(n, b, s), np.moveaxis(signals, 1, 0))
+        conj = np.conjugate(flat, out=buffers("gram_conj", flat.shape))
+        self._sum += flat @ conj.T
         self._samples += b * s
 
     def merge(self, other: AllCovAccumulator) -> None:

@@ -39,6 +39,16 @@ builds and evaluates the estimates of each window.  The tasks go to the
 sweep's worker pool (`_fan_out`), so a sweep of fewer runs than workers
 still keeps every worker busy, and their results are taken in key order,
 so no result bit depends on `workers`.
+
+A batch task receives into buffers that its thread reuses
+(`mimoce.buffers`): the channels, the weighted channels, the receive
+arrays, their noise, the data symbols and the copies the Gram sums take.
+`run_sweep` owns one `ThreadBuffers` for the whole sweep, so each thread
+that runs a task keeps one set, sized once for the sweep's largest batch,
+however many runs it serves; the sets are freed when the sweep returns.
+A `run_single` called on its own owns the sets of its call.  A task
+copies out what it keeps (despread vectors, held-out channels, Gram
+sums), so nothing it returns points into a buffer.
 """
 
 from __future__ import annotations
@@ -59,6 +69,7 @@ from .airlink import (
     simulate_blocks,
 )
 from .blas import single_threaded_blas
+from .buffers import ThreadBuffers, slot_bytes
 from .channel import (
     bs_covariances,
     build_geometry,
@@ -158,10 +169,10 @@ def nmse(h_true: np.ndarray, h_hat: np.ndarray, covariance: np.ndarray) -> np.nd
     return sq.sum(axis=-1) / trace
 
 
-def _gram(samples: np.ndarray) -> AllCovAccumulator:
+def _gram(samples: np.ndarray, buffers) -> AllCovAccumulator:
     """An accumulator holding the samples (B, N, S)."""
     acc = AllCovAccumulator(samples.shape[1])
-    acc.add(samples)
+    acc.add(samples, buffers=buffers)
     return acc
 
 
@@ -214,11 +225,14 @@ class _Run:
     """One Monte-Carlo run: its keyed streams, its network (covariances,
     their factors, noise covariance and factor, and the network-wide
     covariance at the center BS), which no sweep variable changes, and the
-    center-cell channels (K, E, N) of its held-out blocks."""
+    center-cell channels (K, E, N) of its held-out blocks.  Its batch
+    tasks take their arrays from the calling thread's set of `buffers`,
+    its own ones unless given."""
 
-    def __init__(self, config: ExperimentConfig, run_seed):
+    def __init__(self, config: ExperimentConfig, run_seed, buffers: ThreadBuffers | None = None):
         self.config = config
         self.keys = tuple(run_seed)
+        self.buffers = ThreadBuffers() if buffers is None else buffers
         self.kinds = {spec.kind for spec in config.estimators}
         sysc = config.system
         self.power = sysc.uplink_power
@@ -252,11 +266,13 @@ class _Run:
         whole-run draws take batch 0."""
         return derive_rng(*self.keys, _STREAMS[stream], batch)
 
-    def _channels(self, stream: str, batch: int, blocks: slice) -> np.ndarray:
+    def _channels(self, stream: str, batch: int, blocks: slice, buffers) -> np.ndarray:
         """Channels (B, L, K, N) of batch `batch`, blocks `blocks`, of a
-        channel stream."""
+        channel stream, in the "channels" array of `buffers`."""
         size = blocks.stop - blocks.start
-        return sample_channels(self.factors, self._rng(stream, batch), blocks=size)
+        return sample_channels(
+            self.factors, self._rng(stream, batch), blocks=size, buffers=buffers
+        )
 
     def receive(
         self, states: list[_RunState], windows: list[int], pool: ThreadPoolExecutor | None
@@ -310,20 +326,24 @@ class _Run:
         """
         cuts = {blocks.stop - blocks.start}
         cuts |= {w - blocks.start for w in windows if blocks.start < w < blocks.stop}
-        h = self._channels("est_channels", batch, blocks)
+        buffers = self.buffers.get()
+        h = self._channels("est_channels", batch, blocks, buffers)
         data_phase = (
             self.config.system.tau_u, self._rng("data", batch), self._rng("data_noise", batch)
         )
         data, pilots = None, []
         for state in states:
+            # Each receive reuses the buffers of the one before it, so its
+            # sums are taken before the next one starts.
             pilot_rx, data_rx, d = state._receive(
-                h, state.rows[blocks], self._rng("est_signals", batch), *data_phase
+                h, state.rows[blocks], self._rng("est_signals", batch), *data_phase,
+                buffers=buffers,
             )
             state.despread[:, blocks] = d
             if data is None:
-                data = {cut: _gram(data_rx[:cut]) for cut in cuts}
+                data = {cut: _gram(data_rx[:cut], buffers) for cut in cuts}
                 data_phase = ()
-            pilots.append({cut: _gram(pilot_rx[:cut]) for cut in cuts})
+            pilots.append({cut: _gram(pilot_rx[:cut], buffers) for cut in cuts})
         return data, pilots
 
     def _held_out(self, states: list[_RunState], batch: int, blocks: slice) -> None:
@@ -332,12 +352,14 @@ class _Run:
         channels and each state's despread vectors of it.  All allocations
         see the same channel draws; each takes its pilot noise from batch
         `batch` of its `eval_signals` stream."""
-        h = self._channels("eval_channels", batch, blocks)
+        buffers = self.buffers.get()
+        h = self._channels("eval_channels", batch, blocks, buffers)
         self.h_center[:, blocks] = h[:, 0].transpose(1, 0, 2)
         for state in states:
             for mode, rows in state.eval_rows.items():
                 signals = self._rng(f"eval_signals_{mode}", batch)
-                state.held_out[mode][:, blocks] = state._receive(h, rows[blocks], signals)[2]
+                d = state._receive(h, rows[blocks], signals, buffers=buffers)[2]
+                state.held_out[mode][:, blocks] = d
 
 
 class _RunState:
@@ -390,17 +412,18 @@ class _RunState:
         run = self.run
         return run.total_cov + run.power * (self.system.tau_p - 1) * run.covs[0] + run.r_nn
 
-    def _receive(self, h, rows, signals_stream, tau_u: int = 0, *data_streams):
+    def _receive(self, h, rows, signals_stream, tau_u: int = 0, *data_streams, buffers):
         """Receive a batch under pilot rows (B, L, K); a data phase needs
         its phase and noise streams.
 
-        Returns pilot_rx (B, N, tau_p), data_rx (B, N, tau_u) and the
-        despread pilot vectors of every center UE, shape (K, B, N).
+        Returns pilot_rx (B, N, tau_p) and data_rx (B, N, tau_u), both in
+        `buffers`, and the despread pilot vectors of every center UE, a new
+        array (K, B, N).
         """
         run = self.run
         pilot_rx, data_rx = simulate_blocks(
             h, rows, self.book, run.powers, run.noise_factor, signals_stream, tau_u,
-            *data_streams,
+            *data_streams, buffers=buffers,
         )
         d = despread_batch(pilot_rx, self.book, rows[:, 0])  # (B, K, N)
         return pilot_rx, data_rx, d.transpose(1, 0, 2)
@@ -538,11 +561,28 @@ class _RunState:
         return h_hat
 
 
+def _thread_buffers(config: ExperimentConfig, systems: list[SystemConfig]) -> ThreadBuffers:
+    """Per-thread buffer sets whose slots fit every batch that a run at
+    sweep points `systems` receives."""
+    sysc = config.system
+    trains = bool({spec.kind for spec in config.estimators} & DATA_DRIVEN_KINDS)
+    longest = max(system.blocks for system in systems) if trains else 0
+    sizes = slot_bytes(
+        min(BATCH_BLOCKS, max(longest, config.eval_blocks)),
+        sysc.cells * sysc.ues_per_cell,
+        sysc.antennas,
+        max(system.tau_p for system in systems),
+        sysc.tau_u if trains else 0,
+    )
+    return ThreadBuffers(sizes)
+
+
 def run_single(
     config: ExperimentConfig,
     sweep_values: list[int],
     run_seed,
     pool: ThreadPoolExecutor | None = None,
+    buffers: ThreadBuffers | None = None,
 ) -> list[list[RunContribution]]:
     """Execute one Monte-Carlo run at sweep points of any tau_p.
 
@@ -552,16 +592,19 @@ def run_single(
     Deterministic given (config, sweep value, run_seed): the seed keys
     every random stream of the run (geometry, estimation blocks,
     evaluation blocks), so a point gets the same contributions in any
-    group.  The run's batch tasks go to `pool` when one is given; the
-    result is the same without it.  BLAS runs single-threaded for the
-    duration of the call.
+    group.  The run's batch tasks go to `pool` when one is given, and
+    take their arrays from the per-thread sets of `buffers` (without it,
+    sets of the call's own, freed when it returns); the result is the same
+    either way.  BLAS runs single-threaded for the duration of the call.
     """
     config.validate()
     systems = [config.system_for(value) for value in sweep_values]
     windows = sorted({system.blocks for system in systems})
     tau_ps = list(dict.fromkeys(system.tau_p for system in systems))
+    if buffers is None:
+        buffers = _thread_buffers(config, systems)
     with single_threaded_blas():
-        run = _Run(config, run_seed)
+        run = _Run(config, run_seed, buffers)
         states = [
             _RunState(run, replace(config.system, tau_p=tau_p, blocks=windows[-1]))
             for tau_p in tau_ps
@@ -602,12 +645,16 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[NmseResult]:
     parallelism.
     """
     config.validate()
+    # One buffer set per thread that runs a task, shared by every run of
+    # the sweep and freed with it.
+    buffers = _thread_buffers(config, [config.system_for(value) for value in config.sweep.values])
 
     def job(run_index: int, pool: ThreadPoolExecutor | None = None):
         # Streams are keyed by run index only, so run r sees the same
         # geometry and evaluation blocks at every sweep point: sweep curves
         # are paired comparisons.
-        return run_single(config, config.sweep.values, (config.master_seed, run_index), pool)
+        seed = (config.master_seed, run_index)
+        return run_single(config, config.sweep.values, seed, pool, buffers)
 
     runs = []
     with single_threaded_blas():

@@ -42,14 +42,21 @@ def derive_rng(*keys: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(keys))
 
 
-def complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+def complex_normal(
+    rng: np.random.Generator, shape: tuple[int, ...], out: np.ndarray | None = None
+) -> np.ndarray:
     """I.i.d. standard circularly-symmetric complex normal samples.
 
     Unit variance per complex entry: real and imaginary parts each have
     variance 1/2.  Each entry takes the next two normals of the stream as
     its real and imaginary part, in C order over `shape`, so the leading
-    entries of a larger draw equal a smaller draw.
+    entries of a larger draw equal a smaller draw.  `out`, a C-contiguous
+    complex array of `shape`, receives the same bits in place of a new
+    array.
     """
-    pairs = rng.standard_normal((*shape, 2))
+    if out is None:
+        pairs = rng.standard_normal((*shape, 2))
+    else:
+        pairs = rng.standard_normal(out=out.view(float).reshape(*shape, 2))
     pairs *= np.sqrt(0.5)
     return pairs.view(complex).reshape(shape)

@@ -1,6 +1,11 @@
 """Tests for the BLAS thread pin around sweeps and runs."""
 
+import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -135,3 +140,49 @@ def test_no_op_without_openblas(monkeypatch):
     with blas.single_threaded_blas():
         assert thread_counts(loaded) == before
     assert thread_counts(loaded) == before
+
+
+FRESH_SWEEP = """
+import dataclasses, json
+from mimoce import blas, harness
+from mimoce.config import EstimatorSpec
+from test_blas import tiny_config
+
+def counts():
+    return {lib.name: lib.get_num_threads() for lib in blas.openblas_libraries()}
+
+seen = []
+real_evaluate = harness._RunState.evaluate
+
+def recording(self):
+    seen.append(counts())
+    return real_evaluate(self)
+
+harness._RunState.evaluate = recording
+# gevd calls scipy.linalg, before each evaluate.
+config = dataclasses.replace(tiny_config(), estimators=[EstimatorSpec("gevd", rank=1)])
+harness.run_sweep(config, workers=1)
+print(json.dumps({"seen": seen, "after": counts()}))
+"""
+
+
+def test_fresh_process_sweep_pins_scipy_blas():
+    # The pin sets only the OpenBLAS builds mapped when it is entered, so
+    # scipy.linalg must be loaded by then, or scipy's BLAS runs unpinned
+    # in a process whose first sweep loads it.
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), "OPENBLAS_NUM_THREADS": "2"}
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_SWEEP],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    report = json.loads(proc.stdout.splitlines()[-1])
+    scipy_builds = [name for name in report["after"] if "openblas64_" not in name]
+    if not scipy_builds:
+        pytest.skip("scipy bundles no OpenBLAS here")
+    if any(report["after"][name] != 2 for name in scipy_builds):
+        pytest.skip("OpenBLAS cannot run two threads here")
+    assert report["seen"]
+    for counts in report["seen"]:
+        assert all(counts[name] == 1 for name in scipy_builds)

@@ -32,15 +32,17 @@ CRITERION_6 = (
 )
 
 # name: (config, overrides, worker counts)
+# At three workers a one-run sweep spreads its batches over three threads,
+# each receiving into a buffer set of its own.
 CASES = {
-    "desk_t_sweep": ("configs/desk_scale.yaml", ("monte_carlo_runs=1",), (1, 2)),
+    "desk_t_sweep": ("configs/desk_scale.yaml", ("monte_carlo_runs=1",), (1, 2, 3)),
     "desk_tau_p_sweep": (
-        "configs/desk_scale.yaml", ("monte_carlo_runs=1", *CRITERION_6), (1, 2)
+        "configs/desk_scale.yaml", ("monte_carlo_runs=1", *CRITERION_6), (1, 2, 3)
     ),
     "full_scale_point": (
         "configs/full_scale.yaml",
         ("monte_carlo_runs=1", "sweep.values=[300]", "eval_blocks=50"),
-        (1,),
+        (1, 3),
     ),
 }
 

@@ -12,7 +12,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from mimoce import covest, harness
+from mimoce import buffers, covest, harness
 from mimoce.config import EstimatorSpec, ExperimentConfig, SweepSpec, SystemConfig
 from mimoce.estimators import approx_mmse_filter, improved_mmse_filter, ls_estimate
 from mimoce.channel import sample_channels
@@ -268,11 +268,14 @@ def test_every_draw_comes_from_its_batch_key(monkeypatch):
             allocations.append(rng.bit_generator.state)
         return real_allocate_pilots(blocks, cells, ues, tau_p, mode, rng)
 
-    def recording_blocks(channels, rows, book, powers, noise, *rngs_and_tau_u):
+    def recording_blocks(channels, rows, book, powers, noise, *rngs_and_tau_u, **kwargs):
         pilot_rng, tau_u, *data_rngs = rngs_and_tau_u
         states = [rng.bit_generator.state for rng in (pilot_rng, *data_rngs)]
-        received.append((channels, states))
-        return real_simulate_blocks(channels, rows, book, powers, noise, *rngs_and_tau_u)
+        # A copy: the channels array is reused by the next batch.
+        received.append((channels.copy(), states))
+        return real_simulate_blocks(
+            channels, rows, book, powers, noise, *rngs_and_tau_u, **kwargs
+        )
 
     monkeypatch.setattr(harness, "build_geometry", recording_geometry)
     monkeypatch.setattr(harness, "allocate_pilots", recording_allocation)
@@ -515,9 +518,9 @@ class TestSharedRun:
         data_samples = []
         real_simulate_blocks = harness.simulate_blocks
 
-        def counting(channels, *args):
+        def counting(channels, *args, **kwargs):
             blocks.append(len(channels))
-            pilot_rx, data_rx = real_simulate_blocks(channels, *args)
+            pilot_rx, data_rx = real_simulate_blocks(channels, *args, **kwargs)
             data_samples.append(data_rx.shape[0] * data_rx.shape[2])
             return pilot_rx, data_rx
 
@@ -543,11 +546,13 @@ class TestSharedRun:
         def failing(real_simulate_blocks):
             data_phases = itertools.count()
 
-            def simulate_blocks(channels, rows, book, powers, noise, pilot_rng, tau_u, *rngs):
+            def simulate_blocks(
+                channels, rows, book, powers, noise, pilot_rng, tau_u, *rngs, **kwargs
+            ):
                 if tau_u and next(data_phases) == 1:
                     raise RuntimeError("data phase failed")
                 return real_simulate_blocks(
-                    channels, rows, book, powers, noise, pilot_rng, tau_u, *rngs
+                    channels, rows, book, powers, noise, pilot_rng, tau_u, *rngs, **kwargs
                 )
 
             return simulate_blocks
@@ -585,6 +590,98 @@ class TestSharedRun:
         assert len(runs) == 5
         assert max(most_alive) <= workers
         assert [ref() for ref in runs] == [None] * 5
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_one_buffer_set_per_thread_for_the_sweep(self, monkeypatch, workers):
+        # Every run of the sweep takes its batch arrays from the sets of
+        # the threads that run its tasks: one set per thread, not per run
+        # in flight, and none left after the sweep.  The sweep's caller
+        # runs no task when there is a pool.
+        monkeypatch.setattr(harness, "BATCH_BLOCKS", 8)
+        sets, threads = [], set()
+
+        class Recorded(buffers.BatchBuffers):
+            def __init__(self, *args):
+                super().__init__(*args)
+                sets.append(weakref.ref(self))
+                threads.add(threading.get_ident())
+
+        monkeypatch.setattr(buffers, "BatchBuffers", Recorded)
+        run_sweep(small_config(monte_carlo_runs=5), workers=workers)
+        assert 1 <= len(sets) <= workers
+        assert len(threads) == len(sets)
+        assert [ref() for ref in sets] == [None] * len(sets)
+
+    def test_no_buffer_set_outlives_run_single(self, monkeypatch):
+        sets = []
+
+        class Recorded(buffers.BatchBuffers):
+            def __init__(self, *args):
+                super().__init__(*args)
+                sets.append(weakref.ref(self))
+
+        monkeypatch.setattr(buffers, "BatchBuffers", Recorded)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            run_single(small_config(), [30], (1, 0), pool)
+            assert sets and [ref() for ref in sets] == [None] * len(sets)
+
+
+class TestBuffers:
+    def test_batches_received_on_one_thread_do_not_alias(self, monkeypatch):
+        # The second training batch and a held-out batch reuse the memory
+        # of the first: what the first left behind must stay as it was.
+        monkeypatch.setattr(harness, "BATCH_BLOCKS", 8)
+        config = small_config(sweep=SweepSpec(variable="tau_p", values=[4, 2]))
+        run = _Run(config, (7, 0))
+        states = [
+            _RunState(run, dataclasses.replace(config.system, tau_p=tau_p))
+            for tau_p in (4, 2)
+        ]
+        windows = [5, 16]
+        data, pilots = run._train(states, windows, 0, slice(0, 8))
+        sums = [acc._sum.copy() for grams in (data, *pilots) for acc in grams.values()]
+        despread = [state.despread[:, :8].copy() for state in states]
+        run._train(states, windows, 1, slice(8, 16))
+        run._held_out(states, 0, slice(0, 8))
+        assert [acc._sum.tobytes() for grams in (data, *pilots) for acc in grams.values()] == [
+            s.tobytes() for s in sums
+        ]
+        assert [state.despread[:, :8].tobytes() for state in states] == [
+            d.tobytes() for d in despread
+        ]
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [SweepSpec(variable="T", values=[20, 8, 40]), SweepSpec(variable="tau_p", values=[4, 2, 9])],
+        ids=["T", "tau_p"],
+    )
+    @pytest.mark.parametrize("antennas", [8, 3], ids=["n8", "links_over_2n"])
+    def test_slots_fit_the_largest_array(self, monkeypatch, sweep, antennas):
+        # A run's sets are made at slot_bytes: no request outgrows its
+        # slot, and each slot's size is some request's, so none is larger
+        # than needed.
+        monkeypatch.setattr(harness, "BATCH_BLOCKS", 8)
+        config = small_config(sweep=sweep)
+        config = dataclasses.replace(
+            config, system=dataclasses.replace(config.system, antennas=antennas)
+        )
+        made, largest = [], Counter()
+
+        class Recorded(buffers.BatchBuffers):
+            def __init__(self, sizes):
+                super().__init__(sizes)
+                made.append(list(sizes))
+
+            def __call__(self, name, shape, dtype=complex):
+                array = super().__call__(name, shape, dtype)
+                slot = buffers.SLOTS[name]
+                largest[slot] = max(largest[slot], array.nbytes)
+                return array
+
+        monkeypatch.setattr(buffers, "BatchBuffers", Recorded)
+        run_sweep(config, workers=1)
+        (sizes,) = made
+        assert [largest[slot] for slot in range(len(sizes))] == sizes
 
 
 class TestFanOut:
