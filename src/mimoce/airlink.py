@@ -119,7 +119,7 @@ def simulate_blocks(
     channels: np.ndarray,
     pilot_indices: np.ndarray,
     pilot_book: PilotBook,
-    powers: np.ndarray,
+    powers: np.ndarray | None,
     noise_factor: np.ndarray,
     pilot_rng: np.random.Generator,
     tau_u: int,
@@ -136,8 +136,12 @@ def simulate_blocks(
         Channel vectors from every UE to the BS, one set per block.
     pilot_indices : (B, L, K) integer ndarray
         Pilot chosen by each UE in each block.
-    powers : (L, K) ndarray
-        Per-UE transmit power, applied in both phases.
+    powers : (L, K) ndarray or None
+        Per-UE transmit power, applied in both phases as the amplitude
+        sqrt(power).  None: the channels already carry their amplitudes,
+        as when a caller scales a batch once and receives it several
+        times; the bits are those of passing the unscaled channels and
+        the powers.
     noise_factor : (N, N) ndarray or float
         Square factor F with F F^H equal to the noise covariance; noise is
         drawn independently per sample.  A float s stands for F = s I
@@ -152,23 +156,27 @@ def simulate_blocks(
         Data samples per block; 0 skips the data phase, and the data
         streams are then not needed.
     buffers : callable, optional
-        Source of the "weighted", "pilot_rx", "pilot_noise", "phases",
-        "symbols", "data_rx" and "data_noise" arrays, requested in that
-        order (see `mimoce.buffers`); pilot_rx and data_rx are views of the
-        arrays of those names.
+        Source of the "pilot_rx", "pilot_noise", "phases", "symbols",
+        "data_rx" and "data_noise" arrays, requested in that order (see
+        `mimoce.buffers`); pilot_rx and data_rx are the arrays of those
+        names, which may be strided views of a caller's storage.
 
     Returns
     -------
     (pilot_rx, data_rx) with shapes (B, N, tau_p) and (B, N, tau_u).  Every
     draw is block-major, so with three distinct generators the first t
     blocks of both are, bit for bit, what the first t channel blocks and
-    pilot rows give from generators at the same positions.
+    pilot rows give from generators at the same positions, and a batch
+    received in consecutive chunks, each chunk continuing the same three
+    generators, gives the bits of the whole batch received at once.
     """
     b_blocks, cells, ues, n = channels.shape
     tau_p = pilot_book.tau_p
-    amp = np.sqrt(powers)[None, :, :, None]  # (1, L, K, 1)
-    weighted = buffers("weighted", (b_blocks, cells * ues, n))
-    np.multiply(channels, amp, out=weighted.reshape(channels.shape))
+    if powers is None:
+        weighted = channels.reshape(b_blocks, cells * ues, n)
+    else:
+        amp = np.sqrt(powers)[None, :, :, None]  # (1, L, K, 1)
+        weighted = (channels * amp).reshape(b_blocks, cells * ues, n)
     weighted_t = weighted.transpose(0, 2, 1)  # (B, N, L*K)
 
     seq = pilot_book.sequences[pilot_indices.reshape(b_blocks, cells * ues)]

@@ -3,24 +3,28 @@
 The functions that build a batch's large arrays (`channel.sample_channels`,
 `airlink.simulate_blocks`, `covest.AllCovAccumulator.add`) take an optional
 `buffers` keyword: a callable buffers(name, shape, dtype=complex) that
-returns a C-contiguous array of that shape and dtype for the function to
-overwrite, the array being named by its role.  Without it every array is a
-fresh one (`fresh`), so a plain call allocates as it always did.  The bits
-a function computes do not depend on where its arrays live.
+returns an array of that shape and dtype for the function to overwrite,
+the array being named by its role; it is C-contiguous, except that the
+receive arrays "pilot_rx" and "data_rx" may be strided views.  Without
+it every array is a fresh one (`fresh`), so a plain call allocates as it
+always did.  The bits a function computes do not depend on where its
+arrays live.
 
-A `BatchBuffers` serves those requests from five slots of memory that it
+A `BatchBuffers` serves those requests from four slots of memory that it
 keeps and reuses, so a thread that receives batch after batch stops
 handing the same pages back to the allocator and faulting them in again.
-Names share a slot when a batch task never needs their arrays at the same
-time (`SLOTS`): a request may return the memory of the array last
-requested under any name of its slot.  That holds for the order in which
-the sweep harness receives a batch: the channels are drawn once and
-received under every pilot allocation, and each receive's sample
-covariances are summed before the next receive starts.  A slot is made
-at the size `slot_bytes` gives, the largest array of its names, so a
-thread's first batch does not fault in memory that it then drops for a
-larger array; a request beyond that size grows the slot.  An array a
-caller keeps is copied out of its slot first.
+Names share a slot when no caller needs their arrays at the same time
+(`SLOTS`): a request may return the memory of the array last requested
+under any name of its slot.  That holds for a plain sample_channels,
+simulate_blocks, add sequence, and for the order in which the sweep
+harness receives a batch: in chunks of blocks, each chunk's channels
+drawn once and received under every pilot allocation into views of one
+"received" array that keeps the whole batch's receive samples, whose
+sample covariances are summed after the last chunk.  A set's slots are
+made at the sizes `slot_bytes` gives, the largest array of each slot's
+names, so a thread's first batch does not fault in memory that it then
+drops for a larger array; a request beyond that size grows the slot.  An
+array a caller keeps is copied out of its slot first.
 """
 
 from __future__ import annotations
@@ -30,49 +34,29 @@ import threading
 
 import numpy as np
 
-# Slot of each array name.  Slot 0 holds the channel normals, then the
-# weighted channels of each receive, then the conjugate copy of the Gram
-# sums; slot 3 holds the pilot noise, then the data symbols, then the data
-# noise, then the (N, B*S) copy of the Gram sums; the symbol phases leave
-# slot 4 before the data receive matmul writes it.
+# Slot of each array name.  Slot 0 holds a chunk's channel normals, then
+# each receive's pilot noise, data symbols and data noise, and, after the
+# last chunk, the conjugate copy of the Gram sums; the symbol phases leave
+# slot 2 before the data receive matmul writes it; slot 3 holds a training
+# batch's whole receive samples, or a held-out chunk's pilot receive.
 SLOTS = {
     "normals": 0,
-    "weighted": 0,
+    "pilot_noise": 0,
+    "symbols": 0,
+    "data_noise": 0,
     "gram_conj": 0,
     "channels": 1,
-    "pilot_rx": 2,
-    "pilot_noise": 3,
-    "symbols": 3,
-    "data_noise": 3,
-    "gram_copy": 3,
-    "phases": 4,
-    "data_rx": 4,
+    "phases": 2,
+    "data_rx": 2,
+    "pilot_rx": 3,
+    "received": 3,
 }
 _SLOT_COUNT = max(SLOTS.values()) + 1
 
 
-def slot_bytes(blocks: int, links: int, antennas: int, tau_p: int, tau_u: int) -> list[int]:
-    """Bytes of each slot: the largest array of its names that receiving a
-    batch of at most `blocks` blocks requests, with `links` UEs, `antennas`
-    antennas, and at most tau_p pilot and tau_u data samples per block."""
-    # complex128 takes 16 bytes, float64 8; sample_channels draws at least
-    # two blocks.
-    channels = max(blocks, 2) * links * antennas * 16
-    pilot = blocks * antennas * tau_p * 16
-    data = blocks * antennas * tau_u * 16
-    largest = {
-        "normals": channels,
-        "channels": channels,
-        "weighted": channels,
-        "pilot_rx": pilot,
-        "pilot_noise": pilot,
-        "phases": blocks * links * tau_u * 8,
-        "symbols": blocks * links * tau_u * 16,
-        "data_rx": data,
-        "data_noise": data,
-        "gram_copy": max(pilot, data),
-        "gram_conj": max(pilot, data),
-    }
+def slot_bytes(largest: dict[str, int]) -> list[int]:
+    """Bytes of each slot: the largest of the bytes that `largest` gives
+    for its names, 0 for a slot none of whose names it gives."""
     sizes = [0] * _SLOT_COUNT
     for name, nbytes in largest.items():
         sizes[SLOTS[name]] = max(sizes[SLOTS[name]], nbytes)

@@ -195,10 +195,22 @@ def bs_covariances(
 def covariance_factors(covariances: np.ndarray) -> np.ndarray:
     """Square factors F with F F^H = R for a stack of PSD matrices.
 
-    Accepts shape (..., N, N); negative eigenvalues from quadrature noise
-    are clamped to zero.
+    Accepts shape (..., N, N) and returns (..., N, N).  Negative
+    eigenvalues from quadrature noise are clamped to zero, and the columns
+    of the eigenvalues so clamped are zero and come first, so a rank-r
+    covariance has a factor whose first N - r columns are zero (see
+    `trim_factors`).
     """
     return psd_factor(covariances)
+
+
+def trim_factors(factors: np.ndarray) -> np.ndarray:
+    """The factors (..., N, N) without the leading columns that are zero in
+    every one of them: a contiguous (..., N, r) copy of their last r
+    columns, which `sample_channels` takes in place of the square ones."""
+    nonzero = np.flatnonzero(np.any(factors != 0, axis=(*range(factors.ndim - 2), -2)))
+    first = nonzero[0] if len(nonzero) else factors.shape[-1]
+    return np.ascontiguousarray(factors[..., first:])
 
 
 def sample_channels(
@@ -212,9 +224,13 @@ def sample_channels(
 
     Parameters
     ----------
-    factors : (..., N, N) ndarray
-        Precomputed covariance factors (see covariance_factors); one per
-        link, independent draws per link and per block.
+    factors : (..., N, r) ndarray
+        Precomputed covariance factors, one per link, independent draws
+        per link and per block: the square factors of covariance_factors
+        (r = N), or the last r columns of them when the others are zero
+        (trim_factors).  N normals are drawn per link either way, and the
+        product skips the first N - r of them, so the stream and the bits
+        do not depend on r.
     blocks : int, optional
         If given, a leading block axis of that length is added.
     buffers : callable, optional
@@ -223,14 +239,16 @@ def sample_channels(
 
     Returns
     -------
-    (..., N) or (blocks, ..., N) ndarray of channel vectors.  The first t
-    blocks of a draw equal, bit for bit, a t-block draw from a generator
-    at the same position.
+    (..., N) or (blocks, ..., N) ndarray of channel vectors, C-contiguous
+    (block-major).  Draws are block-major too: the first t blocks of a draw
+    equal, bit for bit, a t-block draw from a generator at the same
+    position, and consecutive draws from one generator, of t and then u
+    blocks, are the two parts of one (t + u)-block draw.
     """
     rng = ensure_rng(rng)
     factors = np.asarray(factors, dtype=complex)
     lead = factors.shape[:-2]
-    n = factors.shape[-1]
+    n, r = factors.shape[-2:]
     squeeze = blocks is None
     b = 1 if blocks is None else blocks
     # numpy hands a single row to gemv, which rounds unlike gemm; with a
@@ -240,10 +258,15 @@ def sample_channels(
     complex_normal(rng, (b, *lead, n), out=z[:b])
     z[b:] = 0
     # h^T = z^T F^T: one GEMM per link over all blocks, which reads z in
-    # place and leaves each channel vector contiguous.
-    h_t = buffers("channels", (*lead, rows, n))
-    np.matmul(np.moveaxis(z, 0, -2), np.swapaxes(factors, -1, -2), out=h_t)
-    h = np.moveaxis(h_t, -2, 0)
+    # place and writes each channel vector into its block.  The skipped
+    # normals meet only zero columns, so the sums are the square product's
+    # (test_channel pins the bits).
+    h = buffers("channels", (rows, *lead, n))
+    np.matmul(
+        np.moveaxis(z, 0, -2)[..., n - r :],
+        np.swapaxes(factors, -1, -2),
+        out=np.moveaxis(h, 0, -2),
+    )
     return h[0] if squeeze else h[:b]
 
 

@@ -27,7 +27,7 @@ from .config import (
     SweepSpec,
     SystemConfig,
 )
-from .harness import NmseResult, run_sweep, simulated_blocks
+from .harness import NmseResult, run_sweep, simulated_blocks, thread_buffer_bytes
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -204,6 +204,10 @@ def validate_config(config: ExperimentConfig) -> str:
         f"(~{cov_mb:.1f} MB)",
         f"simulated blocks per sweep: {simulated_blocks(config)}",
     ]
+    if not findings:
+        lines.append(
+            f"batch buffers per worker thread: {thread_buffer_bytes(config) / 2**20:.1f} MiB"
+        )
     return "\n".join(lines)
 
 

@@ -83,16 +83,16 @@ class AllCovAccumulator:
     def add(self, signals: np.ndarray, *, buffers=fresh) -> None:
         """Accumulate signals of shape (N, S) or (B, N, S).
 
-        The (N, B*S) copy of the samples and its conjugate are the
-        "gram_copy" and "gram_conj" arrays of `buffers` (see
-        `mimoce.buffers`).
+        The samples are read as one (N, B*S) matrix: a view of them when
+        they are stored (N, B, S), as a prefix of a larger batch stored
+        that way is, and a copy otherwise.  Its conjugate is the
+        "gram_conj" array of `buffers` (see `mimoce.buffers`).
         """
         signals = np.asarray(signals, dtype=complex)
         if signals.ndim == 2:
             signals = signals[None]
         b, n, s = signals.shape
-        flat = buffers("gram_copy", (n, b * s))
-        np.copyto(flat.reshape(n, b, s), np.moveaxis(signals, 1, 0))
+        flat = np.moveaxis(signals, 1, 0).reshape(n, b * s)
         conj = np.conjugate(flat, out=buffers("gram_conj", flat.shape))
         self._sum += flat @ conj.T
         self._samples += b * s

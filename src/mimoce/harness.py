@@ -40,15 +40,25 @@ sweep's worker pool (`_fan_out`), so a sweep of fewer runs than workers
 still keeps every worker busy, and their results are taken in key order,
 so no result bit depends on `workers`.
 
+A batch task draws and receives its blocks in chunks of at most
+CHUNK_BYTES of channels, one Generator per stream continued from chunk to
+chunk, so a batch holds the same bits in any chunking.  The channel
+factors are stored without the leading columns that are zero in all of
+them, and each chunk's channels are scaled by the UEs' amplitudes once
+for all its receives.  Only the receive samples that the Gram sums read
+are kept for the whole batch: the data phase and each tau_p's pilot
+phase, each stored (N, B, S) so that a window's prefix is read in place.
+
 A batch task receives into buffers that its thread reuses
-(`mimoce.buffers`): the channels, the weighted channels, the receive
-arrays, their noise, the data symbols and the copies the Gram sums take.
-`run_sweep` owns one `ThreadBuffers` for the whole sweep, so each thread
-that runs a task keeps one set, sized once for the sweep's largest batch,
-however many runs it serves; the sets are freed when the sweep returns.
-A `run_single` called on its own owns the sets of its call.  A task
-copies out what it keeps (despread vectors, held-out channels, Gram
-sums), so nothing it returns points into a buffer.
+(`mimoce.buffers`): a chunk's channels, their normals, its noise, data
+symbols and phases, the batch's receive samples and the conjugate copy
+the Gram sums take.  `run_sweep` owns one `ThreadBuffers` for the whole
+sweep, so each thread that runs a task keeps one set, sized once for the
+sweep's largest chunk and batch, however many runs it serves; the sets
+are freed when the sweep returns.  A `run_single` called on its own owns
+the sets of its call.  A task copies out what it keeps (despread vectors,
+held-out channels, Gram sums), so nothing it returns points into a
+buffer.
 """
 
 from __future__ import annotations
@@ -76,6 +86,7 @@ from .channel import (
     covariance_factors,
     sample_channels,
     steering_vector,
+    trim_factors,
 )
 from .config import DATA_DRIVEN_KINDS, RANKED_KINDS, ExperimentConfig, SystemConfig
 from .covest import (
@@ -98,6 +109,12 @@ from .seeding import derive_rng
 # Blocks simulated per vectorized batch; a fixed constant, because batch i
 # of a stream draws blocks [i * BATCH_BLOCKS, ...) from its own key.
 BATCH_BLOCKS = 256
+
+# Bytes of the channels of one chunk.  A batch task draws and receives its
+# blocks a chunk at a time, continuing one Generator per stream, so the
+# chunks change no bit, and its per-thread arrays are sized by the chunk,
+# not the batch: about 28 blocks at full scale, 175 at desk scale.
+CHUNK_BYTES = 3 << 20
 
 # Stream ids of the run's keys (master seed, run, stream id, batch).  Fresh
 # evaluation blocks are drawn from dedicated streams, so estimation and
@@ -213,6 +230,27 @@ def _fan_out(pool: ThreadPoolExecutor | None, tasks: list) -> list:
     return [own[0] if own else job.result() for own, job in zip(mine, submitted)]
 
 
+def _received(buffers, antennas: int, blocks: int, samples: list[int]) -> list[np.ndarray]:
+    """One (B, N, S) array per entry S of `samples`, each stored (N, B, S)
+    in the "received" array of `buffers`, so that the first b blocks of
+    each are an (N, b*S) matrix without a copy."""
+    flat = buffers("received", (antennas * blocks * sum(samples),))
+    ends = np.cumsum([0, *samples]) * antennas * blocks
+    return [
+        flat[start:end].reshape(antennas, blocks, size).transpose(1, 0, 2)
+        for start, end, size in zip(ends, ends[1:], samples)
+    ]
+
+
+def _into(buffers, **views):
+    """`buffers`, except that the arrays named in `views` are those views."""
+
+    def serve(name, shape, dtype=complex):
+        return views[name] if name in views else buffers(name, shape, dtype)
+
+    return serve
+
+
 def _batches(stop: int) -> list[tuple[int, slice]]:
     """(batch index i, block slice) of each batch of blocks [0, stop)."""
     return [
@@ -223,11 +261,12 @@ def _batches(stop: int) -> list[tuple[int, slice]]:
 
 class _Run:
     """One Monte-Carlo run: its keyed streams, its network (covariances,
-    their factors, noise covariance and factor, and the network-wide
-    covariance at the center BS), which no sweep variable changes, and the
-    center-cell channels (K, E, N) of its held-out blocks.  Its batch
-    tasks take their arrays from the calling thread's set of `buffers`,
-    its own ones unless given."""
+    their factors without the columns that are zero in all of them, noise
+    covariance and factor, and the network-wide covariance at the center
+    BS), which no sweep variable changes, and the center-cell channels
+    (K, E, N) of its held-out blocks.  Its batch tasks receive their blocks
+    in chunks of `chunk` blocks and take their arrays from the calling
+    thread's set of `buffers`, its own ones unless given."""
 
     def __init__(self, config: ExperimentConfig, run_seed, buffers: ThreadBuffers | None = None):
         self.config = config
@@ -237,6 +276,8 @@ class _Run:
         sysc = config.system
         self.power = sysc.uplink_power
         self.powers = np.full((sysc.cells, sysc.ues_per_cell), self.power)
+        self.amplitudes = np.sqrt(self.powers)[:, :, None]
+        self.chunk = _chunk_blocks(sysc)
         geometry = build_geometry(
             sysc.cells,
             sysc.ues_per_cell,
@@ -258,7 +299,7 @@ class _Run:
         # scalar path's noise with the same bits.
         self.noise_factor = psd_factor(self.r_nn) if jammer else math.sqrt(sysc.noise_power)
         self.total_cov = self.power * np.einsum("lkij->ij", self.covs)
-        self.factors = covariance_factors(self.covs)
+        self.factors = trim_factors(covariance_factors(self.covs))
         self.h_center = _block_major(config.eval_blocks, sysc.ues_per_cell, sysc.antennas)
 
     def _rng(self, stream: str, batch: int = 0) -> np.random.Generator:
@@ -266,13 +307,12 @@ class _Run:
         whole-run draws take batch 0."""
         return derive_rng(*self.keys, _STREAMS[stream], batch)
 
-    def _channels(self, stream: str, batch: int, blocks: slice, buffers) -> np.ndarray:
-        """Channels (B, L, K, N) of batch `batch`, blocks `blocks`, of a
-        channel stream, in the "channels" array of `buffers`."""
-        size = blocks.stop - blocks.start
-        return sample_channels(
-            self.factors, self._rng(stream, batch), blocks=size, buffers=buffers
-        )
+    def _chunks(self, blocks: slice) -> list[slice]:
+        """Batch `blocks` in consecutive chunks of at most `chunk` blocks."""
+        return [
+            slice(first, min(first + self.chunk, blocks.stop))
+            for first in range(blocks.start, blocks.stop, self.chunk)
+        ]
 
     def receive(
         self, states: list[_RunState], windows: list[int], pool: ThreadPoolExecutor | None
@@ -318,48 +358,61 @@ class _Run:
         of every state, and write each state's despread vectors of it.  The
         pilot noise comes from the batch's `est_signals` key and the data
         phase, synthesized with the first state's pilot phase, from its
-        `data` and `data_noise` keys.
+        `data` and `data_noise` keys.  Each chunk's channels are drawn once
+        and scaled by the UEs' amplitudes; its receive samples go into the
+        batch's whole arrays, which the sample-covariance sums read once
+        the last chunk is in.
 
         Returns, per cut (the batch size and each of `windows` that ends
         inside the batch), the accumulator of the data phase of the batch's
         first cut blocks, and the same of each state's pilot phase.
         """
-        cuts = {blocks.stop - blocks.start}
-        cuts |= {w - blocks.start for w in windows if blocks.start < w < blocks.stop}
+        size = blocks.stop - blocks.start
+        cuts = {size} | {w - blocks.start for w in windows if blocks.start < w < blocks.stop}
+        sysc = self.config.system
         buffers = self.buffers.get()
-        h = self._channels("est_channels", batch, blocks, buffers)
-        data_phase = (
-            self.config.system.tau_u, self._rng("data", batch), self._rng("data_noise", batch)
+        data_rx, *pilot_rxs = _received(
+            buffers, sysc.antennas, size, [sysc.tau_u, *(state.system.tau_p for state in states)]
         )
-        data, pilots = None, []
-        for state in states:
-            # Each receive reuses the buffers of the one before it, so its
-            # sums are taken before the next one starts.
-            pilot_rx, data_rx, d = state._receive(
-                h, state.rows[blocks], self._rng("est_signals", batch), *data_phase,
-                buffers=buffers,
-            )
-            state.despread[:, blocks] = d
-            if data is None:
-                data = {cut: _gram(data_rx[:cut], buffers) for cut in cuts}
+        # One Generator per stream for the whole batch, continued from
+        # chunk to chunk.
+        channels = self._rng("est_channels", batch)
+        pilot_noise = [self._rng("est_signals", batch) for _ in states]
+        data_streams = (self._rng("data", batch), self._rng("data_noise", batch))
+        for chunk in self._chunks(blocks):
+            local = slice(chunk.start - blocks.start, chunk.stop - blocks.start)
+            h = sample_channels(self.factors, channels, chunk.stop - chunk.start, buffers=buffers)
+            h *= self.amplitudes
+            data_phase = (sysc.tau_u, *data_streams)
+            for state, pilot_rx, noise in zip(states, pilot_rxs, pilot_noise):
+                into = _into(buffers, pilot_rx=pilot_rx[local], data_rx=data_rx[local])
+                d = state._receive(h, state.rows[chunk], noise, *data_phase, buffers=into)[2]
+                state.despread[:, chunk] = d
                 data_phase = ()
-            pilots.append({cut: _gram(pilot_rx[:cut], buffers) for cut in cuts})
+        data = {cut: _gram(data_rx[:cut], buffers) for cut in cuts}
+        pilots = [{cut: _gram(pilot_rx[:cut], buffers) for cut in cuts} for pilot_rx in pilot_rxs]
         return data, pilots
 
     def _held_out(self, states: list[_RunState], batch: int, blocks: slice) -> None:
         """Receive held-out batch `batch`, blocks `blocks`, under every
         allocation in use of every state, and write the center-cell
         channels and each state's despread vectors of it.  All allocations
-        see the same channel draws; each takes its pilot noise from batch
-        `batch` of its `eval_signals` stream."""
+        see the same channel draws, chunk by chunk; each takes its pilot
+        noise from batch `batch` of its `eval_signals` stream."""
         buffers = self.buffers.get()
-        h = self._channels("eval_channels", batch, blocks, buffers)
-        self.h_center[:, blocks] = h[:, 0].transpose(1, 0, 2)
-        for state in states:
-            for mode, rows in state.eval_rows.items():
-                signals = self._rng(f"eval_signals_{mode}", batch)
-                d = state._receive(h, rows[blocks], signals, buffers=buffers)[2]
-                state.held_out[mode][:, blocks] = d
+        channels = self._rng("eval_channels", batch)
+        pilot_noise = [
+            {mode: self._rng(f"eval_signals_{mode}", batch) for mode in state.eval_rows}
+            for state in states
+        ]
+        for chunk in self._chunks(blocks):
+            h = sample_channels(self.factors, channels, chunk.stop - chunk.start, buffers=buffers)
+            self.h_center[:, chunk] = h[:, 0].transpose(1, 0, 2)
+            h *= self.amplitudes
+            for state, noise in zip(states, pilot_noise):
+                for mode, rows in state.eval_rows.items():
+                    d = state._receive(h, rows[chunk], noise[mode], buffers=buffers)[2]
+                    state.held_out[mode][:, chunk] = d
 
 
 class _RunState:
@@ -413,8 +466,9 @@ class _RunState:
         return run.total_cov + run.power * (self.system.tau_p - 1) * run.covs[0] + run.r_nn
 
     def _receive(self, h, rows, signals_stream, tau_u: int = 0, *data_streams, buffers):
-        """Receive a batch under pilot rows (B, L, K); a data phase needs
-        its phase and noise streams.
+        """Receive channels h (B, L, K, N), already scaled by the UEs'
+        amplitudes, under pilot rows (B, L, K); a data phase needs its
+        phase and noise streams.
 
         Returns pilot_rx (B, N, tau_p) and data_rx (B, N, tau_u), both in
         `buffers`, and the despread pilot vectors of every center UE, a new
@@ -422,7 +476,7 @@ class _RunState:
         """
         run = self.run
         pilot_rx, data_rx = simulate_blocks(
-            h, rows, self.book, run.powers, run.noise_factor, signals_stream, tau_u,
+            h, rows, self.book, None, run.noise_factor, signals_stream, tau_u,
             *data_streams, buffers=buffers,
         )
         d = despread_batch(pilot_rx, self.book, rows[:, 0])  # (B, K, N)
@@ -561,20 +615,47 @@ class _RunState:
         return h_hat
 
 
+def _chunk_blocks(system: SystemConfig) -> int:
+    """Blocks per chunk: as many as fit their channels in CHUNK_BYTES."""
+    return max(1, CHUNK_BYTES // (system.cells * system.ues_per_cell * system.antennas * 16))
+
+
 def _thread_buffers(config: ExperimentConfig, systems: list[SystemConfig]) -> ThreadBuffers:
-    """Per-thread buffer sets whose slots fit every batch that a run at
-    sweep points `systems` receives."""
+    """Per-thread buffer sets whose slots fit every array that the batch
+    tasks of a run at sweep points `systems` request."""
     sysc = config.system
+    links, n = sysc.cells * sysc.ues_per_cell, sysc.antennas
+    tau_ps = {system.tau_p for system in systems}
     trains = bool({spec.kind for spec in config.estimators} & DATA_DRIVEN_KINDS)
-    longest = max(system.blocks for system in systems) if trains else 0
+    train_batch = min(BATCH_BLOCKS, max(system.blocks for system in systems)) if trains else 0
+    chunk = _chunk_blocks(sysc)
+    train_chunk = min(chunk, train_batch)
+    eval_chunk = min(chunk, BATCH_BLOCKS, config.eval_blocks)
+    tau_p, tau_u = max(tau_ps), sysc.tau_u if trains else 0
+    # complex128 takes 16 bytes, float64 8; sample_channels draws at least
+    # two blocks.  A training batch keeps its data phase and every tau_p's
+    # pilot phase whole, and receives its chunks into them.
+    channels = max(train_chunk, eval_chunk, 2) * links * n * 16
     sizes = slot_bytes(
-        min(BATCH_BLOCKS, max(longest, config.eval_blocks)),
-        sysc.cells * sysc.ues_per_cell,
-        sysc.antennas,
-        max(system.tau_p for system in systems),
-        sysc.tau_u if trains else 0,
+        {
+            "normals": channels,
+            "channels": channels,
+            "pilot_noise": max(train_chunk, eval_chunk) * n * tau_p * 16,
+            "pilot_rx": eval_chunk * n * tau_p * 16,
+            "phases": train_chunk * links * tau_u * 8,
+            "symbols": train_chunk * links * tau_u * 16,
+            "data_noise": train_chunk * n * tau_u * 16,
+            "received": train_batch * n * (tau_u + sum(tau_ps)) * 16,
+            "gram_conj": train_batch * n * max(tau_u, tau_p) * 16,
+        }
     )
     return ThreadBuffers(sizes)
+
+
+def thread_buffer_bytes(config: ExperimentConfig) -> int:
+    """Bytes of the batch buffers that `run_sweep` keeps per worker thread."""
+    systems = [config.system_for(value) for value in config.sweep.values]
+    return sum(_thread_buffers(config, systems).sizes)
 
 
 def run_single(
@@ -613,6 +694,12 @@ def run_single(
         finished = _fan_out(
             pool, [partial(state.finish, windows, accs) for state, accs in zip(states, combined)]
         )
+    # A pool worker holds the task it ran, and with it the run, for a
+    # moment after the task's result is in, and a task taken back from the
+    # pool stays in its queue until a worker dequeues it; so the run lets
+    # go of the buffer sets here, and sets of this call's own are freed
+    # when it returns.
+    run.buffers = None
     rows = {
         (tau_p, window): contributions
         for tau_p, per_window in zip(tau_ps, finished)

@@ -13,6 +13,27 @@ from mimoce.seeding import complex_normal
 from support import random_psd
 
 
+def plain_sizes(blocks, links, antennas, tau_p, tau_u):
+    """Slot sizes for a plain sample_channels, simulate_blocks, add sequence
+    over `blocks` blocks, each array in its own slot's memory."""
+    channels = max(blocks, 2) * links * antennas * 16
+    pilot = blocks * antennas * tau_p * 16
+    data = blocks * antennas * tau_u * 16
+    return slot_bytes(
+        {
+            "normals": channels,
+            "channels": channels,
+            "pilot_rx": pilot,
+            "pilot_noise": pilot,
+            "phases": blocks * links * tau_u * 8,
+            "symbols": blocks * links * tau_u * 16,
+            "data_rx": data,
+            "data_noise": data,
+            "gram_conj": max(pilot, data),
+        }
+    )
+
+
 def poisoned(sizes):
     """A set of slots of `sizes` bytes that hold NaNs."""
     buffers = BatchBuffers(sizes)
@@ -48,7 +69,7 @@ def test_sample_channels_same_bits(blocks):
     expected = sample_channels(f, np.random.default_rng(4), blocks=blocks)
     reused = BatchBuffers()
     sample_channels(factors(3, 2, 5, seed=1), np.random.default_rng(5), 9, buffers=reused)
-    for buffers in (poisoned(slot_bytes(9, 6, 5, 1, 0)), reused):
+    for buffers in (poisoned(plain_sizes(9, 6, 5, 1, 0)), reused):
         got = sample_channels(f, np.random.default_rng(4), blocks=blocks, buffers=buffers)
         assert bits(got) == bits(expected)
 
@@ -82,7 +103,7 @@ def test_simulate_blocks_same_bits(cells, ues, n, tau_u, coloured):
     if coloured:
         noise = psd_factor(make_noise_covariance(n, 0.3, (steering_vector(n, 0.4), 2.0)))
     f = factors(cells, ues, n)
-    sizes = slot_bytes(blocks, cells * ues, n, tau_p, tau_u)
+    sizes = plain_sizes(blocks, cells * ues, n, tau_p, tau_u)
     for buffers in (poisoned(sizes), BatchBuffers()):
         # Two batches through the same memory, channels from it as well.
         for seed in (10, 20):
@@ -90,6 +111,45 @@ def test_simulate_blocks_same_bits(cells, ues, n, tau_u, coloured):
             expected = simulate(h.copy(), seed, noise, tau_u, tau_p)
             got = simulate(h, seed, noise, tau_u, tau_p, buffers)
             assert bits(*got) == bits(*expected)
+
+
+@pytest.mark.parametrize("coloured", [False, True], ids=["white", "coloured"])
+def test_chunks_into_strided_views_same_bits(coloured):
+    # Channels scaled once by their amplitudes (powers None), received in
+    # chunks that continue the same three generators, each chunk into views
+    # of (N, B, S) storage: the bits of one call on the whole batch.
+    cells, ues, n, tau_p, tau_u, blocks = 3, 2, 6, 5, 7, 9
+    noise = 0.3**0.5
+    if coloured:
+        noise = psd_factor(make_noise_covariance(n, 0.3, (steering_vector(n, 0.4), 2.0)))
+    h = sample_channels(factors(cells, ues, n), np.random.default_rng(1), blocks)
+    rng = np.random.default_rng(2)
+    indices = rng.integers(0, tau_p, size=(blocks, cells, ues))
+    powers = rng.uniform(0.5, 2.0, size=(cells, ues))
+    book = make_pilot_book(tau_p)
+
+    def streams():
+        return [np.random.default_rng(seed) for seed in (3, 4, 5)]
+
+    pilot_rng, *data_rngs = streams()
+    expected = simulate_blocks(h, indices, book, powers, noise, pilot_rng, tau_u, *data_rngs)
+    scaled = h * np.sqrt(powers)[:, :, None]
+    pilot = np.full((n, blocks, tau_p), np.nan, dtype=complex).transpose(1, 0, 2)
+    data = np.full((n, blocks, tau_u), np.nan, dtype=complex).transpose(1, 0, 2)
+    pilot_rng, *data_rngs = streams()
+    slots = BatchBuffers()
+    for chunk in (slice(0, 4), slice(4, 8), slice(8, 9)):
+        views = {"pilot_rx": pilot[chunk], "data_rx": data[chunk]}
+
+        def buffers(name, shape, dtype=complex):
+            return views[name] if name in views else slots(name, shape, dtype)
+
+        got = simulate_blocks(
+            scaled[chunk], indices[chunk], book, None, noise, pilot_rng, tau_u, *data_rngs,
+            buffers=buffers,
+        )
+        assert np.shares_memory(got[0], pilot) and np.shares_memory(got[1], data)
+    assert bits(np.ascontiguousarray(pilot), np.ascontiguousarray(data)) == bits(*expected)
 
 
 def test_data_phases_are_the_uniform_draw():
@@ -100,7 +160,7 @@ def test_data_phases_are_the_uniform_draw():
     assert bits(got) == bits(expected)
 
 
-@pytest.mark.parametrize("case", ["batch", "prefix", "matrix", "strided"])
+@pytest.mark.parametrize("case", ["batch", "prefix", "matrix", "strided", "stored_prefix"])
 def test_accumulator_add_same_bits(case):
     rng = np.random.default_rng(6)
     samples = rng.standard_normal((5, 4, 3)) + 1j * rng.standard_normal((5, 4, 3))
@@ -109,10 +169,12 @@ def test_accumulator_add_same_bits(case):
         "prefix": samples[:2],
         "matrix": samples[0],
         "strided": samples.transpose(0, 2, 1)[:, :, ::2],  # (5, 3, 2), not contiguous
+        # Stored (N, B, S): add reads the prefix without a copy.
+        "stored_prefix": np.ascontiguousarray(samples.transpose(1, 0, 2)).transpose(1, 0, 2)[:2],
     }[case]
     expected = AllCovAccumulator(signals.shape[-2])
     expected.add(signals)
-    for buffers in (poisoned(slot_bytes(5, 1, 4, 3, 3)), BatchBuffers()):
+    for buffers in (poisoned(plain_sizes(5, 1, 4, 3, 3)), BatchBuffers()):
         acc = AllCovAccumulator(signals.shape[-2])
         acc.add(signals, buffers=buffers)
         acc.add(signals, buffers=buffers)
@@ -123,7 +185,7 @@ def test_accumulator_add_same_bits(case):
 
 
 def test_a_slot_grows_without_touching_live_arrays():
-    buffers = BatchBuffers(slot_bytes(2, 1, 2, 1, 1))
+    buffers = BatchBuffers(plain_sizes(2, 1, 2, 1, 1))
     small = buffers("pilot_noise", (2, 2, 1))
     small[:] = 1.0
     large = buffers("symbols", (50, 50))  # beyond the slot's size

@@ -1,9 +1,12 @@
 """Tests for geometry, local scattering covariances and channel sampling."""
 
+from functools import cache
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from mimoce.airlink import make_noise_covariance
 from mimoce.channel import (
     QUAD_POINTS,
     InvalidSpread,
@@ -15,7 +18,26 @@ from mimoce.channel import (
     local_scattering_covariance,
     sample_channels,
     steering_vector,
+    trim_factors,
 )
+from mimoce.cli import parse_config
+from mimoce.harness import _Run
+from mimoce.linalg import psd_factor
+
+SHIPPED = ["configs/desk_scale.yaml", "configs/full_scale.yaml"]
+
+
+@cache
+def shipped_factors(path: str, master_seed: int) -> np.ndarray:
+    """The square channel factors (L, K, N, N) of run 0 of a shipped config."""
+    return covariance_factors(_Run(parse_config(path), (master_seed, 0)).covs)
+
+
+def zero_columns_lead(factors: np.ndarray) -> bool:
+    """Whether every factor's zero columns come before all its other ones."""
+    nonzero = np.any(factors != 0, axis=-2)
+    first = nonzero.argmax(axis=-1)
+    return np.array_equal(nonzero, np.arange(nonzero.shape[-1]) >= first[..., None])
 
 
 class TestGeometry:
@@ -217,3 +239,47 @@ class TestSampling:
         part = sample_channels(f, np.random.default_rng(11), blocks=t)
         assert part.shape == (t, 7, 5, n)
         assert full[:t].tobytes() == part.tobytes()
+
+
+class TestTrimmedFactors:
+    # The leading zero columns that psd_factor leaves for the clamped
+    # eigenvalues can be dropped from every draw without changing a bit.
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("path", SHIPPED)
+    def test_shipped_zero_columns_lead(self, path, seed):
+        factors = shipped_factors(path, seed)
+        assert zero_columns_lead(factors)
+        trimmed = trim_factors(factors)
+        # Desk scale keeps 16 of 32 columns, full scale 31 of 100.
+        assert trimmed.shape[-1] <= factors.shape[-1] // 2
+        assert np.array_equal(trimmed, factors[..., -trimmed.shape[-1] :])
+        assert trimmed.flags.c_contiguous
+
+    def test_jammer_zero_columns_lead(self):
+        a = steering_vector(16, 0.4)
+        jammer = psd_factor(2.0 * np.outer(a, a.conj()))
+        assert zero_columns_lead(jammer)
+        assert trim_factors(jammer).shape == (16, 1)
+        noise = psd_factor(make_noise_covariance(16, 0.3, (a, 2.0)))
+        assert zero_columns_lead(noise)
+        assert np.array_equal(trim_factors(noise), noise)
+
+    @pytest.mark.parametrize("blocks", [256, 44, 1, None])
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("path", SHIPPED)
+    def test_trimmed_draw_same_bits(self, path, seed, blocks):
+        # A one-block draw (blocks 1 or None) is the GEMM with a zero
+        # second row, whose first row must not change either.
+        factors = shipped_factors(path, seed)
+        expected = sample_channels(factors, np.random.default_rng(seed), blocks=blocks)
+        got = sample_channels(trim_factors(factors), np.random.default_rng(seed), blocks=blocks)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_consecutive_draws_are_one_draw(self):
+        factors = trim_factors(shipped_factors(SHIPPED[0], 1))
+        whole = sample_channels(factors, np.random.default_rng(3), blocks=256)
+        rng = np.random.default_rng(3)
+        parts = [sample_channels(factors, rng, blocks=size).copy() for size in (100, 155, 1)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()

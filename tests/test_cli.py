@@ -172,12 +172,16 @@ class TestValidate:
         # held-out blocks under each of two pilot allocations.
         report = validate_config(parse_config("configs/desk_scale.yaml"))
         assert "simulated blocks per sweep: 16000" in report
+        # Per worker thread: 175-block chunks, and a 256-block training
+        # batch's receive samples kept whole for its Gram sums.
+        assert "batch buffers per worker thread: 16.1 MiB" in report
 
     def test_unsupported_layout_flagged(self):
         config = ExperimentConfig(system=SystemConfig(cells=3))
         report = validate_config(config)
         assert "ISSUES FOUND" in report
         assert "UnsupportedLayout" in report
+        assert "batch buffers" not in report
 
     def test_full_scale_memory_estimate(self):
         config = parse_config("configs/full_scale.yaml")
@@ -185,10 +189,14 @@ class TestValidate:
         assert "70 matrices of 100x100" in report
         # 20 runs of 1500 training blocks and 2 x 200 held-out blocks.
         assert "simulated blocks per sweep: 38000" in report
+        # 28-block chunks; 89.8 MiB when every batch array was held whole.
+        assert "batch buffers per worker thread: 38.7 MiB" in report
         # A tau_p sweep receives those blocks under each of its tau_p.
         config.sweep = SweepSpec(variable="tau_p", values=[5, 10])
         report = validate_config(config)
         assert "simulated blocks per sweep: 76000" in report
+        # The Gram sums keep the pilot phase of both tau_p whole.
+        assert "batch buffers per worker thread: 40.7 MiB" in report
 
 
 class TestMain:

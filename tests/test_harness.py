@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 from mimoce import buffers, covest, harness
+from mimoce.airlink import despread_batch, simulate_blocks
 from mimoce.config import EstimatorSpec, ExperimentConfig, SweepSpec, SystemConfig
 from mimoce.estimators import approx_mmse_filter, improved_mmse_filter, ls_estimate
-from mimoce.channel import sample_channels
+from mimoce.channel import covariance_factors, sample_channels
+from mimoce.covest import AllCovAccumulator
 from mimoce.harness import (
     _STREAMS,
     NmseResult,
@@ -682,6 +684,99 @@ class TestBuffers:
         run_sweep(config, workers=1)
         (sizes,) = made
         assert [largest[slot] for slot in range(len(sizes))] == sizes
+
+
+class TestChunks:
+    # A batch task receives its blocks in chunks of run.chunk blocks, from
+    # trimmed factors, with the channels scaled once per chunk; every
+    # chunking gives the bits of the batch received by the plain functions
+    # from the square factors in one piece.
+
+    @staticmethod
+    def run_and_states():
+        """A run of two tau_p with jammer (matrix) noise at power 0.7."""
+        system = dataclasses.replace(
+            small_config().system, uplink_power=0.7, jammer_power=2.0, jammer_angle_deg=20.0
+        )
+        run = _Run(small_config(system=system, eval_blocks=30), (7, 0))
+        assert np.ndim(run.noise_factor) == 2
+        states = [_RunState(run, dataclasses.replace(system, tau_p=tau_p)) for tau_p in (4, 2)]
+        return run, states
+
+    @staticmethod
+    def fingerprint(run, states, grams):
+        sums = {
+            (part, cut): (acc._sum.tobytes(), acc._samples)
+            for part, accs in enumerate(grams)
+            for cut, acc in accs.items()
+        }
+        arrays = [run.h_center[:, 15:30].tobytes()]
+        for state in states:
+            arrays.append(state.despread[:, 15:30].tobytes())
+            arrays += [held[:, 15:30].tobytes() for held in state.held_out.values()]
+        return sums, arrays
+
+    def received(self, chunk):
+        """Training batch 1 (blocks 15-29, window 20 cut inside it) and
+        held-out batch 1, received by the run in chunks of `chunk`."""
+        run, states = self.run_and_states()
+        run.chunk = chunk
+        data, pilots = run._train(states, [20, 40], 1, slice(15, 30))
+        run._held_out(states, 1, slice(15, 30))
+        return self.fingerprint(run, states, [data, *pilots])
+
+    def plain(self):
+        """The same batches from sample_channels, simulate_blocks with the
+        powers, despread_batch and AllCovAccumulator, in one piece."""
+        run, states = self.run_and_states()
+        factors = covariance_factors(run.covs)
+        blocks, tau_u = slice(15, 30), run.config.system.tau_u
+
+        def receive(state, h, rows, noise_stream, *data_phase):
+            pilot_rx, data_rx = simulate_blocks(
+                h, rows, state.book, run.powers, run.noise_factor, noise_stream, *data_phase
+            )
+            d = despread_batch(pilot_rx, state.book, rows[:, 0]).transpose(1, 0, 2)
+            return pilot_rx, data_rx, d
+
+        def grams(samples):
+            accs = {cut: AllCovAccumulator(samples.shape[1]) for cut in (5, 15)}
+            for cut, acc in accs.items():
+                acc.add(samples[:cut])
+            return accs
+
+        h = sample_channels(factors, run._rng("est_channels", 1), 15)
+        data_phase = (tau_u, run._rng("data", 1), run._rng("data_noise", 1))
+        data, pilots = None, []
+        for state in states:
+            pilot_rx, data_rx, d = receive(
+                state, h, state.rows[blocks], run._rng("est_signals", 1), *data_phase
+            )
+            state.despread[:, blocks] = d
+            if data is None:
+                data = grams(data_rx)
+            pilots.append(grams(pilot_rx))
+            data_phase = (0,)
+        h = sample_channels(factors, run._rng("eval_channels", 1), 15)
+        run.h_center[:, blocks] = h[:, 0].transpose(1, 0, 2)
+        for state in states:
+            for mode, rows in state.eval_rows.items():
+                noise = run._rng(f"eval_signals_{mode}", 1)
+                state.held_out[mode][:, blocks] = receive(state, h, rows[blocks], noise, 0)[2]
+        return self.fingerprint(run, states, [data, *pilots])
+
+    @pytest.mark.parametrize(
+        "chunk", [15, 7, 4, 1], ids=["one_chunk", "7_7_1", "window_in_chunk", "one_block"]
+    )
+    def test_chunked_batches_same_bits(self, chunk):
+        # Chunks of 7 do not divide the 15-block batch and end in a 1-block
+        # chunk; the window cut (5 blocks in) falls inside a chunk of 7 and
+        # of 4.
+        grams, arrays = self.received(chunk)
+        expected_grams, expected_arrays = self.plain()
+        assert sorted(grams) == [(part, cut) for part in range(3) for cut in (5, 15)]
+        assert grams == expected_grams
+        assert arrays == expected_arrays
 
 
 class TestFanOut:
