@@ -10,7 +10,7 @@ it every array is a fresh one (`fresh`), so a plain call allocates as it
 always did.  The bits a function computes do not depend on where its
 arrays live.
 
-A `BatchBuffers` serves those requests from four slots of memory that it
+A `BatchBuffers` serves those requests from five slots of memory that it
 keeps and reuses, so a thread that receives batch after batch stops
 handing the same pages back to the allocator and faulting them in again.
 Names share a slot when no caller needs their arrays at the same time
@@ -18,13 +18,14 @@ Names share a slot when no caller needs their arrays at the same time
 under any name of its slot.  That holds for a plain sample_channels,
 simulate_blocks, add sequence, and for the order in which the sweep
 harness receives a batch: in chunks of blocks, each chunk's channels
-drawn once and received under every pilot allocation into views of one
-"received" array that keeps the whole batch's receive samples, whose
-sample covariances are summed after the last chunk.  A set's slots are
-made at the sizes `slot_bytes` gives, the largest array of each slot's
-names, so a thread's first batch does not fault in memory that it then
-drops for a larger array; a request beyond that size grows the slot.  An
-array a caller keeps is copied out of its slot first.
+drawn once and received under every pilot allocation, each receive's
+samples added to the batch's sample-covariance sums before the next
+receive.  No array holds more than a chunk of blocks: a chunk's channels
+take at most CHUNK_BYTES, and so does a stack of Grams.  A set's slots
+are made at the sizes `slot_bytes` gives, the largest array of each
+slot's names, so a thread's first batch does not fault in memory that it
+then drops for a larger array; a request beyond that size grows the
+slot.  An array a caller keeps is copied out of its slot first.
 """
 
 from __future__ import annotations
@@ -34,11 +35,15 @@ import threading
 
 import numpy as np
 
+# Bytes of the channels of one chunk of blocks, and the most that a stack
+# of Grams takes.
+CHUNK_BYTES = 3 << 20
+
 # Slot of each array name.  Slot 0 holds a chunk's channel normals, then
-# each receive's pilot noise, data symbols and data noise, and, after the
-# last chunk, the conjugate copy of the Gram sums; the symbol phases leave
-# slot 2 before the data receive matmul writes it; slot 3 holds a training
-# batch's whole receive samples, or a held-out chunk's pilot receive.
+# each receive's pilot noise, data symbols and data noise, and, while its
+# samples are added to the Gram sums, their conjugate; the symbol phases
+# leave slot 2 before the data receive matmul writes it; slot 3 holds the
+# pilot receive and slot 4 a stack of per-block Grams.
 SLOTS = {
     "normals": 0,
     "pilot_noise": 0,
@@ -49,7 +54,7 @@ SLOTS = {
     "phases": 2,
     "data_rx": 2,
     "pilot_rx": 3,
-    "received": 3,
+    "grams": 4,
 }
 _SLOT_COUNT = max(SLOTS.values()) + 1
 

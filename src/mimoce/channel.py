@@ -173,7 +173,10 @@ def local_scattering_covariance(
     # First columns of the Toeplitz matrices: entries for m - n = 0 .. N-1.
     # weights sum to 2, so weights/2 realizes the 1/(2*half_spread) average.
     phase = lags[:, None] * np.sin(theta)[..., None, :]  # (..., N, Q)
-    column = np.exp(1j * np.pi * phase) @ (weights / 2.0)
+    # Exponentiated in place: the same bits as np.exp(1j * np.pi * phase),
+    # with one (..., N, Q) complex temporary instead of two.
+    z = 1j * np.pi * phase
+    column = np.exp(z, out=z) @ (weights / 2.0)
     # As scipy.linalg.toeplitz(column): column[0] on the diagonal, column
     # below it and its conjugate above it, gathered by lag m - n.
     values = np.concatenate([column[..., 1:].conj()[..., ::-1], column], axis=-1)

@@ -23,11 +23,17 @@ from functools import partial
 
 import numpy as np
 
-from .buffers import fresh
+from .buffers import CHUNK_BYTES, fresh
 from .linalg import gevd, hermitize, load_diagonal, retry_loaded
 
 # Eigenvalues this close to 1 carry no usable signal power and are never kept.
 SIGMA_ONE_TOL = 1e-9
+
+
+def gram_blocks(n_antennas: int) -> int:
+    """Blocks of the Gram stack that `AllCovAccumulator.add` forms at once:
+    as many (N, N) Grams as fit in CHUNK_BYTES."""
+    return max(1, CHUNK_BYTES // (n_antennas * n_antennas * 16))
 
 
 class DegeneratePilotCount(ValueError):
@@ -71,9 +77,11 @@ class AllCovAccumulator:
     """Streaming accumulator for the combined sample covariance.
 
     Feeds on batches of per-block antenna samples so that long runs never
-    need to hold all received signals in memory; accumulation is a plain
-    fold and therefore order-insensitive up to floating-point rounding.
-    Accumulators of disjoint sample sets combine with `merge`.
+    need to hold all received signals in memory.  Each block's Gram
+    x_b x_b^H is added to the running sum in block order, so the sum of a
+    run of blocks is the same bits however its blocks are split among
+    `add` calls.  Accumulators of disjoint sample sets combine with
+    `merge`.
     """
 
     def __init__(self, n_antennas: int):
@@ -81,26 +89,37 @@ class AllCovAccumulator:
         self._samples = 0
 
     def add(self, signals: np.ndarray, *, buffers=fresh) -> None:
-        """Accumulate signals of shape (N, S) or (B, N, S).
+        """Accumulate signals of shape (N, S) or (B, N, S), block by block.
 
-        The samples are read as one (N, B*S) matrix: a view of them when
-        they are stored (N, B, S), as a prefix of a larger batch stored
-        that way is, and a copy otherwise.  Its conjugate is the
-        "gram_conj" array of `buffers` (see `mimoce.buffers`).
+        The blocks' Grams are formed a stack at a time, in the "grams"
+        array of `buffers`, from the samples and their conjugate, its
+        "gram_conj" array (see `mimoce.buffers`); a stack holds at most
+        `gram_blocks(N)` blocks.
         """
-        signals = np.asarray(signals, dtype=complex)
+        signals = np.ascontiguousarray(signals, dtype=complex)
         if signals.ndim == 2:
             signals = signals[None]
         b, n, s = signals.shape
-        flat = np.moveaxis(signals, 1, 0).reshape(n, b * s)
-        conj = np.conjugate(flat, out=buffers("gram_conj", flat.shape))
-        self._sum += flat @ conj.T
+        step = gram_blocks(n)
+        for first in range(0, b, step):
+            x = signals[first : first + step]
+            conj = np.conjugate(x, out=buffers("gram_conj", x.shape))
+            grams = np.matmul(x, conj.transpose(0, 2, 1), out=buffers("grams", (len(x), n, n)))
+            for gram in grams:
+                self._sum += gram
         self._samples += b * s
 
     def merge(self, other: AllCovAccumulator) -> None:
         """Add every sample accumulated by `other`."""
         self._sum += other._sum
         self._samples += other._samples
+
+    def copy(self) -> AllCovAccumulator:
+        """An accumulator of the samples of this one, independent of it."""
+        other = AllCovAccumulator(self._sum.shape[0])
+        other._sum[...] = self._sum
+        other._samples = self._samples
+        return other
 
     def estimate(self) -> np.ndarray:
         """The (N, N) sample covariance of every sample added so far."""

@@ -45,17 +45,20 @@ CHUNK_BYTES of channels, one Generator per stream continued from chunk to
 chunk, so a batch holds the same bits in any chunking.  The channel
 factors are stored without the leading columns that are zero in all of
 them, and each chunk's channels are scaled by the UEs' amplitudes once
-for all its receives.  Only the receive samples that the Gram sums read
-are kept for the whole batch: the data phase and each tau_p's pilot
-phase, each stored (N, B, S) so that a window's prefix is read in place.
+for all its receives.  No receive sample outlives its chunk: the data
+phase and each tau_p's pilot phase are added to the batch's running Gram
+sums as soon as they are received, block by block in block order
+(`AllCovAccumulator.add`), and a copy of each sum is kept at every
+window cut.  The sum of a set of blocks thus depends only on those
+blocks, not on the chunks or cuts that split them.
 
 A batch task receives into buffers that its thread reuses
 (`mimoce.buffers`): a chunk's channels, their normals, its noise, data
-symbols and phases, the batch's receive samples and the conjugate copy
-the Gram sums take.  `run_sweep` owns one `ThreadBuffers` for the whole
-sweep, so each thread that runs a task keeps one set, sized once for the
-sweep's largest chunk and batch, however many runs it serves; the sets
-are freed when the sweep returns.  A `run_single` called on its own owns
+symbols and phases, its receive samples, and the conjugate and the
+per-block Grams that the Gram sums take.  `run_sweep` owns one
+`ThreadBuffers` for the whole sweep, so each thread that runs a task
+keeps one set, sized once for the sweep's largest chunk, however many
+runs it serves; the sets are freed when the sweep returns.  A `run_single` called on its own owns
 the sets of its call.  A task copies out what it keeps (despread vectors,
 held-out channels, Gram sums), so nothing it returns points into a
 buffer.
@@ -79,7 +82,7 @@ from .airlink import (
     simulate_blocks,
 )
 from .blas import single_threaded_blas
-from .buffers import ThreadBuffers, slot_bytes
+from .buffers import CHUNK_BYTES, ThreadBuffers, slot_bytes
 from .channel import (
     bs_covariances,
     build_geometry,
@@ -93,6 +96,7 @@ from .covest import (
     AllCovAccumulator,
     estimate_pilot_cov,
     gevd_lowrank_estimator,
+    gram_blocks,
     subtraction_estimator,
 )
 from .estimators import (
@@ -109,12 +113,6 @@ from .seeding import derive_rng
 # Blocks simulated per vectorized batch; a fixed constant, because batch i
 # of a stream draws blocks [i * BATCH_BLOCKS, ...) from its own key.
 BATCH_BLOCKS = 256
-
-# Bytes of the channels of one chunk.  A batch task draws and receives its
-# blocks a chunk at a time, continuing one Generator per stream, so the
-# chunks change no bit, and its per-thread arrays are sized by the chunk,
-# not the batch: about 28 blocks at full scale, 175 at desk scale.
-CHUNK_BYTES = 3 << 20
 
 # Stream ids of the run's keys (master seed, run, stream id, batch).  Fresh
 # evaluation blocks are drawn from dedicated streams, so estimation and
@@ -186,13 +184,6 @@ def nmse(h_true: np.ndarray, h_hat: np.ndarray, covariance: np.ndarray) -> np.nd
     return sq.sum(axis=-1) / trace
 
 
-def _gram(samples: np.ndarray, buffers) -> AllCovAccumulator:
-    """An accumulator holding the samples (B, N, S)."""
-    acc = AllCovAccumulator(samples.shape[1])
-    acc.add(samples, buffers=buffers)
-    return acc
-
-
 def _merged(antennas: int, *parts: AllCovAccumulator) -> AllCovAccumulator:
     """A fresh accumulator of the samples of `parts`, merged in order."""
     acc = AllCovAccumulator(antennas)
@@ -230,25 +221,19 @@ def _fan_out(pool: ThreadPoolExecutor | None, tasks: list) -> list:
     return [own[0] if own else job.result() for own, job in zip(mine, submitted)]
 
 
-def _received(buffers, antennas: int, blocks: int, samples: list[int]) -> list[np.ndarray]:
-    """One (B, N, S) array per entry S of `samples`, each stored (N, B, S)
-    in the "received" array of `buffers`, so that the first b blocks of
-    each are an (N, b*S) matrix without a copy."""
-    flat = buffers("received", (antennas * blocks * sum(samples),))
-    ends = np.cumsum([0, *samples]) * antennas * blocks
-    return [
-        flat[start:end].reshape(antennas, blocks, size).transpose(1, 0, 2)
-        for start, end, size in zip(ends, ends[1:], samples)
-    ]
-
-
-def _into(buffers, **views):
-    """`buffers`, except that the arrays named in `views` are those views."""
-
-    def serve(name, shape, dtype=complex):
-        return views[name] if name in views else buffers(name, shape, dtype)
-
-    return serve
+def _add_cut(
+    acc: AllCovAccumulator, samples: np.ndarray, first: int, cuts: list[int], kept: dict, buffers
+) -> None:
+    """Add `samples` (B, N, S), blocks [first, first + B) of a batch, to
+    `acc`, and keep in `kept` a copy of it at each of the ascending `cuts`
+    (block counts from the batch start) that those blocks reach."""
+    done = 0
+    for cut in cuts:
+        if first < cut <= first + len(samples):
+            acc.add(samples[done : cut - first], buffers=buffers)
+            kept[cut] = acc.copy()
+            done = cut - first
+    acc.add(samples[done:], buffers=buffers)
 
 
 def _batches(stop: int) -> list[tuple[int, slice]]:
@@ -359,39 +344,42 @@ class _Run:
         pilot noise comes from the batch's `est_signals` key and the data
         phase, synthesized with the first state's pilot phase, from its
         `data` and `data_noise` keys.  Each chunk's channels are drawn once
-        and scaled by the UEs' amplitudes; its receive samples go into the
-        batch's whole arrays, which the sample-covariance sums read once
-        the last chunk is in.
+        and scaled by the UEs' amplitudes, and each receive's samples are
+        added to the batch's running sums before the next receive.
 
         Returns, per cut (the batch size and each of `windows` that ends
         inside the batch), the accumulator of the data phase of the batch's
         first cut blocks, and the same of each state's pilot phase.
         """
         size = blocks.stop - blocks.start
-        cuts = {size} | {w - blocks.start for w in windows if blocks.start < w < blocks.stop}
+        inside = {w - blocks.start for w in windows if blocks.start < w < blocks.stop}
+        cuts = sorted({size} | inside)
         sysc = self.config.system
         buffers = self.buffers.get()
-        data_rx, *pilot_rxs = _received(
-            buffers, sysc.antennas, size, [sysc.tau_u, *(state.system.tau_p for state in states)]
-        )
+        # The data phase's sum, then each state's pilot phase's, and of
+        # each a copy per cut.
+        sums = [AllCovAccumulator(sysc.antennas) for _ in range(1 + len(states))]
+        kept = [{} for _ in sums]
         # One Generator per stream for the whole batch, continued from
         # chunk to chunk.
         channels = self._rng("est_channels", batch)
         pilot_noise = [self._rng("est_signals", batch) for _ in states]
         data_streams = (self._rng("data", batch), self._rng("data_noise", batch))
         for chunk in self._chunks(blocks):
-            local = slice(chunk.start - blocks.start, chunk.stop - blocks.start)
+            first = chunk.start - blocks.start
             h = sample_channels(self.factors, channels, chunk.stop - chunk.start, buffers=buffers)
             h *= self.amplitudes
             data_phase = (sysc.tau_u, *data_streams)
-            for state, pilot_rx, noise in zip(states, pilot_rxs, pilot_noise):
-                into = _into(buffers, pilot_rx=pilot_rx[local], data_rx=data_rx[local])
-                d = state._receive(h, state.rows[chunk], noise, *data_phase, buffers=into)[2]
+            for i, (state, noise) in enumerate(zip(states, pilot_noise), 1):
+                pilot_rx, data_rx, d = state._receive(
+                    h, state.rows[chunk], noise, *data_phase, buffers=buffers
+                )
                 state.despread[:, chunk] = d
+                if data_phase:
+                    _add_cut(sums[0], data_rx, first, cuts, kept[0], buffers)
+                _add_cut(sums[i], pilot_rx, first, cuts, kept[i], buffers)
                 data_phase = ()
-        data = {cut: _gram(data_rx[:cut], buffers) for cut in cuts}
-        pilots = [{cut: _gram(pilot_rx[:cut], buffers) for cut in cuts} for pilot_rx in pilot_rxs]
-        return data, pilots
+        return kept[0], kept[1:]
 
     def _held_out(self, states: list[_RunState], batch: int, blocks: slice) -> None:
         """Receive held-out batch `batch`, blocks `blocks`, under every
@@ -454,6 +442,7 @@ class _RunState:
         self.pilot_covs = None  # (K, N, N) sample pilot covariances
         self.all_cov = None  # (N, N) sample combined covariance
         self.lowranks: dict[int, list] = {}
+        self.true_nmse: dict[str, float] = {}  # per true-covariance label, once evaluated
         self.static_filters: dict[str, np.ndarray] = {
             spec.label: self._true_covariance_filters(spec.kind)
             for spec in config.estimators
@@ -556,11 +545,15 @@ class _RunState:
 
     def evaluate(self) -> dict[str, float]:
         """Mean NMSE per estimator over the held-out blocks, with the
-        filters of the training window in hand."""
+        filters of the training window in hand.  The true-covariance
+        filters are the same in every window, so their NMSE is computed on
+        the first call and kept."""
         h_center = self.run.h_center
         total = self.config.eval_blocks * self.system.ues_per_cell
-        err = {}
+        err = dict(self.true_nmse)
         for spec in self.config.estimators:
+            if spec.label in err:
+                continue
             if spec.kind == "gevd_impr":
                 h_hat = self._improved_estimates(
                     spec.rank, spec.label, self.eval_rows["random"], self.held_out["random"]
@@ -569,6 +562,8 @@ class _RunState:
                 d = self.held_out[_ALLOCATION[spec.kind]]
                 h_hat = d @ self.static_filters[spec.label].conj()
             err[spec.label] = float(nmse(h_center, h_hat, self.run.covs[0][:, None]).sum()) / total
+            if spec.kind in _TRUE_COVARIANCE_KINDS:
+                self.true_nmse[spec.label] = err[spec.label]
         return err
 
     def _improved_estimates(
@@ -633,20 +628,23 @@ def _thread_buffers(config: ExperimentConfig, systems: list[SystemConfig]) -> Th
     eval_chunk = min(chunk, BATCH_BLOCKS, config.eval_blocks)
     tau_p, tau_u = max(tau_ps), sysc.tau_u if trains else 0
     # complex128 takes 16 bytes, float64 8; sample_channels draws at least
-    # two blocks.  A training batch keeps its data phase and every tau_p's
-    # pilot phase whole, and receives its chunks into them.
+    # two blocks.  The Gram sums take a training chunk's receive samples a
+    # stack of gram_blocks at a time.
     channels = max(train_chunk, eval_chunk, 2) * links * n * 16
+    pilot = max(train_chunk, eval_chunk) * n * tau_p * 16
+    stack = min(train_chunk, gram_blocks(n))
     sizes = slot_bytes(
         {
             "normals": channels,
             "channels": channels,
-            "pilot_noise": max(train_chunk, eval_chunk) * n * tau_p * 16,
-            "pilot_rx": eval_chunk * n * tau_p * 16,
+            "pilot_noise": pilot,
+            "pilot_rx": pilot,
             "phases": train_chunk * links * tau_u * 8,
             "symbols": train_chunk * links * tau_u * 16,
             "data_noise": train_chunk * n * tau_u * 16,
-            "received": train_batch * n * (tau_u + sum(tau_ps)) * 16,
-            "gram_conj": train_batch * n * max(tau_u, tau_p) * 16,
+            "data_rx": train_chunk * n * tau_u * 16,
+            "gram_conj": stack * n * max(tau_u, tau_p) * 16,
+            "grams": stack * n * n * 16,
         }
     )
     return ThreadBuffers(sizes)

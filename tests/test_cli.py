@@ -172,9 +172,9 @@ class TestValidate:
         # held-out blocks under each of two pilot allocations.
         report = validate_config(parse_config("configs/desk_scale.yaml"))
         assert "simulated blocks per sweep: 16000" in report
-        # Per worker thread: 175-block chunks, and a 256-block training
-        # batch's receive samples kept whole for its Gram sums.
-        assert "batch buffers per worker thread: 16.1 MiB" in report
+        # Per worker thread: 175-block chunks, each chunk's receive samples
+        # added to the Gram sums as they arrive.
+        assert "batch buffers per worker thread: 13.7 MiB" in report
 
     def test_unsupported_layout_flagged(self):
         config = ExperimentConfig(system=SystemConfig(cells=3))
@@ -190,13 +190,13 @@ class TestValidate:
         # 20 runs of 1500 training blocks and 2 x 200 held-out blocks.
         assert "simulated blocks per sweep: 38000" in report
         # 28-block chunks; 89.8 MiB when every batch array was held whole.
-        assert "batch buffers per worker thread: 38.7 MiB" in report
+        assert "batch buffers per worker thread: 11.0 MiB" in report
         # A tau_p sweep receives those blocks under each of its tau_p.
         config.sweep = SweepSpec(variable="tau_p", values=[5, 10])
         report = validate_config(config)
         assert "simulated blocks per sweep: 76000" in report
-        # The Gram sums keep the pilot phase of both tau_p whole.
-        assert "batch buffers per worker thread: 40.7 MiB" in report
+        # One tau_p's pilot receive at a time: the set of the larger one.
+        assert "batch buffers per worker thread: 11.0 MiB" in report
 
 
 class TestMain:

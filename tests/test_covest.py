@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from mimoce import covest
 from mimoce.airlink import (
     allocate_pilots,
     despread_batch,
@@ -12,6 +13,7 @@ from mimoce.airlink import (
     make_pilot_book,
     simulate_blocks,
 )
+from mimoce.buffers import BatchBuffers, fresh
 from mimoce.channel import covariance_factors, sample_channels
 from mimoce.covest import (
     AllCovAccumulator,
@@ -107,6 +109,49 @@ class TestSampleCovariances:
         acc.add(y[12:])
         streamed = acc.estimate()
         assert np.allclose(direct, streamed)
+
+
+class TestBlockOrderSums:
+    # add sums the blocks' Grams one by one in block order, so how a run of
+    # blocks is split among calls, and how add stacks them, changes no bit.
+
+    @staticmethod
+    def batch(blocks=7, n=4, s=3):
+        rng = ensure_rng(8)
+        return rng.standard_normal((blocks, n, s)) + 1j * rng.standard_normal((blocks, n, s))
+
+    @pytest.mark.parametrize("stack", [None, 1, 2, 3], ids=["whole", "one", "two", "three"])
+    def test_split_adds_same_bits(self, monkeypatch, stack):
+        y = self.batch()
+        if stack is not None:
+            # Grams formed `stack` blocks at a time.
+            monkeypatch.setattr(covest, "CHUNK_BYTES", stack * 4 * 4 * 16)
+        # The blocks' Grams added one by one, in order.
+        expected = np.zeros((4, 4), dtype=complex)
+        for x in y:
+            expected += x @ x.conj().T
+        whole = AllCovAccumulator(4)
+        whole.add(y)
+        assert whole._sum.tobytes() == expected.tobytes()
+        reused = BatchBuffers()
+        for cut in range(len(y) + 1):
+            for buffers in (fresh, reused):
+                acc = AllCovAccumulator(4)
+                acc.add(y[:cut], buffers=buffers)
+                acc.add(y[cut:], buffers=buffers)
+                assert acc._sum.tobytes() == expected.tobytes()
+                assert acc._samples == whole._samples
+
+    def test_copy_is_independent(self):
+        y = self.batch()
+        acc = AllCovAccumulator(4)
+        acc.add(y[:3])
+        kept = acc.copy()
+        acc.add(y[3:])
+        alone = AllCovAccumulator(4)
+        alone.add(y[:3])
+        assert kept._sum.tobytes() == alone._sum.tobytes()
+        assert kept._samples == alone._samples
 
 
 class TestSubtraction:

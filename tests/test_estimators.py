@@ -1,5 +1,7 @@
 """Tests for the channel estimators and their algebraic relationships."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from mimoce.airlink import (
     simulate_blocks,
 )
 from mimoce.channel import covariance_factors, sample_channels
-from mimoce.covest import estimate_pilot_cov, gevd_lowrank_estimator
+from mimoce.cli import parse_config
+from mimoce.covest import LowRankCovEstimate, estimate_pilot_cov, gevd_lowrank_estimator
 from mimoce.estimators import (
     approx_mmse_filter,
     improved_mmse_filter,
@@ -19,9 +22,12 @@ from mimoce.estimators import (
     mmse_fixed_filter,
     mmse_optimal_filter,
 )
+from mimoce.harness import _Run, _RunState
 from mimoce.linalg import hermitize, psd_factor, solve_hermitian
 from mimoce.seeding import complex_normal, ensure_rng
 from support import SyntheticNetwork, make_synthetic, random_psd
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def rel_err(actual, expected):
@@ -276,6 +282,38 @@ class TestImprovedFilter:
         )
         assert filt.clamped
         assert np.all(np.isfinite(filt.w))
+
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_exact_inputs_give_the_pattern_conditioned_lmmse_filter(self, seed):
+        # With the true pilot covariance and exact intra-cell estimates
+        # (scaled_matrix = p R_0i), the corrected matrix is the despread
+        # covariance given which serving-cell UEs share UE k's pilot: a
+        # sharer contributes tau_p p R_0i, any other serving-cell UE
+        # nothing, every other cell its random-allocation average.  The
+        # filter is then the LMMSE filter under that covariance.
+        config = parse_config(ROOT / "configs/desk_scale.yaml")
+        run = _Run(config, (seed, 0))
+        sysc = config.system
+        power, tau_p, ues, n = run.power, sysc.tau_p, sysc.ues_per_cell, sysc.antennas
+        scaled = power * run.covs[0]
+        none = np.zeros((n, 0))
+        exact = [
+            LowRankCovEstimate(s, 1, 0, none, none, np.zeros(0), np.zeros(0), False)
+            for s in scaled
+        ]
+        pilot_covs = _RunState(run, sysc).pilot_cov_true()
+        rng = np.random.default_rng(seed)
+        for row in rng.integers(0, tau_p, size=(20, ues)):
+            for k in range(ues):
+                others = [i for i in range(ues) if i != k]
+                sharers = [i for i in others if row[i] == row[k]]
+                conditioned = pilot_covs[k] - scaled[others].sum(axis=0)
+                conditioned += tau_p * scaled[sharers].sum(axis=0)
+                filt = improved_mmse_filter(pilot_covs[k], exact, row, k, tau_p, power)
+                assert not filt.clamped
+                expected = mmse_optimal_filter(conditioned, run.covs[0][k], power)
+                assert rel_err(filt.w, expected) <= 1e-11
 
 
 class TestLsEstimate:

@@ -8,12 +8,14 @@ import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mimoce import buffers, covest, harness
 from mimoce.airlink import despread_batch, simulate_blocks
+from mimoce.cli import parse_config
 from mimoce.config import EstimatorSpec, ExperimentConfig, SweepSpec, SystemConfig
 from mimoce.estimators import approx_mmse_filter, improved_mmse_filter, ls_estimate
 from mimoce.channel import covariance_factors, sample_channels
@@ -651,6 +653,13 @@ class TestBuffers:
         assert [state.despread[:, :8].tobytes() for state in states] == [
             d.tobytes() for d in despread
         ]
+
+    def test_full_scale_set_is_below_the_mmap_ceiling(self):
+        # glibc raises its mmap threshold up to 32 MiB as freed blocks
+        # show it: a set below that is reused from the heap sweep after
+        # sweep instead of being mapped and faulted in anew.
+        config = parse_config(Path(__file__).resolve().parent.parent / "configs/full_scale.yaml")
+        assert harness.thread_buffer_bytes(config) < 32 << 20
 
     @pytest.mark.parametrize(
         "sweep",
