@@ -1,31 +1,30 @@
 """Memory for the large arrays of one batch, reused from batch to batch.
 
 The functions that build a batch's large arrays (`channel.sample_channels`,
-`airlink.simulate_blocks`, `covest.AllCovAccumulator.add`) take an optional
-`buffers` keyword: a callable buffers(name, shape, dtype=complex) that
-returns an array of that shape and dtype for the function to overwrite,
-the array being named by its role; it is C-contiguous, except that the
-receive arrays "pilot_rx" and "data_rx" may be strided views.  Without
-it every array is a fresh one (`fresh`), so a plain call allocates as it
-always did.  The bits a function computes do not depend on where its
-arrays live.
+`airlink.simulate_blocks`) take an optional `buffers` keyword: a callable
+buffers(name, shape, dtype=complex) that returns an array of that shape
+and dtype for the function to overwrite, the array being named by its
+role; it is C-contiguous, except that the receive arrays "pilot_rx" and
+"data_rx" may be strided views.  Without it every array is a fresh one
+(`fresh`), so a plain call allocates as it always did.  The bits a
+function computes do not depend on where its arrays live.
 
-A `BatchBuffers` serves those requests from five slots of memory that it
+A `BatchBuffers` serves those requests from four slots of memory that it
 keeps and reuses, so a thread that receives batch after batch stops
 handing the same pages back to the allocator and faulting them in again.
 Names share a slot when no caller needs their arrays at the same time
 (`SLOTS`): a request may return the memory of the array last requested
 under any name of its slot.  That holds for a plain sample_channels,
-simulate_blocks, add sequence, and for the order in which the sweep
-harness receives a batch: in chunks of blocks, each chunk's channels
-drawn once and received under every pilot allocation, each receive's
-samples added to the batch's sample-covariance sums before the next
-receive.  No array holds more than a chunk of blocks: a chunk's channels
-take at most CHUNK_BYTES, and so does a stack of Grams.  A set's slots
-are made at the sizes `slot_bytes` gives, the largest array of each
-slot's names, so a thread's first batch does not fault in memory that it
-then drops for a larger array; a request beyond that size grows the
-slot.  An array a caller keeps is copied out of its slot first.
+simulate_blocks sequence, and for the order in which the sweep harness
+receives a batch: in chunks of blocks, each chunk's channels drawn once
+and received under every pilot allocation, each receive's samples added
+to the batch's sample-covariance sums before the next receive.  No array
+holds more than a chunk of blocks, and a chunk's channels take at most
+CHUNK_BYTES.  A set's slots are made at the sizes `slot_bytes` gives, the
+largest array of each slot's names, so a thread's first batch does not
+fault in memory that it then drops for a larger array; a request beyond
+that size grows the slot.  An array a caller keeps is copied out of its
+slot first.
 """
 
 from __future__ import annotations
@@ -35,26 +34,22 @@ import threading
 
 import numpy as np
 
-# Bytes of the channels of one chunk of blocks, and the most that a stack
-# of Grams takes.
+# Bytes of the channels of one chunk of blocks.
 CHUNK_BYTES = 3 << 20
 
 # Slot of each array name.  Slot 0 holds a chunk's channel normals, then
-# each receive's pilot noise, data symbols and data noise, and, while its
-# samples are added to the Gram sums, their conjugate; the symbol phases
-# leave slot 2 before the data receive matmul writes it; slot 3 holds the
-# pilot receive and slot 4 a stack of per-block Grams.
+# each receive's pilot noise, data symbols and data noise; the symbol
+# phases leave slot 2 before the data receive matmul writes it; slot 3
+# holds the pilot receive.
 SLOTS = {
     "normals": 0,
     "pilot_noise": 0,
     "symbols": 0,
     "data_noise": 0,
-    "gram_conj": 0,
     "channels": 1,
     "phases": 2,
     "data_rx": 2,
     "pilot_rx": 3,
-    "grams": 4,
 }
 _SLOT_COUNT = max(SLOTS.values()) + 1
 

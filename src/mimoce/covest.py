@@ -22,18 +22,12 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from scipy.linalg.blas import zherk
 
-from .buffers import CHUNK_BYTES, fresh
 from .linalg import gevd, hermitize, load_diagonal, retry_loaded
 
 # Eigenvalues this close to 1 carry no usable signal power and are never kept.
 SIGMA_ONE_TOL = 1e-9
-
-
-def gram_blocks(n_antennas: int) -> int:
-    """Blocks of the Gram stack that `AllCovAccumulator.add` forms at once:
-    as many (N, N) Grams as fit in CHUNK_BYTES."""
-    return max(1, CHUNK_BYTES // (n_antennas * n_antennas * 16))
 
 
 class DegeneratePilotCount(ValueError):
@@ -73,76 +67,98 @@ class LowRankCovEstimate:
         return _lowrank(self.q, self.x, self.sigma, self.lam, rank, self.loaded)
 
 
-class AllCovAccumulator:
-    """Streaming accumulator for the combined sample covariance.
+# Blocks whose Grams one zherk call sums: a divisor of the harness's
+# batch size, so that a batch's sums hold whole groups.
+GRAM_GROUP = 16
 
-    Feeds on batches of per-block antenna samples so that long runs never
-    need to hold all received signals in memory.  Each block's Gram
-    x_b x_b^H is added to the running sum in block order, so the sum of a
-    run of blocks is the same bits however its blocks are split among
-    `add` calls.  Accumulators of disjoint sample sets combine with
-    `merge`.
+
+class AllCovAccumulator:
+    """Streaming sum of per-block Grams x_b x_b^H: a sample covariance, or,
+    with `ues`, one per UE on a leading axis.
+
+    The Grams of each GRAM_GROUP consecutive blocks, counted from the
+    first block added, are summed by one BLAS Hermitian rank-k update
+    (zherk) per UE into the lower triangle of the running sum, group after
+    group.  An incomplete group's blocks are kept (a copy) until it is
+    complete, and a reading of the sum (`estimate`, `merge`) adds them as
+    a group of their own.  So the sum of a run of blocks is the same bits
+    however its blocks are split among `add` calls.
     """
 
-    def __init__(self, n_antennas: int):
-        self._sum = np.zeros((n_antennas, n_antennas), dtype=complex)
+    def __init__(self, n_antennas: int, ues: int | None = None):
+        lead = () if ues is None else (ues,)
+        self._sum = np.zeros((*lead, n_antennas, n_antennas), dtype=complex)
         self._samples = 0
+        self._pending = None  # the blocks of the incomplete group
 
-    def add(self, signals: np.ndarray, *, buffers=fresh) -> None:
-        """Accumulate signals of shape (N, S) or (B, N, S), block by block.
+    def add(self, signals: np.ndarray) -> None:
+        """Accumulate signals (B, [K,] N, S), or one block ([K,] N, S),
+        the K axis present when the accumulator has a UE axis."""
+        blocks = np.asarray(signals, dtype=complex)
+        if blocks.ndim == self._sum.ndim:
+            blocks = blocks[None]
+        self._samples += len(blocks) * blocks.shape[-1]
+        if self._pending is not None:
+            blocks = np.concatenate([self._pending, blocks])
+        whole = len(blocks) - len(blocks) % GRAM_GROUP
+        _add_grams(self._sum, blocks[:whole])
+        self._pending = blocks[whole:].copy() if whole < len(blocks) else None
 
-        The blocks' Grams are formed a stack at a time, in the "grams"
-        array of `buffers`, from the samples and their conjugate, its
-        "gram_conj" array (see `mimoce.buffers`); a stack holds at most
-        `gram_blocks(N)` blocks.
-        """
-        signals = np.ascontiguousarray(signals, dtype=complex)
-        if signals.ndim == 2:
-            signals = signals[None]
-        b, n, s = signals.shape
-        step = gram_blocks(n)
-        for first in range(0, b, step):
-            x = signals[first : first + step]
-            conj = np.conjugate(x, out=buffers("gram_conj", x.shape))
-            grams = np.matmul(x, conj.transpose(0, 2, 1), out=buffers("grams", (len(x), n, n)))
-            for gram in grams:
-                self._sum += gram
-        self._samples += b * s
+    def _total(self) -> np.ndarray:
+        """The sum, with the Grams of the incomplete group added."""
+        if self._pending is None:
+            return self._sum
+        total = self._sum.copy()
+        _add_grams(total, self._pending)
+        return total
 
     def merge(self, other: AllCovAccumulator) -> None:
         """Add every sample accumulated by `other`."""
-        self._sum += other._sum
+        self._sum += other._total()
         self._samples += other._samples
 
     def copy(self) -> AllCovAccumulator:
         """An accumulator of the samples of this one, independent of it."""
-        other = AllCovAccumulator(self._sum.shape[0])
-        other._sum[...] = self._sum
+        other = AllCovAccumulator.__new__(AllCovAccumulator)
+        other._sum = self._sum.copy()
         other._samples = self._samples
+        other._pending = self._pending  # never written in place
         return other
 
     def estimate(self) -> np.ndarray:
-        """The (N, N) sample covariance of every sample added so far."""
+        """The sample covariance ([K,] N, N) of every sample added so far,
+        exactly Hermitian."""
         if self._samples == 0:
             raise ValueError("no samples accumulated")
-        return hermitize(self._sum / self._samples)
+        # Only the lower triangle holds the sum; the rest is zero.
+        low = self._total() / self._samples
+        return low + np.tril(low, -1).conj().swapaxes(-1, -2)
+
+
+def _add_grams(sums: np.ndarray, blocks: np.ndarray) -> None:
+    """Add to the lower triangles of `sums` ([K,] N, N) the Grams of
+    `blocks` (B, [K,] N, S), one zherk call per UE and GRAM_GROUP blocks."""
+    n, s = blocks.shape[-2:]
+    # zherk(trans=2) of the F-ordered transpose of a C-ordered (N, M)
+    # sample matrix x adds conj(x x^H) to the upper triangle of an F-ordered
+    # matrix: x x^H in the lower triangle of its C-ordered transpose.
+    grams = [gram.T for gram in sums.reshape(-1, n, n)]
+    for first in range(0, len(blocks), GRAM_GROUP):
+        group = blocks[first : first + GRAM_GROUP].reshape(-1, len(grams), n, s)
+        # Per UE, the group's samples as one C-ordered (N, G S) matrix.
+        x = np.ascontiguousarray(group.transpose(1, 2, 0, 3)).reshape(len(grams), n, -1)
+        for gram, samples in zip(grams, x):
+            zherk(1.0, samples.T, 1.0, gram, 2, 0, 1)
 
 
 def estimate_pilot_cov(
-    despread_vectors: np.ndarray, tau_p: int, loading_factor: float = 0.0
+    acc: AllCovAccumulator, tau_p: int, loading_factor: float = 0.0
 ) -> np.ndarray:
-    """Time-averaged pilot-phase covariance from T despread vectors.
-
-    Takes despread vectors (..., T, N), one (T, N) window per UE on the
-    leading axes, and returns (..., N, N): (1 / (T tau_p)) sum_t y_t y_t^H
-    plus optional diagonal loading of loading_factor * trace / N.
-    """
-    y = np.asarray(despread_vectors, dtype=complex)
-    if y.ndim < 2:
-        raise ValueError("expected despread vectors of shape (..., T, N)")
-    t_used = y.shape[-2]
-    raw = hermitize(y.swapaxes(-1, -2) @ y.conj()) / (t_used * tau_p)
-    return load_diagonal(raw, float(loading_factor))
+    """Time-averaged pilot-phase covariance ([K,] N, N) from the sum `acc`
+    of T despread vectors y_t per UE, each added as a one-sample block:
+    (1 / (T tau_p)) sum_t y_t y_t^H plus optional diagonal loading of
+    loading_factor * trace / N."""
+    return load_diagonal(acc.estimate() / tau_p, float(loading_factor))
 
 
 def subtraction_estimator(

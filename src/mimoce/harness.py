@@ -23,45 +23,53 @@ next, so what a batch holds depends only on its key.
 
 A sweep runs one job per Monte-Carlo run (`run_single`), which serves
 every sweep point.  The run (`_Run`) builds the network once, and each
-tau_p of the sweep has a `_RunState`: its pilot rows, its filters and its
-despread vectors.  The points of one tau_p differ only in their training
-window T.  Every random draw is block-major, so the first T blocks of the
-longest window are the blocks a run of window T alone receives, bit for
-bit: each shorter window takes a prefix of the batch it ends in, and a T
-sweep synthesizes only its longest window.
+tau_p of the sweep has a `_RunState`: its pilot rows, its true-covariance
+filters and its held-out despread vectors.  The points of one tau_p
+differ only in their training window T.  Every random draw is
+block-major, so the first T blocks of the longest window are the blocks a
+run of window T alone receives, bit for bit: each shorter window takes a
+prefix of the batch it ends in, and a T sweep synthesizes only its
+longest window.
+
+Training keeps sums, not samples.  The estimates of a window need two
+sums of per-block Grams per tau_p (`AllCovAccumulator`): one over all
+antenna samples of its blocks, pilot and data phases, and one per center
+UE over its despread vectors.  From these a window's estimates are built
+as one value (`_Window`).
 
 Each training batch and each held-out batch of a run is one task.  The
 task draws the batch's channels once and receives them under every
 tau_p; the data phase has streams of its own, so it is synthesized once,
-with the first tau_p's pilot phase.  The run merges the tasks'
-sample-covariance sums in batch order, then runs one task per tau_p that
-builds and evaluates the estimates of each window.  The tasks go to the
-sweep's worker pool (`_fan_out`), so a sweep of fewer runs than workers
-still keeps every worker busy, and their results are taken in key order,
-so no result bit depends on `workers`.
+with the first tau_p's pilot phase.  The run merges the tasks' sums in
+batch order.  It then runs one task per tau_p that evaluates the
+true-covariance filters, which no window changes, and one per (tau_p,
+window) that builds and evaluates the window's estimates.  The tasks go
+to the sweep's worker pool (`_fan_out`), so a sweep of fewer runs than
+workers still keeps every worker busy, and their results are taken in
+key order, so no result bit depends on `workers`.
 
 A batch task draws and receives its blocks in chunks of at most
 CHUNK_BYTES of channels, one Generator per stream continued from chunk to
 chunk, so a batch holds the same bits in any chunking.  The channel
 factors are stored without the leading columns that are zero in all of
 them, and each chunk's channels are scaled by the UEs' amplitudes once
-for all its receives.  No receive sample outlives its chunk: the data
-phase and each tau_p's pilot phase are added to the batch's running Gram
-sums as soon as they are received, block by block in block order
-(`AllCovAccumulator.add`), and a copy of each sum is kept at every
-window cut.  The sum of a set of blocks thus depends only on those
+for all its receives.  The data phase, each tau_p's pilot phase and its
+despread vectors are added to the batch's running sums as soon as they
+are received, in groups of blocks counted from the batch start
+(`AllCovAccumulator.add`), and a copy of each sum is kept at every window
+cut.  No receive sample outlives its chunk but those of an incomplete
+group, copied.  The sum of a set of blocks thus depends only on those
 blocks, not on the chunks or cuts that split them.
 
 A batch task receives into buffers that its thread reuses
 (`mimoce.buffers`): a chunk's channels, their normals, its noise, data
-symbols and phases, its receive samples, and the conjugate and the
-per-block Grams that the Gram sums take.  `run_sweep` owns one
+symbols and phases, and its receive samples.  `run_sweep` owns one
 `ThreadBuffers` for the whole sweep, so each thread that runs a task
 keeps one set, sized once for the sweep's largest chunk, however many
-runs it serves; the sets are freed when the sweep returns.  A `run_single` called on its own owns
-the sets of its call.  A task copies out what it keeps (despread vectors,
-held-out channels, Gram sums), so nothing it returns points into a
-buffer.
+runs it serves; the sets are freed when the sweep returns.  A
+`run_single` called on its own owns the sets of its call.  A task copies
+out what it keeps (held-out despread vectors and channels, sums), so
+nothing it returns points into a buffer.
 """
 
 from __future__ import annotations
@@ -96,7 +104,6 @@ from .covest import (
     AllCovAccumulator,
     estimate_pilot_cov,
     gevd_lowrank_estimator,
-    gram_blocks,
     subtraction_estimator,
 )
 from .estimators import (
@@ -171,6 +178,17 @@ class RunContribution:
     fallbacks: int
 
 
+@dataclass
+class _Window:
+    """The estimates of one training window, built from its two sums."""
+
+    all_cov: np.ndarray  # (N, N) sample combined covariance
+    pilot_covs: np.ndarray  # (K, N, N) sample pilot covariances
+    lowranks: dict[int, list]  # per rank, the K GEVD estimates
+    filters: dict[str, np.ndarray]  # (K, N, N) per subt and gevd label
+    fallbacks: dict[str, int]  # per data-driven label, of its build
+
+
 def nmse(h_true: np.ndarray, h_hat: np.ndarray, covariance: np.ndarray) -> np.ndarray:
     """Squared estimation error ||h_hat - h_true||^2 / tr(R) per realization.
 
@@ -182,14 +200,6 @@ def nmse(h_true: np.ndarray, h_hat: np.ndarray, covariance: np.ndarray) -> np.nd
         raise ZeroTraceCovariance("covariance trace must be positive")
     sq = np.abs(np.asarray(h_hat) - np.asarray(h_true)) ** 2
     return sq.sum(axis=-1) / trace
-
-
-def _merged(antennas: int, *parts: AllCovAccumulator) -> AllCovAccumulator:
-    """A fresh accumulator of the samples of `parts`, merged in order."""
-    acc = AllCovAccumulator(antennas)
-    for part in parts:
-        acc.merge(part)
-    return acc
 
 
 def _block_major(blocks: int, ues: int, antennas: int) -> np.ndarray:
@@ -222,18 +232,18 @@ def _fan_out(pool: ThreadPoolExecutor | None, tasks: list) -> list:
 
 
 def _add_cut(
-    acc: AllCovAccumulator, samples: np.ndarray, first: int, cuts: list[int], kept: dict, buffers
+    acc: AllCovAccumulator, kept: dict, samples: np.ndarray, first: int, cuts: list[int]
 ) -> None:
-    """Add `samples` (B, N, S), blocks [first, first + B) of a batch, to
-    `acc`, and keep in `kept` a copy of it at each of the ascending `cuts`
-    (block counts from the batch start) that those blocks reach."""
+    """Add `samples` (B, ..., N, S), blocks [first, first + B) of a batch,
+    to `acc`, and keep in `kept` a copy of it at each of the ascending
+    `cuts` (block counts from the batch start) that those blocks reach."""
     done = 0
     for cut in cuts:
         if first < cut <= first + len(samples):
-            acc.add(samples[done : cut - first], buffers=buffers)
+            acc.add(samples[done : cut - first])
             kept[cut] = acc.copy()
             done = cut - first
-    acc.add(samples[done:], buffers=buffers)
+    acc.add(samples[done:])
 
 
 def _batches(stop: int) -> list[tuple[int, slice]]:
@@ -299,19 +309,26 @@ class _Run:
             for first in range(blocks.start, blocks.stop, self.chunk)
         ]
 
+    def _sums(self, states: list[_RunState]) -> list[AllCovAccumulator]:
+        """Empty sums of the data phase, then per state of its pilot phase and despread vectors."""
+        n, ues = self.config.system.antennas, self.config.system.ues_per_cell
+        return [AllCovAccumulator(n)] + [
+            AllCovAccumulator(n, lead) for _ in states for lead in (None, ues)
+        ]
+
     def receive(
         self, states: list[_RunState], windows: list[int], pool: ThreadPoolExecutor | None
     ) -> list[list]:
         """Receive every training and held-out batch under every state,
         one task per batch.
 
-        Returns, per state, the accumulator of all samples of each training
-        window (ascending, the last one the states' `system.blocks`): the
-        pilot phase of its first T blocks under the state's rows and the
-        data phase of the same blocks.  Each sum is merged in batch order,
-        so it does not depend on which worker ran which task.  Without a
-        data-driven estimator nothing is trained, and every accumulator is
-        None.
+        Returns, per state, the two sums of each training window
+        (ascending, the last one the states' `system.blocks`): that of all
+        samples of its first T blocks, the pilot phase under the state's
+        rows and the data phase, and that of the state's despread vectors
+        of the same blocks.  Each sum is merged in batch order, so it does
+        not depend on which worker ran which task.  Without a data-driven
+        estimator nothing is trained, and no window has sums.
         """
         training = _batches(windows[-1]) if self.kinds & DATA_DRIVEN_KINDS else []
         tasks = [partial(self._train, states, windows, *batch) for batch in training]
@@ -320,46 +337,44 @@ class _Run:
             for batch in _batches(self.config.eval_blocks)
         ]
         results = _fan_out(pool, tasks)
-        combined: list[list] = [[] if training else [None] * len(windows) for _ in states]
-        n = self.config.system.antennas
-        data = AllCovAccumulator(n)  # the data phase of the full batches so far
-        pilots = [AllCovAccumulator(n) for _ in states]  # and each state's pilot phase
-        for (_, blocks), (data_grams, pilot_grams) in zip(training, results):
+        combined: list[list] = [[] for _ in states]
+        running = self._sums(states)  # the sums of the full batches so far
+        for (_, blocks), kept in zip(training, results):
             for window in windows:
                 if blocks.start < window <= blocks.stop:
-                    cut = window - blocks.start
-                    window_data = _merged(n, data, data_grams[cut])
-                    for acc, grams, out in zip(pilots, pilot_grams, combined):
-                        out.append(_merged(n, window_data, _merged(n, grams[cut], acc)))
+                    data, *parts = [acc.copy() for acc in running]
+                    for acc, part in zip([data, *parts], kept):
+                        acc.merge(part[window - blocks.start])
+                    for out, pilot, despread in zip(combined, parts[::2], parts[1::2]):
+                        pilot.merge(data)
+                        out.append((pilot, despread))
             size = blocks.stop - blocks.start
-            for acc, grams in zip([data, *pilots], [data_grams, *pilot_grams]):
-                acc.merge(grams[size])
+            for acc, part in zip(running, kept):
+                acc.merge(part[size])
         return combined
 
     def _train(
         self, states: list[_RunState], windows: list[int], batch: int, blocks: slice
-    ) -> tuple[dict, list[dict]]:
+    ) -> list[dict]:
         """Receive training batch `batch`, blocks `blocks`, under the rows
-        of every state, and write each state's despread vectors of it.  The
-        pilot noise comes from the batch's `est_signals` key and the data
-        phase, synthesized with the first state's pilot phase, from its
-        `data` and `data_noise` keys.  Each chunk's channels are drawn once
-        and scaled by the UEs' amplitudes, and each receive's samples are
-        added to the batch's running sums before the next receive.
+        of every state.  The pilot noise comes from the batch's
+        `est_signals` key and the data phase, synthesized with the first
+        state's pilot phase, from its `data` and `data_noise` keys.  Each
+        chunk's channels are drawn once and scaled by the UEs' amplitudes,
+        and each receive's samples and despread vectors are added to the
+        batch's running sums before the next receive.
 
-        Returns, per cut (the batch size and each of `windows` that ends
-        inside the batch), the accumulator of the data phase of the batch's
-        first cut blocks, and the same of each state's pilot phase.
+        Returns, per sum of `_sums`, its copy at each cut (the batch size
+        and each of `windows` that ends inside the batch): the sum over
+        the batch's first cut blocks.
         """
         size = blocks.stop - blocks.start
         inside = {w - blocks.start for w in windows if blocks.start < w < blocks.stop}
         cuts = sorted({size} | inside)
         sysc = self.config.system
         buffers = self.buffers.get()
-        # The data phase's sum, then each state's pilot phase's, and of
-        # each a copy per cut.
-        sums = [AllCovAccumulator(sysc.antennas) for _ in range(1 + len(states))]
-        kept = [{} for _ in sums]
+        # Each running sum with its copies per cut.
+        sums = [(acc, {}) for acc in self._sums(states)]
         # One Generator per stream for the whole batch, continued from
         # chunk to chunk.
         channels = self._rng("est_channels", batch)
@@ -370,16 +385,16 @@ class _Run:
             h = sample_channels(self.factors, channels, chunk.stop - chunk.start, buffers=buffers)
             h *= self.amplitudes
             data_phase = (sysc.tau_u, *data_streams)
-            for i, (state, noise) in enumerate(zip(states, pilot_noise), 1):
+            for state, noise, pilot, despread in zip(states, pilot_noise, sums[1::2], sums[2::2]):
                 pilot_rx, data_rx, d = state._receive(
                     h, state.rows[chunk], noise, *data_phase, buffers=buffers
                 )
-                state.despread[:, chunk] = d
                 if data_phase:
-                    _add_cut(sums[0], data_rx, first, cuts, kept[0], buffers)
-                _add_cut(sums[i], pilot_rx, first, cuts, kept[i], buffers)
+                    _add_cut(*sums[0], data_rx, first, cuts)
+                _add_cut(*pilot, pilot_rx, first, cuts)
+                _add_cut(*despread, d[..., None], first, cuts)  # one-sample blocks
                 data_phase = ()
-        return kept[0], kept[1:]
+        return [kept for _, kept in sums]
 
     def _held_out(self, states: list[_RunState], batch: int, blocks: slice) -> None:
         """Receive held-out batch `batch`, blocks `blocks`, under every
@@ -400,30 +415,24 @@ class _Run:
             for state, noise in zip(states, pilot_noise):
                 for mode, rows in state.eval_rows.items():
                     d = state._receive(h, rows[chunk], noise[mode], buffers=buffers)[2]
-                    state.held_out[mode][:, chunk] = d
+                    state.held_out[mode][:, chunk] = d.transpose(1, 0, 2)
 
 
 class _RunState:
     """One tau_p of a Monte-Carlo run: its pilot book and pilot rows, its
-    true-covariance filters, the despread vectors of its training and
-    held-out blocks, and, for the training window in hand (`_estimate`),
-    the sample covariances and the filters built from them."""
+    true-covariance filters and the despread vectors of its held-out
+    blocks."""
 
     def __init__(self, run: _Run, system: SystemConfig):
         self.run = run
         self.config = config = run.config
         self.system = sysc = system  # its blocks are the longest training window
-        self.fallbacks = {spec.label: 0 for spec in config.estimators}
         self.book = make_pilot_book(sysc.tau_p)
         self.rows = None  # (T, L, K) training pilot rows
-        self.despread = None  # (K, T, N) training despread vectors
         if run.kinds & DATA_DRIVEN_KINDS:
             self.rows = allocate_pilots(
                 sysc.blocks, sysc.cells, sysc.ues_per_cell, sysc.tau_p, "random",
                 run._rng("est_alloc"),
-            )
-            self.despread = np.empty(
-                (sysc.ues_per_cell, sysc.blocks, sysc.antennas), dtype=complex
             )
         modes = sorted({_ALLOCATION[kind] for kind in run.kinds})
         # Per allocation in use: the held-out pilot rows (E, L, K) and
@@ -439,10 +448,6 @@ class _RunState:
             mode: _block_major(config.eval_blocks, sysc.ues_per_cell, sysc.antennas)
             for mode in modes
         }
-        self.pilot_covs = None  # (K, N, N) sample pilot covariances
-        self.all_cov = None  # (N, N) sample combined covariance
-        self.lowranks: dict[int, list] = {}
-        self.true_nmse: dict[str, float] = {}  # per true-covariance label, once evaluated
         self.static_filters: dict[str, np.ndarray] = {
             spec.label: self._true_covariance_filters(spec.kind)
             for spec in config.estimators
@@ -461,73 +466,56 @@ class _RunState:
 
         Returns pilot_rx (B, N, tau_p) and data_rx (B, N, tau_u), both in
         `buffers`, and the despread pilot vectors of every center UE, a new
-        array (K, B, N).
+        array (B, K, N).
         """
         run = self.run
         pilot_rx, data_rx = simulate_blocks(
             h, rows, self.book, None, run.noise_factor, signals_stream, tau_u,
             *data_streams, buffers=buffers,
         )
-        d = despread_batch(pilot_rx, self.book, rows[:, 0])  # (B, K, N)
-        return pilot_rx, data_rx, d.transpose(1, 0, 2)
+        return pilot_rx, data_rx, despread_batch(pilot_rx, self.book, rows[:, 0])
 
-    def finish(self, windows: list[int], combined: list) -> list[list[RunContribution]]:
-        """The contributions of each training window of `windows`: its
-        estimates are built from `combined`, its all-samples accumulator
-        (None: nothing is trained), and evaluated on the held-out blocks."""
-        out = []
-        for window, acc in zip(windows, combined):
-            if acc is not None:
-                self._estimate(acc, window)
-            per_label = self.evaluate()
-            out.append(
-                [
-                    RunContribution(spec.label, per_label[spec.label], self.fallbacks[spec.label])
-                    for spec in self.config.estimators
-                ]
-            )
-        return out
+    def finish(
+        self, combined: AllCovAccumulator, despread: AllCovAccumulator
+    ) -> dict[str, RunContribution]:
+        """The contributions of the data-driven estimators in one training
+        window, from its two sums (`_Run.receive`)."""
+        return self.evaluate(self._estimate(combined, despread))
 
-    def _estimate(self, acc: AllCovAccumulator, window: int) -> None:
-        """Build the sample covariances and the filters of training window
-        `window` from the accumulator of all its samples and its first
-        `window` despread vectors."""
+    def _estimate(self, combined: AllCovAccumulator, despread: AllCovAccumulator) -> _Window:
+        """The estimates of one training window, built from its two sums."""
         sysc = self.system
         power = self.run.power
-        self.all_cov = acc.estimate()
-        self.pilot_covs = estimate_pilot_cov(
-            self.despread[:, :window], sysc.tau_p, sysc.cov_loading
-        )
-        self.fallbacks = dict.fromkeys(self.fallbacks, 0)
+        all_cov = combined.estimate()
+        pilot_covs = estimate_pilot_cov(despread, sysc.tau_p, sysc.cov_loading)
+        lowranks, filters, fallbacks = {}, {}, {}
         # Only the ranked kinds (gevd, gevd_impr) carry a rank.  One GEVD
         # per UE at the largest rank serves every rank: a smaller one keeps
         # the leading modes of the same pencil.
         ranks = {spec.rank for spec in self.config.estimators if spec.rank}
         if ranks:
             top = [
-                gevd_lowrank_estimator(pilot, self.all_cov, sysc.tau_p, power, max(ranks))
-                for pilot in self.pilot_covs
+                gevd_lowrank_estimator(pilot, all_cov, sysc.tau_p, power, max(ranks))
+                for pilot in pilot_covs
             ]
-            self.lowranks = {rank: [low.truncated(rank) for low in top] for rank in ranks}
+            lowranks = {rank: [low.truncated(rank) for low in top] for rank in ranks}
         for spec in self.config.estimators:
             if spec.kind in RANKED_KINDS:
                 # One fallback per UE estimate whose GEVD loaded all_cov.
-                lowranks = self.lowranks[spec.rank]
-                self.fallbacks[spec.label] += sum(low.loaded for low in lowranks)
+                fallbacks[spec.label] = sum(low.loaded for low in lowranks[spec.rank])
             if spec.kind == "subt":
-                estimates = subtraction_estimator(self.pilot_covs, self.all_cov, sysc.tau_p, power)
+                estimates = subtraction_estimator(pilot_covs, all_cov, sysc.tau_p, power)
                 # Per UE, so that a failed Cholesky loads only that UE's matrix.
                 built = [
                     retry_loaded(partial(mmse_optimal_filter, r_cov=estimate, power=power), pilot)
-                    for pilot, estimate in zip(self.pilot_covs, estimates)
+                    for pilot, estimate in zip(pilot_covs, estimates)
                 ]
-                self.fallbacks[spec.label] += sum(events for _, events in built)
-                w = np.stack([filt for filt, _ in built])
+                fallbacks[spec.label] = sum(events for _, events in built)
+                filters[spec.label] = np.stack([filt for filt, _ in built])
             elif spec.kind == "gevd":
-                w = np.stack([approx_mmse_filter(low, power) for low in lowranks])
-            else:
-                continue  # true covariances, or gevd_impr: per pilot pattern
-            self.static_filters[spec.label] = w
+                lows = lowranks[spec.rank]
+                filters[spec.label] = np.stack([approx_mmse_filter(low, power) for low in lows])
+        return _Window(all_cov, pilot_covs, lowranks, filters, fallbacks)
 
     def _true_covariance_filters(self, kind: str) -> np.ndarray:
         """(K, N, N) filters of a kind built from the true covariances."""
@@ -543,48 +531,52 @@ class _RunState:
         w = ls_estimate(np.eye(sysc.antennas), run.power, sysc.tau_p)  # ls_fixed
         return np.stack([w] * sysc.ues_per_cell)
 
-    def evaluate(self) -> dict[str, float]:
-        """Mean NMSE per estimator over the held-out blocks, with the
-        filters of the training window in hand.  The true-covariance
-        filters are the same in every window, so their NMSE is computed on
-        the first call and kept."""
+    def evaluate(self, window: _Window | None = None) -> dict[str, RunContribution]:
+        """The contribution, mean NMSE over the held-out blocks and
+        fallbacks, of each data-driven estimator with the estimates of
+        `window`, or without one of each true-covariance estimator."""
         h_center = self.run.h_center
         total = self.config.eval_blocks * self.system.ues_per_cell
-        err = dict(self.true_nmse)
+        out = {}
         for spec in self.config.estimators:
-            if spec.label in err:
+            if (spec.kind in _TRUE_COVARIANCE_KINDS) != (window is None):
                 continue
+            fallbacks = 0 if window is None else window.fallbacks[spec.label]
             if spec.kind == "gevd_impr":
-                h_hat = self._improved_estimates(
-                    spec.rank, spec.label, self.eval_rows["random"], self.held_out["random"]
+                h_hat, degraded = self._improved_estimates(
+                    window, spec.rank, self.eval_rows["random"], self.held_out["random"]
                 )
+                fallbacks += degraded
             else:
+                filters = self.static_filters if window is None else window.filters
                 d = self.held_out[_ALLOCATION[spec.kind]]
-                h_hat = d @ self.static_filters[spec.label].conj()
-            err[spec.label] = float(nmse(h_center, h_hat, self.run.covs[0][:, None]).sum()) / total
-            if spec.kind in _TRUE_COVARIANCE_KINDS:
-                self.true_nmse[spec.label] = err[spec.label]
-        return err
+                h_hat = d @ filters[spec.label].conj()
+            err = float(nmse(h_center, h_hat, self.run.covs[0][:, None]).sum()) / total
+            out[spec.label] = RunContribution(spec.label, err, fallbacks)
+        return out
 
     def _improved_estimates(
-        self, rank: int, label: str, rows: np.ndarray, d_random: np.ndarray
-    ) -> np.ndarray:
-        """Apply the per-block improved filters to despread vectors (K, E, N)
-        received under pilot rows (E, L, K): every held-out block at once.
+        self, window: _Window, rank: int, rows: np.ndarray, d_random: np.ndarray
+    ) -> tuple[np.ndarray, int]:
+        """Apply the per-block improved filters of `window` to despread
+        vectors (K, E, N) received under pilot rows (E, L, K): every
+        held-out block at once.
 
         A filter depends on the block only through which center-cell UEs
         share UE k's pilot, so blocks are grouped by that pattern.  Each
         (UE, pattern) filter is built once per training window, from the
         UE's pattern-independent matrix (assembled once), and applied in
-        factored form to that pattern's vectors alone.  Fallbacks count
-        degraded filters per (block, UE) use.
+        factored form to that pattern's vectors alone.  Returns the
+        estimates and the count of degraded filters per (block, UE) use.
         """
         center = rows[:, 0]  # (E, K)
-        lowranks = self.lowranks[rank]
+        lowranks = window.lowranks[rank]
         power = self.run.power
         h_hat = np.empty_like(d_random)
+        degraded = 0
         for k in range(center.shape[1]):
-            base = improved_pilot_base(self.pilot_covs[k], lowranks, k)
+            pilot_cov = window.pilot_covs[k]
+            base = improved_pilot_base(pilot_cov, lowranks, k)
             patterns, first, group = np.unique(
                 center == center[:, k : k + 1],
                 axis=0,
@@ -596,18 +588,15 @@ class _RunState:
                 d = d_random[k, blocks]
                 try:
                     filt = improved_mmse_filter(
-                        self.pilot_covs[k], lowranks, center[first[g]], k,
-                        self.system.tau_p, power, base,
+                        pilot_cov, lowranks, center[first[g]], k, self.system.tau_p, power, base
                     )
                 except NotPositiveDefinite:
                     h_hat[k, blocks] = d @ approx_mmse_filter(lowranks[k], power).conj()
-                    degraded = True
+                    degraded += len(blocks)
                 else:
                     h_hat[k, blocks] = filt.apply(d)
-                    degraded = filt.clamped
-                if degraded:
-                    self.fallbacks[label] += len(blocks)
-        return h_hat
+                    degraded += len(blocks) if filt.clamped else 0
+        return h_hat, degraded
 
 
 def _chunk_blocks(system: SystemConfig) -> int:
@@ -628,11 +617,9 @@ def _thread_buffers(config: ExperimentConfig, systems: list[SystemConfig]) -> Th
     eval_chunk = min(chunk, BATCH_BLOCKS, config.eval_blocks)
     tau_p, tau_u = max(tau_ps), sysc.tau_u if trains else 0
     # complex128 takes 16 bytes, float64 8; sample_channels draws at least
-    # two blocks.  The Gram sums take a training chunk's receive samples a
-    # stack of gram_blocks at a time.
+    # two blocks.
     channels = max(train_chunk, eval_chunk, 2) * links * n * 16
     pilot = max(train_chunk, eval_chunk) * n * tau_p * 16
-    stack = min(train_chunk, gram_blocks(n))
     sizes = slot_bytes(
         {
             "normals": channels,
@@ -643,8 +630,6 @@ def _thread_buffers(config: ExperimentConfig, systems: list[SystemConfig]) -> Th
             "symbols": train_chunk * links * tau_u * 16,
             "data_noise": train_chunk * n * tau_u * 16,
             "data_rx": train_chunk * n * tau_u * 16,
-            "gram_conj": stack * n * max(tau_u, tau_p) * 16,
-            "grams": stack * n * n * 16,
         }
     )
     return ThreadBuffers(sizes)
@@ -689,21 +674,24 @@ def run_single(
             for tau_p in tau_ps
         ]
         combined = run.receive(states, windows, pool)
-        finished = _fan_out(
-            pool, [partial(state.finish, windows, accs) for state, accs in zip(states, combined)]
-        )
+        # One task per tau_p for the true-covariance estimators, the same in
+        # every window, and one per (tau_p, window) for the data-driven ones.
+        tasks = {(state.system.tau_p, None): state.evaluate for state in states}
+        for state, per_window in zip(states, combined):
+            for window, sums in zip(windows, per_window):
+                tasks[state.system.tau_p, window] = partial(state.finish, *sums)
+        finished = dict(zip(tasks, _fan_out(pool, list(tasks.values()))))
     # A pool worker holds the task it ran, and with it the run, for a
     # moment after the task's result is in, and a task taken back from the
     # pool stays in its queue until a worker dequeues it; so the run lets
     # go of the buffer sets here, and sets of this call's own are freed
     # when it returns.
     run.buffers = None
-    rows = {
-        (tau_p, window): contributions
-        for tau_p, per_window in zip(tau_ps, finished)
-        for window, contributions in zip(windows, per_window)
-    }
-    return [rows[system.tau_p, system.blocks] for system in systems]
+    rows = []
+    for system in systems:
+        row = {**finished[system.tau_p, None], **finished.get((system.tau_p, system.blocks), {})}
+        rows.append([row[spec.label] for spec in config.estimators])
+    return rows
 
 
 def simulated_blocks(config: ExperimentConfig) -> int:

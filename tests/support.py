@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mimoce.covest import AllCovAccumulator, estimate_pilot_cov
 from mimoce.linalg import hermitize
 
 
@@ -52,6 +53,15 @@ class SyntheticNetwork:
     def r_pilot(self) -> np.ndarray:
         extra = self.power_desired * (self.tau_p - 1) * self.r_desired
         return self.total_signal_cov + extra + self.r_nn
+
+
+def pilot_cov_of(vectors, tau_p, loading_factor=0.0):
+    """estimate_pilot_cov of despread vectors (T, N), or (K, T, N) with a
+    window per UE, added to an accumulator one vector per block."""
+    y = np.asarray(vectors, dtype=complex)
+    acc = AllCovAccumulator(y.shape[-1], None if y.ndim == 2 else y.shape[0])
+    acc.add(np.moveaxis(y, -2, 0)[..., None])
+    return estimate_pilot_cov(acc, tau_p, loading_factor)
 
 
 def random_psd(rng, n, rank=None, scale=1.0):

@@ -185,9 +185,10 @@ def test_criterion_3_expectation_consistency():
     blocks = 10_000
     alloc = allocate_pilots(blocks, cells, ues, tau_p, "random", rng)
 
-    despread_rows = []
+    pilot_by_t = {}
     acc_by_t = {}
     acc = AllCovAccumulator(n)
+    despread = AllCovAccumulator(n)
     checkpoints = (100, 1000, 10_000)
     done = 0
     for stop in checkpoints:
@@ -196,16 +197,16 @@ def test_criterion_3_expectation_consistency():
             h, alloc[done:stop], book, powers, noise_factor, rng, tau_u, rng, rng
         )
         acc.add(np.concatenate([pilot_rx, data_rx], axis=2))
-        despread_rows.append(despread_batch(pilot_rx, book, alloc[done:stop, 0, 0]))
+        # One despread vector per block.
+        despread.add(despread_batch(pilot_rx, book, alloc[done:stop, 0, 0])[..., None])
+        pilot_by_t[stop] = estimate_pilot_cov(despread, tau_p)
         acc_by_t[stop] = acc.estimate()
         done = stop
 
-    despread_all = np.concatenate(despread_rows)
     pilot_err = []
     all_err = []
     for stop in checkpoints:
-        pilot = estimate_pilot_cov(despread_all[:stop], tau_p)
-        pilot_err.append(rel_err(pilot, r_pilot_true))
+        pilot_err.append(rel_err(pilot_by_t[stop], r_pilot_true))
         all_err.append(rel_err(acc_by_t[stop], r_all_true))
 
     def monotone_with_one_slip(errors):
@@ -448,7 +449,9 @@ def test_criterion_8_end_to_end_equivariance():
 
     def pipeline(pilot_phase, data_phase):
         d = despread_batch(pilot_phase[:blocks], book, alloc[:blocks, 0, 0])
-        pilot_cov = estimate_pilot_cov(d, tau_p)
+        despread = AllCovAccumulator(n)
+        despread.add(d[..., None])  # one despread vector per block
+        pilot_cov = estimate_pilot_cov(despread, tau_p)
         acc = AllCovAccumulator(n)
         acc.add(np.concatenate([pilot_phase[:blocks], data_phase[:blocks]], axis=2))
         all_cov = acc.estimate()

@@ -154,12 +154,12 @@ def counts():
 seen = []
 real_evaluate = harness._RunState.evaluate
 
-def recording(self):
+def recording(self, *window):
     seen.append(counts())
-    return real_evaluate(self)
+    return real_evaluate(self, *window)
 
 harness._RunState.evaluate = recording
-# gevd calls scipy.linalg, before each evaluate.
+# gevd calls scipy.linalg before the evaluate of each window.
 config = dataclasses.replace(tiny_config(), estimators=[EstimatorSpec("gevd", rank=1)])
 harness.run_sweep(config, workers=1)
 print(json.dumps({"seen": seen, "after": counts()}))

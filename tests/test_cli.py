@@ -174,7 +174,7 @@ class TestValidate:
         assert "simulated blocks per sweep: 16000" in report
         # Per worker thread: 175-block chunks, each chunk's receive samples
         # added to the Gram sums as they arrive.
-        assert "batch buffers per worker thread: 13.7 MiB" in report
+        assert "batch buffers per worker thread: 11.0 MiB" in report
 
     def test_unsupported_layout_flagged(self):
         config = ExperimentConfig(system=SystemConfig(cells=3))
@@ -190,13 +190,13 @@ class TestValidate:
         # 20 runs of 1500 training blocks and 2 x 200 held-out blocks.
         assert "simulated blocks per sweep: 38000" in report
         # 28-block chunks; 89.8 MiB when every batch array was held whole.
-        assert "batch buffers per worker thread: 11.0 MiB" in report
+        assert "batch buffers per worker thread: 8.1 MiB" in report
         # A tau_p sweep receives those blocks under each of its tau_p.
         config.sweep = SweepSpec(variable="tau_p", values=[5, 10])
         report = validate_config(config)
         assert "simulated blocks per sweep: 76000" in report
         # One tau_p's pilot receive at a time: the set of the larger one.
-        assert "batch buffers per worker thread: 11.0 MiB" in report
+        assert "batch buffers per worker thread: 8.1 MiB" in report
 
 
 class TestMain:

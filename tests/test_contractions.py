@@ -11,8 +11,8 @@ import pytest
 
 from mimoce.airlink import despread_batch, make_pilot_book, simulate_blocks
 from mimoce.channel import sample_channels
-from mimoce.covest import estimate_pilot_cov
 from mimoce.seeding import complex_normal
+from support import pilot_cov_of
 
 RTOL = 1e-12
 B, L, K, N, TAU_P = 9, 3, 4, 6, 5
@@ -92,7 +92,7 @@ def case_despread_batch_per_ue(rng, impl):
 def case_estimate_pilot_cov(rng, impl):
     y = cn(rng, B, N)
     if impl == "matmul":
-        return (estimate_pilot_cov(y, TAU_P),)
+        return (pilot_cov_of(y, TAU_P),)
     raw = np.einsum("tn,tm->nm", y, y.conj())
     return (0.5 * (raw + raw.conj().T) / (B * TAU_P),)
 

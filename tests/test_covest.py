@@ -5,7 +5,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mimoce import covest
 from mimoce.airlink import (
     allocate_pilots,
     despread_batch,
@@ -13,18 +12,16 @@ from mimoce.airlink import (
     make_pilot_book,
     simulate_blocks,
 )
-from mimoce.buffers import BatchBuffers, fresh
 from mimoce.channel import covariance_factors, sample_channels
 from mimoce.covest import (
     AllCovAccumulator,
     DegeneratePilotCount,
-    estimate_pilot_cov,
     gevd_lowrank_estimator,
     subtraction_estimator,
 )
 from mimoce.linalg import FALLBACK_LOADING, hermitize, load_diagonal, psd_factor
 from mimoce.seeding import ensure_rng
-from support import make_synthetic, random_psd
+from support import make_synthetic, pilot_cov_of, random_psd
 
 
 def rel_err(actual, expected):
@@ -40,7 +37,7 @@ def all_cov_of(signals):
 
 class TestSampleCovariances:
     def test_pilot_cov_zero_input(self):
-        est = estimate_pilot_cov(np.zeros((4, 3), dtype=complex), tau_p=5)
+        est = pilot_cov_of(np.zeros((4, 3), dtype=complex), tau_p=5)
         assert est.shape == (3, 3)
         assert np.all(est == 0)
 
@@ -48,7 +45,7 @@ class TestSampleCovariances:
         tau_p = 7
         y = np.zeros((1, 4), dtype=complex)
         y[0, 0] = np.sqrt(tau_p)
-        est = estimate_pilot_cov(y, tau_p=tau_p)
+        est = pilot_cov_of(y, tau_p=tau_p)
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
         assert np.allclose(est, expected)
@@ -56,8 +53,8 @@ class TestSampleCovariances:
     def test_pilot_cov_loading(self):
         rng = np.random.default_rng(0)
         y = rng.standard_normal((50, 6)) + 1j * rng.standard_normal((50, 6))
-        bare = estimate_pilot_cov(y, tau_p=4)
-        loaded = estimate_pilot_cov(y, tau_p=4, loading_factor=0.1)
+        bare = pilot_cov_of(y, tau_p=4)
+        loaded = pilot_cov_of(y, tau_p=4, loading_factor=0.1)
         mu = np.trace(bare).real / 6
         assert np.allclose(loaded, bare + 0.1 * mu * np.eye(6))
 
@@ -65,10 +62,10 @@ class TestSampleCovariances:
         # the harness estimates every UE's pilot covariance in one call
         rng = np.random.default_rng(15)
         y = rng.standard_normal((3, 40, 6)) + 1j * rng.standard_normal((3, 40, 6))
-        stacked = estimate_pilot_cov(y, tau_p=4, loading_factor=0.05)
+        stacked = pilot_cov_of(y, tau_p=4, loading_factor=0.05)
         assert stacked.shape == (3, 6, 6)
         for k in range(3):
-            single = estimate_pilot_cov(y[k], tau_p=4, loading_factor=0.05)
+            single = pilot_cov_of(y[k], tau_p=4, loading_factor=0.05)
             assert np.array_equal(stacked[k], single)
 
     def test_all_cov_zero_input(self):
@@ -100,6 +97,37 @@ class TestSampleCovariances:
         empty.merge(second)
         assert np.array_equal(empty.estimate(), all_cov_of(y[2:]))
 
+    def test_ue_axis_sums_same_bits_in_any_split(self):
+        # A leading UE axis keeps one sum per UE: the bits of K accumulators
+        # of their own, whether its blocks come in one call, in any split,
+        # or one block (K, N, S) at a time.
+        rng = ensure_rng(16)
+        blocks, ues, n, s = 35, 3, 5, 2  # two whole groups of blocks and a part of one
+        y = rng.standard_normal((blocks, ues, n, s)) + 1j * rng.standard_normal((blocks, ues, n, s))
+        whole = AllCovAccumulator(n, ues)
+        whole.add(y)
+        alone = [AllCovAccumulator(n) for _ in range(ues)]
+        for k, acc in enumerate(alone):
+            acc.add(y[:, k])
+        assert whole._sum.tobytes() == np.stack([acc._sum for acc in alone]).tobytes()
+        assert whole._samples == alone[0]._samples == blocks * s
+        for cut in range(blocks + 1):
+            split = AllCovAccumulator(n, ues)
+            split.add(y[:cut])
+            for block in y[cut:]:
+                split.add(block)
+            assert split._sum.tobytes() == whole._sum.tobytes()
+            assert split._samples == whole._samples
+        estimate = whole.estimate()
+        assert estimate.shape == (ues, n, n)
+        assert np.array_equal(estimate, estimate.conj().swapaxes(-1, -2))
+        for k, acc in enumerate(alone):
+            single = acc.estimate()
+            assert np.array_equal(single, single.conj().T)
+            assert np.array_equal(estimate[k], single)
+        direct = np.einsum("bkns,bkms->knm", y, y.conj()) / (blocks * s)
+        assert np.allclose(estimate, direct, rtol=1e-14, atol=0)
+
     def test_accumulator_matches_direct(self):
         rng = ensure_rng(2)
         y = rng.standard_normal((20, 4, 7)) + 1j * rng.standard_normal((20, 4, 7))
@@ -112,35 +140,33 @@ class TestSampleCovariances:
 
 
 class TestBlockOrderSums:
-    # add sums the blocks' Grams one by one in block order, so how a run of
-    # blocks is split among calls, and how add stacks them, changes no bit.
+    # add sums the blocks' Grams in groups of GRAM_GROUP blocks counted from
+    # the first, so how a run of blocks is split among calls changes no bit.
 
     @staticmethod
-    def batch(blocks=7, n=4, s=3):
+    def batch(blocks=37, n=4, s=3):
         rng = ensure_rng(8)
         return rng.standard_normal((blocks, n, s)) + 1j * rng.standard_normal((blocks, n, s))
 
-    @pytest.mark.parametrize("stack", [None, 1, 2, 3], ids=["whole", "one", "two", "three"])
-    def test_split_adds_same_bits(self, monkeypatch, stack):
+    @pytest.mark.parametrize("step", [None, 1, 2, 3], ids=["whole", "one", "two", "three"])
+    def test_split_adds_same_bits(self, step):
         y = self.batch()
-        if stack is not None:
-            # Grams formed `stack` blocks at a time.
-            monkeypatch.setattr(covest, "CHUNK_BYTES", stack * 4 * 4 * 16)
-        # The blocks' Grams added one by one, in order.
-        expected = np.zeros((4, 4), dtype=complex)
+        # The blocks added one call each, in order.
+        expected = AllCovAccumulator(4)
         for x in y:
-            expected += x @ x.conj().T
-        whole = AllCovAccumulator(4)
-        whole.add(y)
-        assert whole._sum.tobytes() == expected.tobytes()
-        reused = BatchBuffers()
+            expected.add(x)
+        # 37 blocks: two whole groups and a part of one.
+        grams = sum(x @ x.conj().T for x in y)
+        assert np.allclose(expected.estimate(), grams / (len(y) * y.shape[-1]), rtol=1e-14, atol=0)
+        step = step or len(y)
         for cut in range(len(y) + 1):
-            for buffers in (fresh, reused):
-                acc = AllCovAccumulator(4)
-                acc.add(y[:cut], buffers=buffers)
-                acc.add(y[cut:], buffers=buffers)
-                assert acc._sum.tobytes() == expected.tobytes()
-                assert acc._samples == whole._samples
+            # The blocks before the cut in one call, the rest `step` a call.
+            acc = AllCovAccumulator(4)
+            acc.add(y[:cut])
+            for first in range(cut, len(y), step):
+                acc.add(y[first : first + step])
+            assert acc._sum.tobytes() == expected._sum.tobytes()
+            assert acc._samples == expected._samples
 
     def test_copy_is_independent(self):
         y = self.batch()
@@ -199,7 +225,7 @@ class TestSubtraction:
                 h, alloc, book, np.ones((1, 1)), noise_factor, rng, 6, rng, rng
             )
             d = despread_batch(pilot_rx, book, alloc[:, 0, 0])
-            pilot_cov = estimate_pilot_cov(d, tau_p)
+            pilot_cov = pilot_cov_of(d, tau_p)
             all_cov = all_cov_of(np.concatenate([pilot_rx, data_rx], axis=2))
             estimate = subtraction_estimator(pilot_cov, all_cov, tau_p, 1.0)
             if np.linalg.eigvalsh(estimate)[0] < 0:
@@ -364,7 +390,7 @@ class TestConvergenceToAnalytic:
         pilot_err = []
         all_err = []
         for t in (100, 1000, 10_000):
-            pilot_cov = estimate_pilot_cov(d[:t], tau_p)
+            pilot_cov = pilot_cov_of(d[:t], tau_p)
             all_cov = all_cov_of(np.concatenate([pilot_rx[:t], data_rx[:t]], axis=2))
             pilot_err.append(rel_err(pilot_cov, r_pilot_true))
             all_err.append(rel_err(all_cov, r_all_true))

@@ -110,18 +110,17 @@ class TestNmse:
 
 
 def trained_state(config, system, run_seed):
-    """The run state of `system`, with its held-out blocks received and
-    its estimates built from system.blocks training blocks.  The run's
-    network comes from config.system, so `system` may differ from it only
-    in blocks and tau_p."""
+    """The run state of `system`, with its held-out blocks received, and
+    the estimates of its system.blocks training blocks.  The run's network
+    comes from config.system, so `system` may differ from it only in
+    blocks and tau_p."""
     run = _Run(config, run_seed)
     state = _RunState(run, system)
-    ((acc,),) = run.receive([state], [system.blocks], None)
-    state._estimate(acc, system.blocks)
-    return state
+    ((sums,),) = run.receive([state], [system.blocks], None)
+    return state, state._estimate(*sums)
 
 
-def improved_reference(state, rank, rows, d_random):
+def improved_reference(state, window, rank, rows, d_random):
     """Per-(block, UE) loop: one improved filter built and applied per vector."""
     ues, b_blocks, _ = d_random.shape
     h_hat = np.empty_like(d_random)
@@ -131,12 +130,12 @@ def improved_reference(state, rank, rows, d_random):
         for k in range(ues):
             try:
                 filt = improved_mmse_filter(
-                    state.pilot_covs[k], state.lowranks[rank], center_row, k,
+                    window.pilot_covs[k], window.lowranks[rank], center_row, k,
                     state.system.tau_p, state.run.power,
                 )
                 w, degraded = filt.w, filt.clamped
             except NotPositiveDefinite:
-                w = approx_mmse_filter(state.lowranks[rank][k], state.run.power)
+                w = approx_mmse_filter(window.lowranks[rank][k], state.run.power)
                 degraded = True
             h_hat[k, b] = d_random[k, b] @ w.conj()
             fallbacks += degraded
@@ -156,7 +155,7 @@ class TestImprovedEstimates:
         spec = EstimatorSpec("gevd_impr", rank=3)
         config = small_config(system=system, estimators=[spec], eval_blocks=30)
         vectors = count_channel_vectors(monkeypatch)
-        state = trained_state(config, system, (3, 0))
+        state, window = trained_state(config, system, (3, 0))
         # 20 training blocks, then 30 held-out ones.
         links = system.cells * system.ues_per_cell
         assert vectors == [16 * links, 4 * links, 16 * links, 14 * links]
@@ -172,14 +171,14 @@ class TestImprovedEstimates:
         applied = []
         real_estimates = _RunState._improved_estimates
 
-        def recording(self, rank, label, rows, d_random):
-            h_hat = real_estimates(self, rank, label, rows, d_random)
+        def recording(self, window, rank, rows, d_random):
+            h_hat, degraded = real_estimates(self, window, rank, rows, d_random)
             applied.append((rows, d_random, h_hat))
-            return h_hat
+            return h_hat, degraded
 
         monkeypatch.setattr(harness, "improved_mmse_filter", counting)
         monkeypatch.setattr(_RunState, "_improved_estimates", recording)
-        state.evaluate()
+        contributions = state.evaluate(window)
 
         # One call over every held-out block, one build per (UE, pattern).
         ((rows, d_random, got),) = applied
@@ -190,10 +189,10 @@ class TestImprovedEstimates:
         }
         assert sorted(builds) == sorted(patterns)
 
-        expected, expected_fallbacks = improved_reference(state, 3, rows, d_random)
+        expected, expected_fallbacks = improved_reference(state, window, 3, rows, d_random)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
         assert 0 < expected_fallbacks < d_random.shape[0] * d_random.shape[1]
-        assert state.fallbacks[spec.label] == expected_fallbacks
+        assert contributions[spec.label].fallbacks == expected_fallbacks
 
 
 class TestStaticFilters:
@@ -219,16 +218,23 @@ class TestStaticFilters:
             ]
         )
         system = config.system
-        clean = trained_state(config, system, (4, 0))
+        _, clean = trained_state(config, system, (4, 0))
         assert set(clean.fallbacks.values()) == {0}
         # A singular combined covariance fails the GEVD's Cholesky screen, so
-        # every UE's estimate is solved against the loaded matrix.
+        # every UE's estimate is solved against the loaded matrix.  The
+        # pilot covariances, (K, N, N), stay as they are.
         singular = np.diag(np.r_[np.ones(system.antennas - 1), 0.0]).astype(complex)
-        monkeypatch.setattr(covest.AllCovAccumulator, "estimate", lambda self: singular)
-        state = trained_state(config, system, (4, 0))
-        assert all(low.loaded for low in state.lowranks[3])
+        real_estimate = covest.AllCovAccumulator.estimate
+
+        def estimate(self):
+            cov = real_estimate(self)
+            return singular if cov.ndim == 2 else cov
+
+        monkeypatch.setattr(covest.AllCovAccumulator, "estimate", estimate)
+        _, window = trained_state(config, system, (4, 0))
+        assert all(low.loaded for low in window.lowranks[3])
         ues = system.ues_per_cell
-        assert state.fallbacks == {"subt": 0, "gevd_3": ues, "gevd_impr_3": ues}
+        assert window.fallbacks == {"subt": 0, "gevd_3": ues, "gevd_impr_3": ues}
 
 
 def test_stream_ids_are_distinct():
@@ -284,8 +290,8 @@ def test_every_draw_comes_from_its_batch_key(monkeypatch):
     monkeypatch.setattr(harness, "build_geometry", recording_geometry)
     monkeypatch.setattr(harness, "allocate_pilots", recording_allocation)
     monkeypatch.setattr(harness, "simulate_blocks", recording_blocks)
-    state = trained_state(config, system, seed)
-    state.evaluate()
+    state, window = trained_state(config, system, seed)
+    state.evaluate(window)
 
     def channels(stream, batch, size):
         rng = derive_rng(*seed, _STREAMS[stream], batch)
@@ -356,6 +362,44 @@ class TestRunSingle:
         values = [2, 4, 3, 2]
         together = run_single(config, values, (5, 0))
         assert together == [run_single(config, [value], (5, 0))[0] for value in values]
+
+    def test_no_kept_array_grows_with_the_window(self, monkeypatch):
+        # Training keeps sums, not samples: a run of T = 400 keeps the same
+        # array bytes as one of T = 40, but for its pilot rows (T, L, K),
+        # which the run draws whole from one key.  Batches of 8 blocks.
+        monkeypatch.setattr(harness, "BATCH_BLOCKS", 8)
+        made = []
+
+        def recorded(cls):
+            class Recorded(cls):
+                def __init__(self, *args):
+                    super().__init__(*args)
+                    made.append(self)
+
+            return Recorded
+
+        def kept_bytes(value):
+            if isinstance(value, np.ndarray):
+                return value.nbytes
+            if isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, (list, tuple)):
+                return sum(kept_bytes(item) for item in value)
+            return 0
+
+        monkeypatch.setattr(harness, "_Run", recorded(_Run))
+        monkeypatch.setattr(harness, "_RunState", recorded(_RunState))
+        kept = {}
+        for blocks in (40, 400):
+            made.clear()
+            config = small_config(sweep=SweepSpec(variable="T", values=[blocks]))
+            run_single(config, [blocks], (5, 0))
+            run, state = made
+            kept[blocks] = [
+                kept_bytes(list(vars(run).values())),
+                kept_bytes(list(vars(state).values())) - state.rows.nbytes,
+            ]
+        assert kept[40] == kept[400]
 
 
 class TestRunSweep:
@@ -642,16 +686,15 @@ class TestBuffers:
             for tau_p in (4, 2)
         ]
         windows = [5, 16]
-        data, pilots = run._train(states, windows, 0, slice(0, 8))
-        sums = [acc._sum.copy() for grams in (data, *pilots) for acc in grams.values()]
-        despread = [state.despread[:, :8].copy() for state in states]
+        # The data phase's sums, and each state's pilot-phase and despread
+        # sums, at each cut of the first batch.
+        kept = run._train(states, windows, 0, slice(0, 8))
+        assert len(kept) == 5
+        sums = [acc._sum.copy() for part in kept for acc in part.values()]
         run._train(states, windows, 1, slice(8, 16))
         run._held_out(states, 0, slice(0, 8))
-        assert [acc._sum.tobytes() for grams in (data, *pilots) for acc in grams.values()] == [
+        assert [acc._sum.tobytes() for part in kept for acc in part.values()] == [
             s.tobytes() for s in sums
-        ]
-        assert [state.despread[:, :8].tobytes() for state in states] == [
-            d.tobytes() for d in despread
         ]
 
     def test_full_scale_set_is_below_the_mmap_ceiling(self):
@@ -713,15 +756,14 @@ class TestChunks:
         return run, states
 
     @staticmethod
-    def fingerprint(run, states, grams):
+    def fingerprint(run, states, parts):
         sums = {
             (part, cut): (acc._sum.tobytes(), acc._samples)
-            for part, accs in enumerate(grams)
+            for part, accs in enumerate(parts)
             for cut, acc in accs.items()
         }
         arrays = [run.h_center[:, 15:30].tobytes()]
         for state in states:
-            arrays.append(state.despread[:, 15:30].tobytes())
             arrays += [held[:, 15:30].tobytes() for held in state.held_out.values()]
         return sums, arrays
 
@@ -730,13 +772,15 @@ class TestChunks:
         held-out batch 1, received by the run in chunks of `chunk`."""
         run, states = self.run_and_states()
         run.chunk = chunk
-        data, pilots = run._train(states, [20, 40], 1, slice(15, 30))
+        parts = run._train(states, [20, 40], 1, slice(15, 30))
         run._held_out(states, 1, slice(15, 30))
-        return self.fingerprint(run, states, [data, *pilots])
+        return self.fingerprint(run, states, parts)
 
     def plain(self):
         """The same batches from sample_channels, simulate_blocks with the
-        powers, despread_batch and AllCovAccumulator, in one piece."""
+        powers, despread_batch and AllCovAccumulator, in one piece: the
+        data phase's sums, then each state's pilot-phase and despread
+        sums."""
         run, states = self.run_and_states()
         factors = covariance_factors(run.covs)
         blocks, tau_u = slice(15, 30), run.config.system.tau_u
@@ -745,46 +789,47 @@ class TestChunks:
             pilot_rx, data_rx = simulate_blocks(
                 h, rows, state.book, run.powers, run.noise_factor, noise_stream, *data_phase
             )
-            d = despread_batch(pilot_rx, state.book, rows[:, 0]).transpose(1, 0, 2)
-            return pilot_rx, data_rx, d
+            return pilot_rx, data_rx, despread_batch(pilot_rx, state.book, rows[:, 0])
 
-        def grams(samples):
-            accs = {cut: AllCovAccumulator(samples.shape[1]) for cut in (5, 15)}
+        def sums(samples, ues=None):
+            accs = {cut: AllCovAccumulator(samples.shape[-2], ues) for cut in (5, 15)}
             for cut, acc in accs.items():
                 acc.add(samples[:cut])
             return accs
 
         h = sample_channels(factors, run._rng("est_channels", 1), 15)
         data_phase = (tau_u, run._rng("data", 1), run._rng("data_noise", 1))
-        data, pilots = None, []
+        parts = []
         for state in states:
             pilot_rx, data_rx, d = receive(
                 state, h, state.rows[blocks], run._rng("est_signals", 1), *data_phase
             )
-            state.despread[:, blocks] = d
-            if data is None:
-                data = grams(data_rx)
-            pilots.append(grams(pilot_rx))
+            if not parts:
+                parts.append(sums(data_rx))
+            parts += [sums(pilot_rx), sums(d[..., None], d.shape[1])]
             data_phase = (0,)
         h = sample_channels(factors, run._rng("eval_channels", 1), 15)
         run.h_center[:, blocks] = h[:, 0].transpose(1, 0, 2)
         for state in states:
             for mode, rows in state.eval_rows.items():
                 noise = run._rng(f"eval_signals_{mode}", 1)
-                state.held_out[mode][:, blocks] = receive(state, h, rows[blocks], noise, 0)[2]
-        return self.fingerprint(run, states, [data, *pilots])
+                d = receive(state, h, rows[blocks], noise, 0)[2]
+                state.held_out[mode][:, blocks] = d.transpose(1, 0, 2)
+        return self.fingerprint(run, states, parts)
 
     @pytest.mark.parametrize(
         "chunk", [15, 7, 4, 1], ids=["one_chunk", "7_7_1", "window_in_chunk", "one_block"]
     )
-    def test_chunked_batches_same_bits(self, chunk):
+    def test_chunked_batches_same_bits(self, monkeypatch, chunk):
         # Chunks of 7 do not divide the 15-block batch and end in a 1-block
         # chunk; the window cut (5 blocks in) falls inside a chunk of 7 and
-        # of 4.
-        grams, arrays = self.received(chunk)
-        expected_grams, expected_arrays = self.plain()
-        assert sorted(grams) == [(part, cut) for part in range(3) for cut in (5, 15)]
-        assert grams == expected_grams
+        # of 4.  Gram groups of 4 blocks complete inside the batch, and the
+        # chunks and the cut split them.
+        monkeypatch.setattr(covest, "GRAM_GROUP", 4)
+        sums, arrays = self.received(chunk)
+        expected_sums, expected_arrays = self.plain()
+        assert sorted(sums) == [(part, cut) for part in range(5) for cut in (5, 15)]
+        assert sums == expected_sums
         assert arrays == expected_arrays
 
 
