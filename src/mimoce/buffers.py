@@ -10,8 +10,8 @@ role; it is C-contiguous, except that the receive arrays "pilot_rx" and
 function computes do not depend on where its arrays live.
 
 A `BatchBuffers` serves those requests from four slots of memory that it
-keeps and reuses, so a thread that receives batch after batch stops
-handing the same pages back to the allocator and faulting them in again.
+keeps and reuses, so a batch received chunk after chunk does not hand the
+same pages back to the allocator and fault them in again.
 Names share a slot when no caller needs their arrays at the same time
 (`SLOTS`): a request may return the memory of the array last requested
 under any name of its slot.  That holds for a plain sample_channels,
@@ -21,16 +21,18 @@ and received under every pilot allocation, each receive's samples added
 to the batch's sample-covariance sums before the next receive.  No array
 holds more than a chunk of blocks, and a chunk's channels take at most
 CHUNK_BYTES.  A set's slots are made at the sizes `slot_bytes` gives, the
-largest array of each slot's names, so a thread's first batch does not
-fault in memory that it then drops for a larger array; a request beyond
-that size grows the slot.  An array a caller keeps is copied out of its
-slot first.
+largest array of each slot's names, so a set's first chunk does not fault
+in memory that it then drops for a larger array; a request beyond that
+size grows the slot.  A set is one allocation, so one freed by a batch
+task is a block of memory that the allocator can hand whole to the next
+task's set, from the heap and without new page faults, while it is below
+glibc's mmap threshold, which glibc raises up to 32 MiB as freed mapped
+blocks show it.  An array a caller keeps is copied out of its slot first.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -69,14 +71,14 @@ def fresh(name: str, shape: tuple[int, ...], dtype=complex) -> np.ndarray:
 
 
 class BatchBuffers:
-    """One thread's slots, of `sizes` bytes to start with (empty without
+    """One batch's slots, of `sizes` bytes to start with (empty without
     them); calling it serves a `buffers` request."""
 
     def __init__(self, sizes: list[int] | None = None):
         sizes = sizes or [0] * _SLOT_COUNT
         # One allocation for all slots, each starting on a 64-byte boundary,
-        # so that a set freed at the end of a sweep is one block of memory
-        # that the next sweep's set can reuse whole.
+        # so that a freed set is one block of memory that the next set of
+        # the same sizes can reuse whole.
         padded = [-(-nbytes // 64) * 64 for nbytes in sizes]
         arena = np.empty(sum(padded), np.uint8)
         starts = np.cumsum([0, *padded])
@@ -89,21 +91,3 @@ class BatchBuffers:
         if self._slots[slot].nbytes < nbytes:
             self._slots[slot] = np.empty(nbytes, np.uint8)
         return self._slots[slot][:nbytes].view(dtype).reshape(shape)
-
-
-class ThreadBuffers:
-    """One `BatchBuffers` of slots of `sizes` bytes per thread that asks for
-    one, made on its first request.  A thread's set is freed when the
-    thread ends or when this object is."""
-
-    def __init__(self, sizes: list[int] | None = None):
-        self.sizes = sizes
-        self._local = threading.local()
-
-    def get(self) -> BatchBuffers:
-        """The calling thread's set."""
-        try:
-            return self._local.batch
-        except AttributeError:
-            self._local.batch = BatchBuffers(self.sizes)
-            return self._local.batch

@@ -40,10 +40,6 @@ class ConfigParseError(ValueError):
     """Raised when the config file cannot be parsed or has unknown keys."""
 
 
-def _coerce(value: str):
-    return yaml.safe_load(value)
-
-
 # Python types a YAML value may have for each numeric field annotation of
 # the config dataclasses; bool is rejected separately (it subclasses int).
 _NUMERIC_TYPES = {
@@ -109,7 +105,10 @@ def parse_config(path: str | Path, overrides: list[str] | None = None) -> Experi
             target = target.setdefault(part, {})
             if not isinstance(target, dict):
                 raise ConfigParseError(f"override key {key!r} does not address a section")
-        target[parts[-1]] = _coerce(raw)
+        try:
+            target[parts[-1]] = yaml.safe_load(raw)
+        except yaml.YAMLError as exc:
+            raise ConfigParseError(f"invalid YAML value for {key}: {exc}") from exc
 
     top_known = {"system", "estimators", "sweep", "monte_carlo_runs", "eval_blocks", "master_seed"}
     unknown = set(data) - top_known

@@ -61,15 +61,15 @@ cut.  No receive sample outlives its chunk but those of an incomplete
 group, copied.  The sum of a set of blocks thus depends only on those
 blocks, not on the chunks or cuts that split them.
 
-A batch task receives into buffers that its thread reuses
-(`mimoce.buffers`): a chunk's channels, their normals, its noise, data
-symbols and phases, and its receive samples.  `run_sweep` owns one
-`ThreadBuffers` for the whole sweep, so each thread that runs a task
-keeps one set, sized once for the sweep's largest chunk, however many
-runs it serves; the sets are freed when the sweep returns.  A
-`run_single` called on its own owns the sets of its call.  A task copies
-out what it keeps (held-out despread vectors and channels, sums), so
-nothing it returns points into a buffer.
+A batch task makes one set of buffers (`mimoce.buffers`) when it starts
+and drops it when it returns: a chunk's channels, their normals, its
+noise, data symbols and phases, and its receive samples.  Every set of a
+run is one allocation of the same size, fitted to its largest chunk
+(`_slot_sizes`); below glibc's 32 MiB mmap ceiling, the allocator hands a
+freed set whole to the next task.  A thread runs one task at a time, so
+at most `workers` sets exist at once.  A task copies out what it keeps (held-out
+despread vectors and channels, sums), so nothing it returns points into
+a buffer.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ from .airlink import (
     simulate_blocks,
 )
 from .blas import single_threaded_blas
-from .buffers import CHUNK_BYTES, ThreadBuffers, slot_bytes
+from .buffers import CHUNK_BYTES, BatchBuffers, slot_bytes
 from .channel import (
     bs_covariances,
     build_geometry,
@@ -182,7 +182,6 @@ class RunContribution:
 class _Window:
     """The estimates of one training window, built from its two sums."""
 
-    all_cov: np.ndarray  # (N, N) sample combined covariance
     pilot_covs: np.ndarray  # (K, N, N) sample pilot covariances
     lowranks: dict[int, list]  # per rank, the K GEVD estimates
     filters: dict[str, np.ndarray]  # (K, N, N) per subt and gevd label
@@ -259,14 +258,12 @@ class _Run:
     their factors without the columns that are zero in all of them, noise
     covariance and factor, and the network-wide covariance at the center
     BS), which no sweep variable changes, and the center-cell channels
-    (K, E, N) of its held-out blocks.  Its batch tasks receive their blocks
-    in chunks of `chunk` blocks and take their arrays from the calling
-    thread's set of `buffers`, its own ones unless given."""
+    (K, E, N) of its held-out blocks.  Each of its batch tasks receives its
+    blocks in chunks of `chunk` blocks into a buffer set of its own."""
 
-    def __init__(self, config: ExperimentConfig, run_seed, buffers: ThreadBuffers | None = None):
+    def __init__(self, config: ExperimentConfig, run_seed):
         self.config = config
         self.keys = tuple(run_seed)
-        self.buffers = ThreadBuffers() if buffers is None else buffers
         self.kinds = {spec.kind for spec in config.estimators}
         sysc = config.system
         self.power = sysc.uplink_power
@@ -372,7 +369,7 @@ class _Run:
         inside = {w - blocks.start for w in windows if blocks.start < w < blocks.stop}
         cuts = sorted({size} | inside)
         sysc = self.config.system
-        buffers = self.buffers.get()
+        buffers = BatchBuffers(_slot_sizes(self.config, [state.system for state in states]))
         # Each running sum with its copies per cut.
         sums = [(acc, {}) for acc in self._sums(states)]
         # One Generator per stream for the whole batch, continued from
@@ -402,7 +399,7 @@ class _Run:
         channels and each state's despread vectors of it.  All allocations
         see the same channel draws, chunk by chunk; each takes its pilot
         noise from batch `batch` of its `eval_signals` stream."""
-        buffers = self.buffers.get()
+        buffers = BatchBuffers(_slot_sizes(self.config, [state.system for state in states]))
         channels = self._rng("eval_channels", batch)
         pilot_noise = [
             {mode: self._rng(f"eval_signals_{mode}", batch) for mode in state.eval_rows}
@@ -515,7 +512,7 @@ class _RunState:
             elif spec.kind == "gevd":
                 lows = lowranks[spec.rank]
                 filters[spec.label] = np.stack([approx_mmse_filter(low, power) for low in lows])
-        return _Window(all_cov, pilot_covs, lowranks, filters, fallbacks)
+        return _Window(pilot_covs, lowranks, filters, fallbacks)
 
     def _true_covariance_filters(self, kind: str) -> np.ndarray:
         """(K, N, N) filters of a kind built from the true covariances."""
@@ -604,9 +601,9 @@ def _chunk_blocks(system: SystemConfig) -> int:
     return max(1, CHUNK_BYTES // (system.cells * system.ues_per_cell * system.antennas * 16))
 
 
-def _thread_buffers(config: ExperimentConfig, systems: list[SystemConfig]) -> ThreadBuffers:
-    """Per-thread buffer sets whose slots fit every array that the batch
-    tasks of a run at sweep points `systems` request."""
+def _slot_sizes(config: ExperimentConfig, systems: list[SystemConfig]) -> list[int]:
+    """Bytes of the slots of a buffer set that fits every array that the
+    batch tasks of a run at sweep points `systems` request."""
     sysc = config.system
     links, n = sysc.cells * sysc.ues_per_cell, sysc.antennas
     tau_ps = {system.tau_p for system in systems}
@@ -620,7 +617,7 @@ def _thread_buffers(config: ExperimentConfig, systems: list[SystemConfig]) -> Th
     # two blocks.
     channels = max(train_chunk, eval_chunk, 2) * links * n * 16
     pilot = max(train_chunk, eval_chunk) * n * tau_p * 16
-    sizes = slot_bytes(
+    return slot_bytes(
         {
             "normals": channels,
             "channels": channels,
@@ -632,13 +629,13 @@ def _thread_buffers(config: ExperimentConfig, systems: list[SystemConfig]) -> Th
             "data_rx": train_chunk * n * tau_u * 16,
         }
     )
-    return ThreadBuffers(sizes)
 
 
 def thread_buffer_bytes(config: ExperimentConfig) -> int:
-    """Bytes of the batch buffers that `run_sweep` keeps per worker thread."""
+    """Bytes of the buffer set of a batch task of `run_sweep`, the most
+    that a worker thread holds at once."""
     systems = [config.system_for(value) for value in config.sweep.values]
-    return sum(_thread_buffers(config, systems).sizes)
+    return sum(_slot_sizes(config, systems))
 
 
 def run_single(
@@ -646,7 +643,6 @@ def run_single(
     sweep_values: list[int],
     run_seed,
     pool: ThreadPoolExecutor | None = None,
-    buffers: ThreadBuffers | None = None,
 ) -> list[list[RunContribution]]:
     """Execute one Monte-Carlo run at sweep points of any tau_p.
 
@@ -656,19 +652,16 @@ def run_single(
     Deterministic given (config, sweep value, run_seed): the seed keys
     every random stream of the run (geometry, estimation blocks,
     evaluation blocks), so a point gets the same contributions in any
-    group.  The run's batch tasks go to `pool` when one is given, and
-    take their arrays from the per-thread sets of `buffers` (without it,
-    sets of the call's own, freed when it returns); the result is the same
-    either way.  BLAS runs single-threaded for the duration of the call.
+    group.  The run's tasks go to `pool` when one is given; the result is
+    the same either way.  BLAS runs single-threaded for the duration of
+    the call.
     """
     config.validate()
     systems = [config.system_for(value) for value in sweep_values]
     windows = sorted({system.blocks for system in systems})
     tau_ps = list(dict.fromkeys(system.tau_p for system in systems))
-    if buffers is None:
-        buffers = _thread_buffers(config, systems)
     with single_threaded_blas():
-        run = _Run(config, run_seed, buffers)
+        run = _Run(config, run_seed)
         states = [
             _RunState(run, replace(config.system, tau_p=tau_p, blocks=windows[-1]))
             for tau_p in tau_ps
@@ -681,12 +674,6 @@ def run_single(
             for window, sums in zip(windows, per_window):
                 tasks[state.system.tau_p, window] = partial(state.finish, *sums)
         finished = dict(zip(tasks, _fan_out(pool, list(tasks.values()))))
-    # A pool worker holds the task it ran, and with it the run, for a
-    # moment after the task's result is in, and a task taken back from the
-    # pool stays in its queue until a worker dequeues it; so the run lets
-    # go of the buffer sets here, and sets of this call's own are freed
-    # when it returns.
-    run.buffers = None
     rows = []
     for system in systems:
         row = {**finished[system.tau_p, None], **finished.get((system.tau_p, system.blocks), {})}
@@ -718,16 +705,13 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> list[NmseResult]:
     parallelism.
     """
     config.validate()
-    # One buffer set per thread that runs a task, shared by every run of
-    # the sweep and freed with it.
-    buffers = _thread_buffers(config, [config.system_for(value) for value in config.sweep.values])
 
     def job(run_index: int, pool: ThreadPoolExecutor | None = None):
         # Streams are keyed by run index only, so run r sees the same
         # geometry and evaluation blocks at every sweep point: sweep curves
         # are paired comparisons.
         seed = (config.master_seed, run_index)
-        return run_single(config, config.sweep.values, seed, pool, buffers)
+        return run_single(config, config.sweep.values, seed, pool)
 
     runs = []
     with single_threaded_blas():

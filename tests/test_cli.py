@@ -219,6 +219,7 @@ class TestMain:
             ("estimators=5", "estimators"),
             ("system.antennas=abc", "system.antennas"),
             ("sweep.values=[10, abc]", "sweep.values"),
+            ("sweep.values=[10,", "sweep.values"),
             ("monte_carlo_runs=abc", "monte_carlo_runs"),
             ("estimators=[5]", "estimators[0]"),
             ("estimators=[{rank: 2}]", "estimators[0]"),

@@ -640,24 +640,23 @@ class TestSharedRun:
         assert [ref() for ref in runs] == [None] * 5
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_one_buffer_set_per_thread_for_the_sweep(self, monkeypatch, workers):
-        # Every run of the sweep takes its batch arrays from the sets of
-        # the threads that run its tasks: one set per thread, not per run
-        # in flight, and none left after the sweep.  The sweep's caller
-        # runs no task when there is a pool.
+    def test_at_most_workers_buffer_sets_alive(self, monkeypatch, workers):
+        # Each batch task makes a set and drops it when it returns, and a
+        # thread runs one task at a time: no more sets than workers are
+        # alive at once, and none after the sweep.
         monkeypatch.setattr(harness, "BATCH_BLOCKS", 8)
-        sets, threads = [], set()
+        sets, most_alive = [], []
 
         class Recorded(buffers.BatchBuffers):
             def __init__(self, *args):
                 super().__init__(*args)
                 sets.append(weakref.ref(self))
-                threads.add(threading.get_ident())
+                most_alive.append(sum(ref() is not None for ref in sets))
 
-        monkeypatch.setattr(buffers, "BatchBuffers", Recorded)
+        monkeypatch.setattr(harness, "BatchBuffers", Recorded)
         run_sweep(small_config(monte_carlo_runs=5), workers=workers)
-        assert 1 <= len(sets) <= workers
-        assert len(threads) == len(sets)
+        assert len(sets) == 5 * (4 + 4)  # one per training and held-out batch
+        assert max(most_alive) <= workers
         assert [ref() for ref in sets] == [None] * len(sets)
 
     def test_no_buffer_set_outlives_run_single(self, monkeypatch):
@@ -668,7 +667,7 @@ class TestSharedRun:
                 super().__init__(*args)
                 sets.append(weakref.ref(self))
 
-        monkeypatch.setattr(buffers, "BatchBuffers", Recorded)
+        monkeypatch.setattr(harness, "BatchBuffers", Recorded)
         with ThreadPoolExecutor(max_workers=2) as pool:
             run_single(small_config(), [30], (1, 0), pool)
             assert sets and [ref() for ref in sets] == [None] * len(sets)
@@ -711,9 +710,9 @@ class TestBuffers:
     )
     @pytest.mark.parametrize("antennas", [8, 3], ids=["n8", "links_over_2n"])
     def test_slots_fit_the_largest_array(self, monkeypatch, sweep, antennas):
-        # A run's sets are made at slot_bytes: no request outgrows its
-        # slot, and each slot's size is some request's, so none is larger
-        # than needed.
+        # Every set of a run is made at the same slot_bytes: no request
+        # outgrows its slot, and each slot's size is some request's, so
+        # none is larger than needed.
         monkeypatch.setattr(harness, "BATCH_BLOCKS", 8)
         config = small_config(sweep=sweep)
         config = dataclasses.replace(
@@ -732,9 +731,10 @@ class TestBuffers:
                 largest[slot] = max(largest[slot], array.nbytes)
                 return array
 
-        monkeypatch.setattr(buffers, "BatchBuffers", Recorded)
+        monkeypatch.setattr(harness, "BatchBuffers", Recorded)
         run_sweep(config, workers=1)
-        (sizes,) = made
+        sizes = made[0]
+        assert made == [sizes] * len(made)
         assert [largest[slot] for slot in range(len(sizes))] == sizes
 
 
