@@ -25,7 +25,7 @@ class UnsupportedLayout(ValueError):
 
 
 class InvalidSpread(ValueError):
-    """Raised for a non-positive angular spread outside the single-path limit."""
+    """Raised for an angular half-spread outside (0, pi/2)."""
 
 
 @dataclass
@@ -132,7 +132,6 @@ def local_scattering_covariance(
     nominal_angle,
     half_spread: float,
     gain=1.0,
-    single_path: bool = False,
 ) -> np.ndarray:
     """Spatial covariance of a ULA link under the local scattering model.
 
@@ -146,24 +145,16 @@ def local_scattering_covariance(
     `gain`.  nominal_angle and gain broadcast against each other; arrays of
     shape S give covariances of shape (*S, N, N), one per link.
 
-    With single_path=True the zero-spread limit is returned instead: the
-    rank-1 matrix gain * a a^H built from the steering vector.
-
     Raises
     ------
     InvalidSpread
-        If half_spread <= 0 and the single-path limit was not requested.
+        If half_spread is not in (0, pi/2).
     """
     gain = np.asarray(gain)[..., None, None]
     if np.any(gain <= 0):
         raise ValueError("gain must be positive")
-    if single_path:
-        a = steering_vector(n_antennas, nominal_angle)
-        return gain * (a[..., :, None] * a[..., None, :].conj())
     if half_spread <= 0:
-        raise InvalidSpread(
-            "half_spread must be positive (pass single_path=True for the zero-spread limit)"
-        )
+        raise InvalidSpread("half_spread must be positive")
     if half_spread >= np.pi / 2:
         raise InvalidSpread("half_spread must be below pi/2")
 

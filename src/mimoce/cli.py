@@ -40,30 +40,6 @@ class ConfigParseError(ValueError):
     """Raised when the config file cannot be parsed or has unknown keys."""
 
 
-# Python types a YAML value may have for each numeric field annotation of
-# the config dataclasses; bool is rejected separately (it subclasses int).
-_NUMERIC_TYPES = {
-    "int": (int,),
-    "float": (int, float),
-    "int | None": (int, type(None)),
-    "list[int]": (int,),
-}
-
-
-def _check_numeric(cls, data: dict, prefix: str) -> None:
-    """Reject values of the wrong type for the numeric fields of cls."""
-    for f in dataclasses.fields(cls):
-        if f.name not in data or f.type not in _NUMERIC_TYPES:
-            continue
-        value = data[f.name]
-        items = value if f.type.startswith("list") else [value]
-        if not isinstance(items, list) or any(
-            isinstance(v, bool) or not isinstance(v, _NUMERIC_TYPES[f.type])
-            for v in items
-        ):
-            raise ConfigParseError(f"{prefix}{f.name} must be {f.type}, got {value!r}")
-
-
 def _build_section(cls, data, section: str):
     if not isinstance(data, dict):
         raise ConfigParseError(
@@ -75,7 +51,6 @@ def _build_section(cls, data, section: str):
         raise ConfigParseError(
             f"unknown key(s) in section {section!r}: {', '.join(sorted(unknown))}"
         )
-    _check_numeric(cls, data, f"{section}.")
     try:
         return cls(**data)
     except TypeError as exc:
@@ -120,7 +95,6 @@ def parse_config(path: str | Path, overrides: list[str] | None = None) -> Experi
         for key in ("monte_carlo_runs", "eval_blocks", "master_seed")
         if key in data
     }
-    _check_numeric(ExperimentConfig, kwargs, "")
     if "system" in data:
         kwargs["system"] = _build_section(SystemConfig, data["system"], "system")
     if "sweep" in data:

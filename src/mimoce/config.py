@@ -34,6 +34,32 @@ DATA_DRIVEN_KINDS = frozenset({"subt", "gevd", "gevd_impr"})
 
 SWEEP_VARIABLES = ("T", "tau_p")
 
+# Python types a value may have for each numeric field annotation of the
+# config dataclasses; bool is rejected separately (it subclasses int).
+_NUMERIC_TYPES = {
+    "int": (int,),
+    "float": (int, float),
+    "int | None": (int, type(None)),
+    "list[int]": (int,),
+}
+
+
+def _check_numeric(section, prefix: str = "") -> None:
+    """Reject values of the wrong type for the numeric fields of the config
+    dataclass `section`, naming each field by its dotted path."""
+    for f in fields(section):
+        if f.type not in _NUMERIC_TYPES:
+            continue
+        value = getattr(section, f.name)
+        items = value if f.type.startswith("list") else [value]
+        if not isinstance(items, list) or any(
+            isinstance(v, bool) or not isinstance(v, _NUMERIC_TYPES[f.type])
+            for v in items
+        ):
+            raise ConfigInvalid(
+                f"violated invariant: {prefix}{f.name} must be {f.type}, got {value!r}"
+            )
+
 
 @dataclass
 class SystemConfig:
@@ -130,6 +156,8 @@ class SweepSpec:
             raise ConfigInvalid("violated invariant: sweep values non-empty")
         if any(v < 1 for v in self.values):
             raise ConfigInvalid("violated invariant: sweep values positive")
+        if len(set(self.values)) != len(self.values):
+            raise ConfigInvalid("violated invariant: sweep values distinct")
 
 
 def default_estimators() -> list[EstimatorSpec]:
@@ -156,6 +184,12 @@ class ExperimentConfig:
     master_seed: int = 1
 
     def validate(self) -> None:
+        # Types first: the invariants below compare values with numbers.
+        _check_numeric(self)
+        _check_numeric(self.system, "system.")
+        _check_numeric(self.sweep, "sweep.")
+        for i, spec in enumerate(self.estimators or ()):
+            _check_numeric(spec, f"estimators[{i}].")
         self.system.validate()
         self.sweep.validate()
         if self.monte_carlo_runs < 1:

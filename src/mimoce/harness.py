@@ -50,16 +50,17 @@ key order, so no result bit depends on `workers`.
 
 A batch task draws and receives its blocks in chunks of at most
 CHUNK_BYTES of channels, one Generator per stream continued from chunk to
-chunk, so a batch holds the same bits in any chunking.  The channel
-factors are stored without the leading columns that are zero in all of
-them, and each chunk's channels are scaled by the UEs' amplitudes once
-for all its receives.  The data phase, each tau_p's pilot phase and its
-despread vectors are added to the batch's running sums as soon as they
-are received, in groups of blocks counted from the batch start
-(`AllCovAccumulator.add`), and a copy of each sum is kept at every window
-cut.  No receive sample outlives its chunk but those of an incomplete
+chunk, so a batch holds the same bits in any chunking.  A training chunk
+also ends where a window ends.  The channel factors are stored without
+the leading columns that are zero in all of them, and each chunk's
+channels are scaled by the UEs' amplitudes once for all its receives.
+The data phase, each tau_p's pilot phase and its despread vectors are
+added to the batch's running sums as soon as they are received, in
+groups of blocks counted from the batch start (`AllCovAccumulator.add`),
+and a copy of every sum is kept where a chunk ends a window or the
+batch.  No receive sample outlives its chunk but those of an incomplete
 group, copied.  The sum of a set of blocks thus depends only on those
-blocks, not on the chunks or cuts that split them.
+blocks, not on the chunks that split them.
 
 A batch task makes one set of buffers (`mimoce.buffers`) when it starts
 and drops it when it returns: a chunk's channels, their normals, its
@@ -230,27 +231,20 @@ def _fan_out(pool: ThreadPoolExecutor | None, tasks: list) -> list:
     return [own[0] if own else job.result() for own, job in zip(mine, submitted)]
 
 
-def _add_cut(
-    acc: AllCovAccumulator, kept: dict, samples: np.ndarray, first: int, cuts: list[int]
-) -> None:
-    """Add `samples` (B, ..., N, S), blocks [first, first + B) of a batch,
-    to `acc`, and keep in `kept` a copy of it at each of the ascending
-    `cuts` (block counts from the batch start) that those blocks reach."""
-    done = 0
-    for cut in cuts:
-        if first < cut <= first + len(samples):
-            acc.add(samples[done : cut - first])
-            kept[cut] = acc.copy()
-            done = cut - first
-    acc.add(samples[done:])
+def _split(blocks: slice, stride: int, cuts=()) -> list[slice]:
+    """Range `blocks` in consecutive pieces of at most `stride` blocks,
+    a piece ending at each of `cuts` inside it and restarting there."""
+    ends = sorted({cut for cut in cuts if blocks.start < cut < blocks.stop} | {blocks.stop})
+    pieces, first = [], blocks.start
+    for end in ends:
+        pieces += [slice(start, min(start + stride, end)) for start in range(first, end, stride)]
+        first = end
+    return pieces
 
 
 def _batches(stop: int) -> list[tuple[int, slice]]:
     """(batch index i, block slice) of each batch of blocks [0, stop)."""
-    return [
-        (batch, slice(first, min(first + BATCH_BLOCKS, stop)))
-        for batch, first in enumerate(range(0, stop, BATCH_BLOCKS))
-    ]
+    return list(enumerate(_split(slice(0, stop), BATCH_BLOCKS)))
 
 
 class _Run:
@@ -259,7 +253,7 @@ class _Run:
     covariance and factor, and the network-wide covariance at the center
     BS), which no sweep variable changes, and the center-cell channels
     (K, E, N) of its held-out blocks.  Each of its batch tasks receives its
-    blocks in chunks of `chunk` blocks into a buffer set of its own."""
+    blocks in chunks of at most `chunk` blocks into a buffer set of its own."""
 
     def __init__(self, config: ExperimentConfig, run_seed):
         self.config = config
@@ -299,12 +293,10 @@ class _Run:
         whole-run draws take batch 0."""
         return derive_rng(*self.keys, _STREAMS[stream], batch)
 
-    def _chunks(self, blocks: slice) -> list[slice]:
-        """Batch `blocks` in consecutive chunks of at most `chunk` blocks."""
-        return [
-            slice(first, min(first + self.chunk, blocks.stop))
-            for first in range(blocks.start, blocks.stop, self.chunk)
-        ]
+    def _chunks(self, blocks: slice, cuts=()) -> list[slice]:
+        """Batch `blocks` in consecutive chunks of at most `chunk` blocks,
+        one ending at each of `cuts` inside the batch."""
+        return _split(blocks, self.chunk, cuts)
 
     def _sums(self, states: list[_RunState]) -> list[AllCovAccumulator]:
         """Empty sums of the data phase, then per state of its pilot phase and despread vectors."""
@@ -323,8 +315,9 @@ class _Run:
         (ascending, the last one the states' `system.blocks`): that of all
         samples of its first T blocks, the pilot phase under the state's
         rows and the data phase, and that of the state's despread vectors
-        of the same blocks.  Each sum is merged in batch order, so it does
-        not depend on which worker ran which task.  Without a data-driven
+        of the same blocks.  The stops of each training task, in batch
+        order, are merged onto the sums of the batches before it, so no
+        sum depends on which worker ran which task.  Without a data-driven
         estimator nothing is trained, and no window has sums.
         """
         training = _batches(windows[-1]) if self.kinds & DATA_DRIVEN_KINDS else []
@@ -335,50 +328,46 @@ class _Run:
         ]
         results = _fan_out(pool, tasks)
         combined: list[list] = [[] for _ in states]
-        running = self._sums(states)  # the sums of the full batches so far
-        for (_, blocks), kept in zip(training, results):
-            for window in windows:
-                if blocks.start < window <= blocks.stop:
-                    data, *parts = [acc.copy() for acc in running]
-                    for acc, part in zip([data, *parts], kept):
-                        acc.merge(part[window - blocks.start])
+        running = self._sums(states)  # the sums of the batches before this one
+        for stops in results[: len(training)]:
+            for stop, sums in stops.items():
+                reached = [acc.copy() for acc in running]
+                for acc, part in zip(reached, sums):
+                    acc.merge(part)
+                if stop in windows:
+                    data, *parts = [acc.copy() for acc in reached]
                     for out, pilot, despread in zip(combined, parts[::2], parts[1::2]):
                         pilot.merge(data)
                         out.append((pilot, despread))
-            size = blocks.stop - blocks.start
-            for acc, part in zip(running, kept):
-                acc.merge(part[size])
+            running = reached  # the batch end is its last stop
         return combined
 
     def _train(
         self, states: list[_RunState], windows: list[int], batch: int, blocks: slice
-    ) -> list[dict]:
+    ) -> dict[int, list[AllCovAccumulator]]:
         """Receive training batch `batch`, blocks `blocks`, under the rows
-        of every state.  The pilot noise comes from the batch's
-        `est_signals` key and the data phase, synthesized with the first
-        state's pilot phase, from its `data` and `data_noise` keys.  Each
-        chunk's channels are drawn once and scaled by the UEs' amplitudes,
-        and each receive's samples and despread vectors are added to the
+        of every state, in chunks that end at each of `windows` inside the
+        batch.  The pilot noise comes from the batch's `est_signals` key
+        and the data phase, synthesized with the first state's pilot
+        phase, from its `data` and `data_noise` keys.  Each chunk's
+        channels are drawn once and scaled by the UEs' amplitudes, and
+        each receive's samples and despread vectors are added to the
         batch's running sums before the next receive.
 
-        Returns, per sum of `_sums`, its copy at each cut (the batch size
-        and each of `windows` that ends inside the batch): the sum over
-        the batch's first cut blocks.
+        Returns, at each stop (each window that ends inside the batch, and
+        the batch end), a copy of every sum of `_sums` over the batch's
+        blocks before it.
         """
-        size = blocks.stop - blocks.start
-        inside = {w - blocks.start for w in windows if blocks.start < w < blocks.stop}
-        cuts = sorted({size} | inside)
         sysc = self.config.system
         buffers = BatchBuffers(_slot_sizes(self.config, [state.system for state in states]))
-        # Each running sum with its copies per cut.
-        sums = [(acc, {}) for acc in self._sums(states)]
+        sums = self._sums(states)
+        stops = {}
         # One Generator per stream for the whole batch, continued from
         # chunk to chunk.
         channels = self._rng("est_channels", batch)
         pilot_noise = [self._rng("est_signals", batch) for _ in states]
         data_streams = (self._rng("data", batch), self._rng("data_noise", batch))
-        for chunk in self._chunks(blocks):
-            first = chunk.start - blocks.start
+        for chunk in self._chunks(blocks, windows):
             h = sample_channels(self.factors, channels, chunk.stop - chunk.start, buffers=buffers)
             h *= self.amplitudes
             data_phase = (sysc.tau_u, *data_streams)
@@ -387,11 +376,13 @@ class _Run:
                     h, state.rows[chunk], noise, *data_phase, buffers=buffers
                 )
                 if data_phase:
-                    _add_cut(*sums[0], data_rx, first, cuts)
-                _add_cut(*pilot, pilot_rx, first, cuts)
-                _add_cut(*despread, d[..., None], first, cuts)  # one-sample blocks
+                    sums[0].add(data_rx)
+                pilot.add(pilot_rx)
+                despread.add(d[..., None])  # one-sample blocks
                 data_phase = ()
-        return [kept for _, kept in sums]
+            if chunk.stop in windows or chunk.stop == blocks.stop:
+                stops[chunk.stop] = [acc.copy() for acc in sums]
+        return stops
 
     def _held_out(self, states: list[_RunState], batch: int, blocks: slice) -> None:
         """Receive held-out batch `batch`, blocks `blocks`, under every

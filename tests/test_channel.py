@@ -101,13 +101,6 @@ class TestLocalScattering:
         assert r.shape == (1, 1)
         assert abs(r[0, 0] - 2.5) < 1e-12
 
-    def test_single_path_limit(self):
-        phi = 0.7
-        a = steering_vector(6, phi)
-        r = local_scattering_covariance(6, phi, 0.0, gain=1.5, single_path=True)
-        assert np.allclose(r, 1.5 * np.outer(a, a.conj()))
-        assert np.linalg.matrix_rank(r, tol=1e-10) == 1
-
     def test_invalid_spread(self):
         with pytest.raises(InvalidSpread):
             local_scattering_covariance(4, 0.0, 0.0)
@@ -137,28 +130,21 @@ class TestLocalScattering:
             )
             assert abs(r[lag, 0] - ref) < 1e-8
 
-    @pytest.mark.parametrize("single_path", [False, True])
-    def test_stack_matches_per_link(self, single_path):
+    def test_stack_matches_per_link(self):
         # the broadcast call against a per-link quadrature and Toeplitz build
         n, delta = 9, np.deg2rad(10)
         geo = build_geometry(7, 3, rng=4)
         angles, gains = geo.nominal_angles[0], geo.link_gains[0]
-        stack = local_scattering_covariance(
-            n, angles, delta, gain=gains, single_path=single_path
-        )
+        stack = local_scattering_covariance(n, angles, delta, gain=gains)
         assert stack.shape == (7, 3, n, n)
         nodes, weights = np.polynomial.legendre.leggauss(QUAD_POINTS)
         for l in range(7):
             for k in range(3):
-                if single_path:
-                    a = steering_vector(n, angles[l, k])
-                    ref = gains[l, k] * np.outer(a, a.conj())
-                else:
-                    theta = angles[l, k] + delta * nodes
-                    column = np.exp(
-                        1j * np.pi * np.outer(np.arange(n), np.sin(theta))
-                    ) @ (weights / 2)
-                    ref = gains[l, k] * scipy.linalg.toeplitz(column)
+                theta = angles[l, k] + delta * nodes
+                column = np.exp(
+                    1j * np.pi * np.outer(np.arange(n), np.sin(theta))
+                ) @ (weights / 2)
+                ref = gains[l, k] * scipy.linalg.toeplitz(column)
                 assert np.linalg.norm(stack[l, k] - ref) <= 1e-14 * np.linalg.norm(ref)
 
     def test_bs_covariances_per_link(self):

@@ -238,8 +238,12 @@ class TestMain:
             (["system.tau_p=1", "estimators=[{kind: gevd, rank: 2}]"], "tau_p >= 2"),
             (["system.tau_p=1", "estimators=[{kind: gevd_impr, rank: 2}]"], "tau_p >= 2"),
             (["system.cells=3"], "cells in (1, 7)"),
+            (["sweep.values=[20, 20]"], "sweep values distinct"),
         ],
-        ids=["tau_p_1_subt", "tau_p_1_gevd", "tau_p_1_gevd_impr", "cells_3"],
+        ids=[
+            "tau_p_1_subt", "tau_p_1_gevd", "tau_p_1_gevd_impr", "cells_3",
+            "repeated_sweep_value",
+        ],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_broken_invariant_exit_code(

@@ -1,5 +1,7 @@
 """Tests for configuration invariants and sweep plumbing."""
 
+import re
+
 import pytest
 
 from mimoce.config import (
@@ -76,6 +78,35 @@ class TestExperimentConfig:
         config = ExperimentConfig(sweep=SweepSpec(variable="T", values=[0]))
         with pytest.raises(ConfigInvalid, match="positive"):
             config.validate()
+
+    def test_sweep_values_distinct(self):
+        config = ExperimentConfig(sweep=SweepSpec(variable="T", values=[40, 75, 40]))
+        with pytest.raises(ConfigInvalid, match="sweep values distinct"):
+            config.validate()
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            (dict(monte_carlo_runs=2.5), "monte_carlo_runs"),
+            (dict(master_seed=True), "master_seed"),
+            (dict(system=SystemConfig(tau_p="10")), "system.tau_p"),
+            (dict(system=SystemConfig(noise_power="0.3")), "system.noise_power"),
+            (dict(sweep=SweepSpec(values=[75, 150.0])), "sweep.values"),
+            (dict(sweep=SweepSpec(values=75)), "sweep.values"),
+            (dict(estimators=[EstimatorSpec("gevd", rank=8.0)]), "estimators[0].rank"),
+        ],
+        ids=[
+            "float_int", "bool_int", "str_int", "str_float", "float_in_list", "not_a_list",
+            "float_rank",
+        ],
+    )
+    def test_field_types_named(self, overrides, named):
+        # Checked before the invariants, which would compare a str with an int.
+        with pytest.raises(ConfigInvalid, match=re.escape(f"{named} must be")):
+            ExperimentConfig(**overrides).validate()
+
+    def test_int_accepted_for_float_field(self):
+        ExperimentConfig(system=SystemConfig(noise_power=1)).validate()
 
     def test_tau_p_sweep_needs_two(self):
         config = ExperimentConfig(sweep=SweepSpec(variable="tau_p", values=[1, 5]))

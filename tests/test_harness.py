@@ -527,19 +527,20 @@ class TestSharedRun:
     @pytest.mark.parametrize(
         "sweep, synthesized, data_blocks, drawn_blocks",
         [
-            # Per run: training batches 0-4 once (40 blocks; T=20 takes a
-            # prefix of batch 2), held-out blocks once (25 per allocation).
-            # The data phase and the channels of those 40 blocks, and the
-            # channels of the 25 held-out blocks, are drawn once.
+            # Per run: training batches 0-4 once (40 blocks; T=20 and T=30
+            # take a prefix of batches 2 and 3), held-out blocks once (25 per
+            # allocation).  The data phase and the channels of those 40
+            # blocks, and the channels of the 25 held-out blocks, are drawn
+            # once.
             (
-                SweepSpec(variable="T", values=[20, 8, 40, 16, 40]),
+                SweepSpec(variable="T", values=[20, 8, 40, 16, 30]),
                 2 * (40 + 50), 2 * 40, 2 * (40 + 25),
             ),
             # Per run: the 40 training and 25 held-out blocks are received
             # under tau_p=4 and under tau_p=2, but their channels, and the
             # data phase of the 40 training blocks, are drawn once.
             (
-                SweepSpec(variable="tau_p", values=[4, 2, 4]),
+                SweepSpec(variable="tau_p", values=[4, 2]),
                 2 * (40 + 50 + 40 + 50), 2 * 40, 2 * (40 + 25),
             ),
         ],
@@ -686,13 +687,13 @@ class TestBuffers:
         ]
         windows = [5, 16]
         # The data phase's sums, and each state's pilot-phase and despread
-        # sums, at each cut of the first batch.
+        # sums, at each stop of the first batch.
         kept = run._train(states, windows, 0, slice(0, 8))
-        assert len(kept) == 5
-        sums = [acc._sum.copy() for part in kept for acc in part.values()]
+        assert list(kept) == [5, 8] and all(len(accs) == 5 for accs in kept.values())
+        sums = [acc._sum.copy() for accs in kept.values() for acc in accs]
         run._train(states, windows, 1, slice(8, 16))
         run._held_out(states, 0, slice(0, 8))
-        assert [acc._sum.tobytes() for part in kept for acc in part.values()] == [
+        assert [acc._sum.tobytes() for accs in kept.values() for acc in accs] == [
             s.tobytes() for s in sums
         ]
 
@@ -756,11 +757,14 @@ class TestChunks:
         return run, states
 
     @staticmethod
-    def fingerprint(run, states, parts):
+    def fingerprint(run, states, stops):
+        """The sums at each stop (20 and 30 for the batch of blocks
+        15-29), keyed by sum and by blocks since the batch start, and the
+        held-out arrays of blocks 15-29."""
         sums = {
-            (part, cut): (acc._sum.tobytes(), acc._samples)
-            for part, accs in enumerate(parts)
-            for cut, acc in accs.items()
+            (part, stop - 15): (acc._sum.tobytes(), acc._samples)
+            for stop, accs in stops.items()
+            for part, acc in enumerate(accs)
         }
         arrays = [run.h_center[:, 15:30].tobytes()]
         for state in states:
@@ -772,9 +776,9 @@ class TestChunks:
         held-out batch 1, received by the run in chunks of `chunk`."""
         run, states = self.run_and_states()
         run.chunk = chunk
-        parts = run._train(states, [20, 40], 1, slice(15, 30))
+        stops = run._train(states, [20, 40], 1, slice(15, 30))
         run._held_out(states, 1, slice(15, 30))
-        return self.fingerprint(run, states, parts)
+        return self.fingerprint(run, states, stops)
 
     def plain(self):
         """The same batches from sample_channels, simulate_blocks with the
@@ -792,9 +796,9 @@ class TestChunks:
             return pilot_rx, data_rx, despread_batch(pilot_rx, state.book, rows[:, 0])
 
         def sums(samples, ues=None):
-            accs = {cut: AllCovAccumulator(samples.shape[-2], ues) for cut in (5, 15)}
-            for cut, acc in accs.items():
-                acc.add(samples[:cut])
+            accs = {stop: AllCovAccumulator(samples.shape[-2], ues) for stop in (20, 30)}
+            for stop, acc in accs.items():
+                acc.add(samples[: stop - 15])
             return accs
 
         h = sample_channels(factors, run._rng("est_channels", 1), 15)
@@ -815,22 +819,36 @@ class TestChunks:
                 noise = run._rng(f"eval_signals_{mode}", 1)
                 d = receive(state, h, rows[blocks], noise, 0)[2]
                 state.held_out[mode][:, blocks] = d.transpose(1, 0, 2)
-        return self.fingerprint(run, states, parts)
+        stops = {stop: [part[stop] for part in parts] for stop in (20, 30)}
+        return self.fingerprint(run, states, stops)
 
     @pytest.mark.parametrize(
         "chunk", [15, 7, 4, 1], ids=["one_chunk", "7_7_1", "window_in_chunk", "one_block"]
     )
     def test_chunked_batches_same_bits(self, monkeypatch, chunk):
         # Chunks of 7 do not divide the 15-block batch and end in a 1-block
-        # chunk; the window cut (5 blocks in) falls inside a chunk of 7 and
-        # of 4.  Gram groups of 4 blocks complete inside the batch, and the
-        # chunks and the cut split them.
+        # chunk; the window cut (5 blocks in) would fall inside a chunk of 7
+        # and of 4, so it ends one there.  Gram groups of 4 blocks complete
+        # inside the batch, and the chunks and the cut split them.
         monkeypatch.setattr(covest, "GRAM_GROUP", 4)
         sums, arrays = self.received(chunk)
         expected_sums, expected_arrays = self.plain()
         assert sorted(sums) == [(part, cut) for part in range(5) for cut in (5, 15)]
         assert sums == expected_sums
         assert arrays == expected_arrays
+
+    @pytest.mark.parametrize("chunk", [15, 7, 4, 1])
+    def test_chunks_tile_the_batch_and_end_at_every_cut(self, chunk):
+        # Cuts 3, 30 and 40 are not inside the batch 15-29; 20 and 22 are.
+        # After each cut, chunks restart at full size.
+        run = _Run(small_config(), (7, 0))
+        run.chunk = chunk
+        chunks = run._chunks(slice(15, 30), [3, 20, 22, 30, 40])
+        assert [c.start for c in chunks] == [15] + [c.stop for c in chunks[:-1]]
+        assert chunks[-1].stop == 30
+        assert {20, 22} <= {c.stop for c in chunks}
+        assert all(0 < c.stop - c.start <= chunk for c in chunks)
+        assert len(chunks) == sum(-(-size // chunk) for size in (5, 2, 8))
 
 
 class TestFanOut:
