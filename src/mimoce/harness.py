@@ -148,10 +148,6 @@ _ALLOCATION = {
     "mmse_fixed": "fixed_cyclic",
 }
 
-# Kinds whose filters come from the true covariances alone, so they depend
-# on the sweep point only through tau_p.
-_TRUE_COVARIANCE_KINDS = ("mmse_random", "ls_fixed", "mmse_fixed")
-
 
 class ZeroTraceCovariance(ValueError):
     """Raised when the NMSE normalizer tr(R) is not positive."""
@@ -439,7 +435,7 @@ class _RunState:
         self.static_filters: dict[str, np.ndarray] = {
             spec.label: self._true_covariance_filters(spec.kind)
             for spec in config.estimators
-            if spec.kind in _TRUE_COVARIANCE_KINDS
+            if spec.kind not in DATA_DRIVEN_KINDS
         }
 
     def pilot_cov_true(self) -> np.ndarray:
@@ -527,7 +523,7 @@ class _RunState:
         total = self.config.eval_blocks * self.system.ues_per_cell
         out = {}
         for spec in self.config.estimators:
-            if (spec.kind in _TRUE_COVARIANCE_KINDS) != (window is None):
+            if (spec.kind in DATA_DRIVEN_KINDS) == (window is None):
                 continue
             fallbacks = 0 if window is None else window.fallbacks[spec.label]
             if spec.kind == "gevd_impr":
@@ -680,9 +676,9 @@ def simulated_blocks(config: ExperimentConfig) -> int:
     systems = [config.system_for(value) for value in config.sweep.values]
     training = 0
     if {spec.kind for spec in config.estimators} & DATA_DRIVEN_KINDS:
-        training = max([0, *(system.blocks for system in systems)])
+        training = max(system.blocks for system in systems)
     modes = len({_ALLOCATION[spec.kind] for spec in config.estimators})
-    per_tau_p = training + modes * max(config.eval_blocks, 0)
+    per_tau_p = training + modes * config.eval_blocks
     return per_tau_p * len({system.tau_p for system in systems}) * config.monte_carlo_runs
 
 

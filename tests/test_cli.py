@@ -96,6 +96,16 @@ class TestParseConfig:
         with pytest.raises(ConfigInvalid, match=f"violated invariant: {field} finite"):
             parse_config(fast_config_path, overrides=[f"system.{field}={value}"])
 
+    @pytest.mark.parametrize("shipped", ["configs/desk_scale.yaml", "configs/full_scale.yaml"])
+    def test_dumped_config_parses_back_equal(self, tmp_path, shipped):
+        # Nested sections, the estimator list, int | None and list[int].
+        import yaml
+
+        config = parse_config(shipped)
+        path = tmp_path / "dumped.yaml"
+        path.write_text(yaml.safe_dump(config.to_dict()))
+        assert parse_config(path) == config
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("system:\n  antenas: 4\n")
@@ -180,8 +190,28 @@ class TestValidate:
         config = ExperimentConfig(system=SystemConfig(cells=3))
         report = validate_config(config)
         assert "ISSUES FOUND" in report
-        assert "UnsupportedLayout" in report
+        assert "violated invariant: cells in (1, 7)" in report
         assert "batch buffers" not in report
+
+    @pytest.mark.parametrize(
+        "config, named",
+        [
+            (ExperimentConfig(system=SystemConfig(cells="7")), "system.cells must be int"),
+            (
+                ExperimentConfig(system=SystemConfig(ues_per_cell="5")),
+                "system.ues_per_cell must be int",
+            ),
+            (ExperimentConfig(monte_carlo_runs=2.5), "monte_carlo_runs must be int"),
+        ],
+        ids=["cells_str", "ues_per_cell_str", "fractional_runs"],
+    )
+    def test_wrong_type_reports_first_invariant(self, config, named):
+        # Reported without a traceback and without sizes of a config that
+        # cannot run.
+        report = validate_config(config)
+        assert report.startswith("ISSUES FOUND")
+        assert named in report
+        assert "simulated blocks" not in report
 
     def test_full_scale_memory_estimate(self):
         config = parse_config("configs/full_scale.yaml")
@@ -223,6 +253,8 @@ class TestMain:
             ("monte_carlo_runs=abc", "monte_carlo_runs"),
             ("estimators=[5]", "estimators[0]"),
             ("estimators=[{rank: 2}]", "estimators[0]"),
+            ("estimators=[{kind: subt, rnk: 2}]", "unknown key(s) in estimators[0]: rnk"),
+            ("sweep=[1]", "sweep must be a mapping"),
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])
