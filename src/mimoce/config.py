@@ -32,6 +32,9 @@ RANKED_KINDS = ("gevd", "gevd_impr")
 # pilot covariance into its parts needs tau_p >= 2.
 DATA_DRIVEN_KINDS = frozenset({"subt", "gevd", "gevd_impr"})
 
+# Kinds under fixed cyclic pilot allocation, scored by their exact expected NMSE.
+FIXED_KINDS = frozenset({"ls_fixed", "mmse_fixed"})
+
 SWEEP_VARIABLES = ("T", "tau_p")
 
 # Python types a value may have for each numeric field annotation of the
@@ -186,10 +189,17 @@ class ExperimentConfig:
     def validate(self) -> None:
         # Types first: the invariants below compare values with numbers.
         _check_numeric(self)
-        _check_numeric(self.system, "system.")
-        _check_numeric(self.sweep, "sweep.")
-        for i, spec in enumerate(self.estimators or ()):
-            _check_numeric(spec, f"estimators[{i}].")
+        specs = self.estimators
+        if not isinstance(specs, list):
+            raise ConfigInvalid(f"violated invariant: estimators must be list, got {specs!r}")
+        sections = [("system", self.system, SystemConfig), ("sweep", self.sweep, SweepSpec)]
+        sections += [(f"estimators[{i}]", spec, EstimatorSpec) for i, spec in enumerate(specs)]
+        for name, section, cls in sections:
+            if not isinstance(section, cls):
+                raise ConfigInvalid(
+                    f"violated invariant: {name} must be {cls.__name__}, got {section!r}"
+                )
+            _check_numeric(section, f"{name}.")
         self.system.validate()
         self.sweep.validate()
         if self.monte_carlo_runs < 1:

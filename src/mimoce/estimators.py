@@ -161,23 +161,28 @@ def ls_estimate(y_pilot: np.ndarray, power: float, tau_p: int) -> np.ndarray:
     return np.asarray(y_pilot, dtype=complex) / (np.sqrt(power) * tau_p)
 
 
-def mmse_fixed_filter(
-    covs: np.ndarray,
-    power: float,
-    pilot_row: np.ndarray,
-    r_nn: np.ndarray,
-    tau_p: int,
+def fixed_pilot_cov(
+    covs: np.ndarray, power: float, pilot_row: np.ndarray, r_nn: np.ndarray, tau_p: int
 ) -> np.ndarray:
-    """LMMSE filters (K, N, N) for the serving cell under fixed pilot allocation.
+    """M (K, N, N) with E[y_k y_k^H] = tau_p M_k for the despread signal y_k
+    of each serving-cell UE k under fixed pilot allocation.
 
     covs (L, K, N, N) holds every UE's covariance seen at the serving BS
     (cell 0) and pilot_row (L, K) the fixed pilot of every UE.  Only UEs on
-    UE k's pilot appear in its despread signal, so its filter aggregates
-    those UEs (k itself included) and the noise, all at the same power p:
+    UE k's pilot appear in y_k, so, all at the same power p,
 
-        W_k = sqrt(p) (sum_{(l, i) on k's pilot} p tau_p R_li + R_nn)^{-1} R_0k
+        M_k = sum_{(l, i) on k's pilot} p tau_p R_li + R_nn
     """
     pilot_row = np.asarray(pilot_row)
     shares = pilot_row[None] == pilot_row[0][:, None, None]  # (K, L, K)
     m = np.einsum("kli,linm->knm", (power * tau_p) * shares, covs, optimize=True) + r_nn  # GEMM
-    return np.sqrt(power) * solve_hermitian(hermitize(m), covs[0])
+    return hermitize(m)
+
+
+def mmse_fixed_filter(
+    covs: np.ndarray, power: float, pilot_row: np.ndarray, r_nn: np.ndarray, tau_p: int
+) -> np.ndarray:
+    """LMMSE filters (K, N, N) for the serving cell under fixed pilot
+    allocation, W_k = sqrt(p) M_k^{-1} R_0k with M_k of fixed_pilot_cov."""
+    m = fixed_pilot_cov(covs, power, pilot_row, r_nn, tau_p)
+    return np.sqrt(power) * solve_hermitian(m, covs[0])

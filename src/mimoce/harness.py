@@ -2,24 +2,26 @@
 
 One run builds a network, simulates T coherence blocks to feed the
 sample-covariance estimators, constructs every configured channel
-estimator, and evaluates NMSE on a disjoint set of freshly drawn
-evaluation blocks.  Sweeps repeat this over a grid of T or tau_p values
-and average across seeded Monte-Carlo runs; all randomness is derived
-from the master seed with explicit keys, so results are reproducible and
-independent of the worker-thread count.
+estimator, and scores it.  Sweeps repeat this over a grid of T or tau_p
+values and average across seeded Monte-Carlo runs; all randomness is
+derived from the master seed with explicit keys, so results are
+reproducible and independent of the worker-thread count.
 
 Training and evaluation share one receive path: batches of channel draws,
-each received under a pilot allocation into raw antenna samples and the
-despread vectors of all center UEs (`_RunState._receive`).  Every
-estimator is a filter applied to those vectors: a per-UE (K, N, N) stack,
-or per pilot pattern for gevd_impr.
+each received under random pilot allocation into raw antenna samples and
+the despread vectors of all center UEs (`_RunState._receive`).  Every
+estimator is a filter on those vectors (per UE, or per pilot pattern for
+gevd_impr), scored by its mean NMSE over freshly drawn held-out blocks
+(`nmse`).  The filters of ls_fixed and mmse_fixed, under fixed cyclic
+allocation, depend only on the run's covariances, and score their exact
+expected NMSE given those (`_RunState._fixed_nmse`).
 
 Every random value is drawn from one layout: a fresh Generator keyed by
 (master seed, run, stream id, batch) (`_STREAMS`, `_Run._rng`).  Batch i
 of a batched stream (training and held-out channels, pilot noise, the
-data phase) draws from key i; whole-run draws (geometry and the two pilot
-allocations) take batch 0.  No Generator is carried from one batch to the
-next, so what a batch holds depends only on its key.
+data phase) draws from key i; whole-run draws (geometry and the training
+and held-out pilot rows) take batch 0.  No Generator is carried from one
+batch to the next, so what a batch holds depends only on its key.
 
 A sweep runs one job per Monte-Carlo run (`run_single`), which serves
 every sweep point.  The run (`_Run`) builds the network once, and each
@@ -100,7 +102,7 @@ from .channel import (
     steering_vector,
     trim_factors,
 )
-from .config import DATA_DRIVEN_KINDS, RANKED_KINDS, ExperimentConfig, SystemConfig
+from .config import DATA_DRIVEN_KINDS, FIXED_KINDS, RANKED_KINDS, ExperimentConfig, SystemConfig
 from .covest import (
     AllCovAccumulator,
     estimate_pilot_cov,
@@ -109,6 +111,7 @@ from .covest import (
 )
 from .estimators import (
     approx_mmse_filter,
+    fixed_pilot_cov,
     improved_mmse_filter,
     improved_pilot_base,
     ls_estimate,
@@ -122,9 +125,9 @@ from .seeding import derive_rng
 # of a stream draws blocks [i * BATCH_BLOCKS, ...) from its own key.
 BATCH_BLOCKS = 256
 
-# Stream ids of the run's keys (master seed, run, stream id, batch).  Fresh
-# evaluation blocks are drawn from dedicated streams, so estimation and
-# evaluation data are disjoint by construction.
+# Stream ids of the run's keys (master seed, run, stream id, batch); they key
+# every row, so none is renumbered (7 is retired).  Evaluation blocks come from
+# streams of their own, so estimation and evaluation data are disjoint.
 _STREAMS = {
     "geometry": 0,
     "est_alloc": 1,
@@ -133,19 +136,8 @@ _STREAMS = {
     "eval_alloc": 4,
     "eval_channels": 5,
     "eval_signals_random": 6,
-    "eval_signals_fixed_cyclic": 7,
     "data": 8,
     "data_noise": 9,
-}
-
-# Pilot allocation under which each estimator kind is evaluated.
-_ALLOCATION = {
-    "mmse_random": "random",
-    "subt": "random",
-    "gevd": "random",
-    "gevd_impr": "random",
-    "ls_fixed": "fixed_cyclic",
-    "mmse_fixed": "fixed_cyclic",
 }
 
 
@@ -381,57 +373,41 @@ class _Run:
         return stops
 
     def _held_out(self, states: list[_RunState], batch: int, blocks: slice) -> None:
-        """Receive held-out batch `batch`, blocks `blocks`, under every
-        allocation in use of every state, and write the center-cell
-        channels and each state's despread vectors of it.  All allocations
-        see the same channel draws, chunk by chunk; each takes its pilot
-        noise from batch `batch` of its `eval_signals` stream."""
+        """Receive held-out batch `batch`, blocks `blocks`, under the
+        held-out rows of every state, and write the center-cell channels and
+        each state's despread vectors of it.  The states see the same channel
+        draws; each takes its pilot noise from `eval_signals_random`."""
         buffers = BatchBuffers(_slot_sizes(self.config, [state.system for state in states]))
         channels = self._rng("eval_channels", batch)
-        pilot_noise = [
-            {mode: self._rng(f"eval_signals_{mode}", batch) for mode in state.eval_rows}
-            for state in states
-        ]
+        pilot_noise = [self._rng("eval_signals_random", batch) for _ in states]
         for chunk in self._chunks(blocks):
             h = sample_channels(self.factors, channels, chunk.stop - chunk.start, buffers=buffers)
             self.h_center[:, chunk] = h[:, 0].transpose(1, 0, 2)
             h *= self.amplitudes
             for state, noise in zip(states, pilot_noise):
-                for mode, rows in state.eval_rows.items():
-                    d = state._receive(h, rows[chunk], noise[mode], buffers=buffers)[2]
-                    state.held_out[mode][:, chunk] = d.transpose(1, 0, 2)
+                d = state._receive(h, state.eval_rows[chunk], noise, buffers=buffers)[2]
+                state.held_out[:, chunk] = d.transpose(1, 0, 2)
 
 
 class _RunState:
-    """One tau_p of a Monte-Carlo run: its pilot book and pilot rows, its
-    true-covariance filters and the despread vectors of its held-out
-    blocks."""
+    """One tau_p of a Monte-Carlo run: its pilot book, its training,
+    held-out and fixed cyclic pilot rows, its true-covariance filters and
+    the despread vectors of its held-out blocks."""
 
     def __init__(self, run: _Run, system: SystemConfig):
         self.run = run
         self.config = config = run.config
         self.system = sysc = system  # its blocks are the longest training window
         self.book = make_pilot_book(sysc.tau_p)
-        self.rows = None  # (T, L, K) training pilot rows
+        # Pilot rows of the network: training (T, L, K), held-out (E, L, K)
+        # and fixed cyclic (L, K).
+        net = (sysc.cells, sysc.ues_per_cell, sysc.tau_p)
+        self.rows = None
         if run.kinds & DATA_DRIVEN_KINDS:
-            self.rows = allocate_pilots(
-                sysc.blocks, sysc.cells, sysc.ues_per_cell, sysc.tau_p, "random",
-                run._rng("est_alloc"),
-            )
-        modes = sorted({_ALLOCATION[kind] for kind in run.kinds})
-        # Per allocation in use: the held-out pilot rows (E, L, K) and
-        # despread vectors (K, E, N).
-        self.eval_rows = {
-            mode: allocate_pilots(
-                config.eval_blocks, sysc.cells, sysc.ues_per_cell, sysc.tau_p, mode,
-                run._rng("eval_alloc"),
-            )
-            for mode in modes
-        }
-        self.held_out = {
-            mode: _block_major(config.eval_blocks, sysc.ues_per_cell, sysc.antennas)
-            for mode in modes
-        }
+            self.rows = allocate_pilots(sysc.blocks, *net, "random", run._rng("est_alloc"))
+        self.eval_rows = allocate_pilots(config.eval_blocks, *net, "random", run._rng("eval_alloc"))
+        self.fixed_row = allocate_pilots(1, *net, "fixed_cyclic")[0]
+        self.held_out = _block_major(config.eval_blocks, sysc.ues_per_cell, sysc.antennas)
         self.static_filters: dict[str, np.ndarray] = {
             spec.label: self._true_covariance_filters(spec.kind)
             for spec in config.estimators
@@ -503,38 +479,51 @@ class _RunState:
 
     def _true_covariance_filters(self, kind: str) -> np.ndarray:
         """(K, N, N) filters of a kind built from the true covariances."""
-        sysc = self.system
-        run = self.run
+        sysc, run = self.system, self.run
         if kind == "mmse_random":
             return mmse_optimal_filter(self.pilot_cov_true(), run.covs[0], run.power)
         if kind == "mmse_fixed":
-            fixed_row = allocate_pilots(
-                1, sysc.cells, sysc.ues_per_cell, sysc.tau_p, "fixed_cyclic"
-            )[0]
-            return mmse_fixed_filter(run.covs, run.power, fixed_row, run.r_nn, sysc.tau_p)
+            return mmse_fixed_filter(run.covs, run.power, self.fixed_row, run.r_nn, sysc.tau_p)
         w = ls_estimate(np.eye(sysc.antennas), run.power, sysc.tau_p)  # ls_fixed
         return np.stack([w] * sysc.ues_per_cell)
 
+    def _fixed_nmse(self, label: str) -> float:
+        """Expected NMSE, given the run's covariances and averaged over the
+        center UEs, of filters W `label` on despread vectors y received
+        under the fixed cyclic row.  W does not depend on y, so for UE k,
+        with C_yh = E[y h^H] = sqrt(p) tau_p R and C_yy = E[y y^H] = tau_p M
+        (M of fixed_pilot_cov), E||h - W^H y||^2 / tr R is
+        (tr R - 2 Re tr(W^H C_yh) + tr(W^H C_yy W)) / tr R."""
+        run, tau_p, w = self.run, self.system.tau_p, self.static_filters[label]
+        r = run.covs[0]  # (K, N, N)
+        c_yy = tau_p * fixed_pilot_cov(run.covs, run.power, self.fixed_row, run.r_nn, tau_p)
+        trace = np.trace(r, axis1=-2, axis2=-1).real
+        cross = math.sqrt(run.power) * tau_p * np.einsum("kij,kij->k", w.conj(), r).real
+        quadratic = np.einsum("kij,kij->k", w.conj(), c_yy @ w).real
+        return float(((trace - 2 * cross + quadratic) / trace).mean())
+
     def evaluate(self, window: _Window | None = None) -> dict[str, RunContribution]:
-        """The contribution, mean NMSE over the held-out blocks and
-        fallbacks, of each data-driven estimator with the estimates of
-        `window`, or without one of each true-covariance estimator."""
+        """The contribution, NMSE and fallbacks, of each data-driven estimator
+        with the estimates of `window`, or without one of each true-covariance
+        estimator: mean NMSE over the held-out blocks, or exact for FIXED_KINDS."""
         h_center = self.run.h_center
         total = self.config.eval_blocks * self.system.ues_per_cell
         out = {}
         for spec in self.config.estimators:
             if (spec.kind in DATA_DRIVEN_KINDS) == (window is None):
                 continue
+            if spec.kind in FIXED_KINDS:
+                out[spec.label] = RunContribution(spec.label, self._fixed_nmse(spec.label), 0)
+                continue
             fallbacks = 0 if window is None else window.fallbacks[spec.label]
             if spec.kind == "gevd_impr":
                 h_hat, degraded = self._improved_estimates(
-                    window, spec.rank, self.eval_rows["random"], self.held_out["random"]
+                    window, spec.rank, self.eval_rows, self.held_out
                 )
                 fallbacks += degraded
             else:
                 filters = self.static_filters if window is None else window.filters
-                d = self.held_out[_ALLOCATION[spec.kind]]
-                h_hat = d @ filters[spec.label].conj()
+                h_hat = self.held_out @ filters[spec.label].conj()
             err = float(nmse(h_center, h_hat, self.run.covs[0][:, None]).sum()) / total
             out[spec.label] = RunContribution(spec.label, err, fallbacks)
         return out
@@ -671,14 +660,10 @@ def run_single(
 def simulated_blocks(config: ExperimentConfig) -> int:
     """Blocks a sweep passes to simulate_blocks: each run receives the
     training batches of its longest window, where a data-driven estimator
-    trains, and its held-out batches once per pilot allocation in use,
-    under every tau_p of the sweep."""
+    trains, and its held-out batches once, under every tau_p of the sweep."""
     systems = [config.system_for(value) for value in config.sweep.values]
-    training = 0
-    if {spec.kind for spec in config.estimators} & DATA_DRIVEN_KINDS:
-        training = max(system.blocks for system in systems)
-    modes = len({_ALLOCATION[spec.kind] for spec in config.estimators})
-    per_tau_p = training + modes * config.eval_blocks
+    trains = {spec.kind for spec in config.estimators} & DATA_DRIVEN_KINDS
+    per_tau_p = (max(system.blocks for system in systems) if trains else 0) + config.eval_blocks
     return per_tau_p * len({system.tau_p for system in systems}) * config.monte_carlo_runs
 
 

@@ -1,4 +1,5 @@
-"""Shared test fixtures: synthetic networks with closed-form statistics.
+"""Shared test fixtures: synthetic networks with closed-form statistics,
+and a Monte-Carlo reference for the fixed-allocation rows.
 
 Builds abstract single-BS networks where every UE covariance is chosen
 directly (no geometry), so the despread pilot-phase covariance and the
@@ -6,11 +7,15 @@ combined all-samples covariance have exact analytic values against which
 the estimators can be checked algebraically.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from mimoce.airlink import allocate_pilots, despread_batch, simulate_blocks
+from mimoce.channel import sample_channels
+from mimoce.config import FIXED_KINDS, EstimatorSpec
 from mimoce.covest import AllCovAccumulator, estimate_pilot_cov
+from mimoce.harness import _Run, _RunState, nmse
 from mimoce.linalg import hermitize
 
 
@@ -80,3 +85,31 @@ def make_synthetic(rng, n=16, desired_rank=3, n_interferers=3, tau_p=6,
     return SyntheticNetwork(
         covariances=covariances, powers=powers, r_nn=r_nn, tau_p=tau_p
     )
+
+
+def fixed_allocation_reference(config, run_seed, blocks, batch=50):
+    """Monte-Carlo reference for the ls_fixed and mmse_fixed rows of one run.
+
+    Receives `blocks` held-out blocks, a multiple of `batch`, under the
+    fixed cyclic allocation with sample_channels, simulate_blocks and despread_batch, channels and
+    noise drawn from a stream no run uses, and scores the run's filters of
+    both kinds on them with harness.nmse.  Returns, per label, the NMSE of
+    each block averaged over the center UEs (blocks,), and the run's
+    contribution of that label, its expected NMSE.
+    """
+    config = replace(config, estimators=[EstimatorSpec(kind) for kind in sorted(FIXED_KINDS)])
+    sysc = config.system
+    run = _Run(config, run_seed)
+    state = _RunState(run, sysc)
+    exact = {label: contribution.nmse for label, contribution in state.evaluate().items()}
+    rows = allocate_pilots(batch, sysc.cells, sysc.ues_per_cell, sysc.tau_p, "fixed_cyclic")
+    rng = np.random.default_rng([*run_seed, 7007])
+    scores = {label: [] for label in exact}
+    for _ in range(blocks // batch):
+        h = sample_channels(run.factors, rng, batch)  # (B, L, K, N)
+        pilot_rx, _ = simulate_blocks(h, rows, state.book, run.powers, run.noise_factor, rng, 0)
+        d = despread_batch(pilot_rx, state.book, rows[:, 0])  # (B, K, N)
+        for label, w in state.static_filters.items():
+            h_hat = np.einsum("bkn,knm->bkm", d, w.conj())
+            scores[label].append(nmse(h[:, 0], h_hat, run.covs[0]).mean(axis=1))
+    return {label: (np.concatenate(scores[label]), exact[label]) for label in exact}

@@ -179,9 +179,9 @@ class TestValidate:
     def test_desk_scale_block_count(self):
         # Per run: the training batches of the longest window (1200
         # blocks; every shorter window is a prefix of them) and 200
-        # held-out blocks under each of two pilot allocations.
+        # held-out blocks.
         report = validate_config(parse_config("configs/desk_scale.yaml"))
-        assert "simulated blocks per sweep: 16000" in report
+        assert "simulated blocks per sweep: 14000" in report
         # Per worker thread: 175-block chunks, each chunk's receive samples
         # added to the Gram sums as they arrive.
         assert "batch buffers per worker thread: 11.0 MiB" in report
@@ -202,8 +202,15 @@ class TestValidate:
                 "system.ues_per_cell must be int",
             ),
             (ExperimentConfig(monte_carlo_runs=2.5), "monte_carlo_runs must be int"),
+            (ExperimentConfig(estimators=[5]), "estimators[0] must be EstimatorSpec"),
+            (ExperimentConfig(estimators="gevd"), "estimators must be list"),
+            (ExperimentConfig(system=None), "system must be SystemConfig"),
+            (ExperimentConfig(sweep=3), "sweep must be SweepSpec"),
         ],
-        ids=["cells_str", "ues_per_cell_str", "fractional_runs"],
+        ids=[
+            "cells_str", "ues_per_cell_str", "fractional_runs", "int_estimator",
+            "str_estimators", "none_system", "int_sweep",
+        ],
     )
     def test_wrong_type_reports_first_invariant(self, config, named):
         # Reported without a traceback and without sizes of a config that
@@ -217,14 +224,14 @@ class TestValidate:
         config = parse_config("configs/full_scale.yaml")
         report = validate_config(config)
         assert "70 matrices of 100x100" in report
-        # 20 runs of 1500 training blocks and 2 x 200 held-out blocks.
-        assert "simulated blocks per sweep: 38000" in report
+        # 20 runs of 1500 training blocks and 200 held-out blocks.
+        assert "simulated blocks per sweep: 34000" in report
         # 28-block chunks; 89.8 MiB when every batch array was held whole.
         assert "batch buffers per worker thread: 8.1 MiB" in report
         # A tau_p sweep receives those blocks under each of its tau_p.
         config.sweep = SweepSpec(variable="tau_p", values=[5, 10])
         report = validate_config(config)
-        assert "simulated blocks per sweep: 76000" in report
+        assert "simulated blocks per sweep: 68000" in report
         # One tau_p's pilot receive at a time: the set of the larger one.
         assert "batch buffers per worker thread: 8.1 MiB" in report
 

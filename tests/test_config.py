@@ -94,14 +94,20 @@ class TestExperimentConfig:
             (dict(sweep=SweepSpec(values=[75, 150.0])), "sweep.values"),
             (dict(sweep=SweepSpec(values=75)), "sweep.values"),
             (dict(estimators=[EstimatorSpec("gevd", rank=8.0)]), "estimators[0].rank"),
+            (dict(estimators=[5]), "estimators[0]"),
+            (dict(estimators="gevd"), "estimators"),
+            (dict(system=None), "system"),
+            (dict(sweep=3), "sweep"),
         ],
         ids=[
             "float_int", "bool_int", "str_int", "str_float", "float_in_list", "not_a_list",
-            "float_rank",
+            "float_rank", "int_estimator", "str_estimators", "none_system", "int_sweep",
         ],
     )
     def test_field_types_named(self, overrides, named):
-        # Checked before the invariants, which would compare a str with an int.
+        # Checked before the invariants, which would compare a str with an
+        # int; a section of the wrong type is named, not a TypeError from
+        # dataclasses.fields.
         with pytest.raises(ConfigInvalid, match=re.escape(f"{named} must be")):
             ExperimentConfig(**overrides).validate()
 
