@@ -3,9 +3,17 @@
 Each coherence block carries tau_p pilot samples followed by tau_u data
 samples.  UEs transmit one of tau_p orthogonal unit-modulus pilot
 sequences during the pilot phase (chosen per block at random, or fixed
-cyclically) and unit-modulus random-phase data symbols afterwards.  The
-BS-side receive signal superimposes all UEs' contributions plus spatially
-correlated noise.
+cyclically) and independent, uniformly drawn 256-PSK data symbols
+afterwards.  The BS-side receive signal superimposes all UEs'
+contributions plus spatially correlated noise.
+
+The estimators see the data phase only through the sample covariance of
+the received samples.  Its mean, E[y y^H] = sum_lk p_lk R_lk + R_nn, needs
+of the independent symbols only |s| = 1 and E[s] = 0, and its spread also
+E[s^2] = 0 and E|s|^4 = 1.  256-PSK has all four, as a phase drawn
+uniformly from [0, 2 pi) has, so the statistics the estimators use do
+not change; a table lookup costs far less than a cosine and a sine per
+symbol.
 """
 
 from __future__ import annotations
@@ -16,6 +24,10 @@ import numpy as np
 
 from .buffers import fresh
 from .seeding import complex_normal, ensure_rng
+
+# Data symbols: the 256-PSK constellation exp(2 pi i k / 256), k = 0..255.
+PSK_ORDER = 256
+PSK_SYMBOLS = np.exp(2j * np.pi * np.arange(PSK_ORDER) / PSK_ORDER)
 
 
 @dataclass
@@ -89,15 +101,6 @@ def make_noise_covariance(
     return r
 
 
-def _unit_symbols(phases: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """exp(1j * phases), bit for bit, without the complex exponential;
-    written into `out` when given."""
-    symbols = np.empty(phases.shape, dtype=complex) if out is None else out
-    np.cos(phases, out=symbols.real)
-    np.sin(phases, out=symbols.imag)
-    return symbols
-
-
 def _add_noise(
     rx: np.ndarray, noise_factor, rng: np.random.Generator, out: np.ndarray | None = None
 ) -> None:
@@ -148,18 +151,19 @@ def simulate_blocks(
         (white noise of power s^2) and is added without the matrix product,
         with the same bits as passing s I.
     pilot_rng, data_rng, data_noise_rng : Generator
-        Streams of the pilot-phase noise, the data symbol phases and the
-        data-phase noise.  pilot_rx depends on pilot_rng only and data_rx
-        on the data streams only, so a caller can redraw one phase without
-        the other; passing one generator as all three draws in turn.
+        Streams of the pilot-phase noise, the data symbols (uint32 indices
+        into PSK_SYMBOLS) and the data-phase noise.  pilot_rx depends on
+        pilot_rng only and data_rx on the data streams only, so a caller can
+        redraw one phase without the other; passing one generator as all
+        three draws in turn.
     tau_u : int
         Data samples per block; 0 skips the data phase, and the data
         streams are then not needed.
     buffers : callable, optional
-        Source of the "pilot_rx", "pilot_noise", "phases", "symbols",
-        "data_rx" and "data_noise" arrays, requested in that order (see
-        `mimoce.buffers`); pilot_rx and data_rx are the arrays of those
-        names, which may be strided views of a caller's storage.
+        Source of the "pilot_rx", "pilot_noise", "symbols", "data_rx" and
+        "data_noise" arrays, requested in that order (see `mimoce.buffers`);
+        pilot_rx and data_rx are the arrays of those names, which may be
+        strided views of a caller's storage.
 
     Returns
     -------
@@ -186,11 +190,17 @@ def simulate_blocks(
     if tau_u > 0:
         if data_rng is None or data_noise_rng is None:
             raise ValueError("tau_u > 0 needs the data-phase generators")
-        # uniform(0, 2 pi) computes 0 + 2 pi U from the U that random()
-        # draws, so scaling U in place gives its bits.
-        phases = data_rng.random(out=buffers("phases", (b_blocks, cells * ues, tau_u), float))
-        phases *= 2.0 * np.pi
-        symbols = _unit_symbols(phases, buffers("symbols", phases.shape))
+        # uint32 draws take 32-bit halves of the generator's 64-bit output
+        # and keep a spare half in the generator, so a batch drawn in chunks
+        # holds the bits of one draw; uint8 and uint16 draws would not.
+        # mode="wrap" lets take write into `out` directly, where "raise"
+        # fills a temporary first.
+        indices = data_rng.integers(
+            0, PSK_ORDER, (b_blocks, cells * ues, tau_u), dtype=np.uint32
+        )
+        symbols = np.take(
+            PSK_SYMBOLS, indices, out=buffers("symbols", indices.shape), mode="wrap"
+        )
         data_rx = np.matmul(weighted_t, symbols, out=buffers("data_rx", (b_blocks, n, tau_u)))
         _add_noise(data_rx, noise_factor, data_noise_rng, buffers("data_noise", data_rx.shape))
     else:

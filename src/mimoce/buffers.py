@@ -40,16 +40,14 @@ import numpy as np
 CHUNK_BYTES = 3 << 20
 
 # Slot of each array name.  Slot 0 holds a chunk's channel normals, then
-# each receive's pilot noise, data symbols and data noise; the symbol
-# phases leave slot 2 before the data receive matmul writes it; slot 3
-# holds the pilot receive.
+# each receive's pilot noise, data symbols and data noise; slot 2 holds the
+# data receive and slot 3 the pilot receive.
 SLOTS = {
     "normals": 0,
     "pilot_noise": 0,
     "symbols": 0,
     "data_noise": 0,
     "channels": 1,
-    "phases": 2,
     "data_rx": 2,
     "pilot_rx": 3,
 }

@@ -201,7 +201,8 @@ def covariance_factors(covariances: np.ndarray) -> np.ndarray:
 def trim_factors(factors: np.ndarray) -> np.ndarray:
     """The factors (..., N, N) without the leading columns that are zero in
     every one of them: a contiguous (..., N, r) copy of their last r
-    columns, which `sample_channels` takes in place of the square ones."""
+    columns, which `sample_channels` takes in place of the square ones:
+    it then draws r normals per link, not N."""
     nonzero = np.flatnonzero(np.any(factors != 0, axis=(*range(factors.ndim - 2), -2)))
     first = nonzero[0] if len(nonzero) else factors.shape[-1]
     return np.ascontiguousarray(factors[..., first:])
@@ -222,9 +223,9 @@ def sample_channels(
         Precomputed covariance factors, one per link, independent draws
         per link and per block: the square factors of covariance_factors
         (r = N), or the last r columns of them when the others are zero
-        (trim_factors).  N normals are drawn per link either way, and the
-        product skips the first N - r of them, so the stream and the bits
-        do not depend on r.
+        (trim_factors).  r normals are drawn per link, so trimmed factors
+        draw fewer than square ones, and the two give different draws of
+        the same distribution.
     blocks : int, optional
         If given, a leading block axis of that length is added.
     buffers : callable, optional
@@ -234,10 +235,11 @@ def sample_channels(
     Returns
     -------
     (..., N) or (blocks, ..., N) ndarray of channel vectors, C-contiguous
-    (block-major).  Draws are block-major too: the first t blocks of a draw
-    equal, bit for bit, a t-block draw from a generator at the same
-    position, and consecutive draws from one generator, of t and then u
-    blocks, are the two parts of one (t + u)-block draw.
+    (block-major).  Draws are block-major too, the (blocks, ..., r) normals
+    in C order: the first t blocks of a draw equal, bit for bit, a t-block
+    draw from a generator at the same position, and consecutive draws from
+    one generator, of t and then u blocks, are the two parts of one
+    (t + u)-block draw.
     """
     rng = ensure_rng(rng)
     factors = np.asarray(factors, dtype=complex)
@@ -248,16 +250,14 @@ def sample_channels(
     # numpy hands a single row to gemv, which rounds unlike gemm; with a
     # zero second row one block stays the first block of a larger draw.
     rows = max(b, 2)
-    z = buffers("normals", (rows, *lead, n))
-    complex_normal(rng, (b, *lead, n), out=z[:b])
+    z = buffers("normals", (rows, *lead, r))
+    complex_normal(rng, (b, *lead, r), out=z[:b])
     z[b:] = 0
     # h^T = z^T F^T: one GEMM per link over all blocks, which reads z in
-    # place and writes each channel vector into its block.  The skipped
-    # normals meet only zero columns, so the sums are the square product's
-    # (test_channel pins the bits).
+    # place and writes each channel vector into its block.
     h = buffers("channels", (rows, *lead, n))
     np.matmul(
-        np.moveaxis(z, 0, -2)[..., n - r :],
+        np.moveaxis(z, 0, -2),
         np.swapaxes(factors, -1, -2),
         out=np.moveaxis(h, 0, -2),
     )

@@ -14,24 +14,26 @@ estimator is a filter on those vectors (per UE, or per pilot pattern for
 gevd_impr), scored by its mean NMSE over freshly drawn held-out blocks
 (`nmse`).  The filters of ls_fixed and mmse_fixed, under fixed cyclic
 allocation, depend only on the run's covariances, and score their exact
-expected NMSE given those (`_RunState._fixed_nmse`).
+expected NMSE given those (`_RunState._fixed_nmse`); a run of these two
+alone receives no block.
 
 Every random value is drawn from one layout: a fresh Generator keyed by
 (master seed, run, stream id, batch) (`_STREAMS`, `_Run._rng`).  Batch i
-of a batched stream (training and held-out channels, pilot noise, the
-data phase) draws from key i; whole-run draws (geometry and the training
-and held-out pilot rows) take batch 0.  No Generator is carried from one
-batch to the next, so what a batch holds depends only on its key.
+of a batched stream (training pilot rows, training and held-out channels,
+pilot noise, the data phase) draws from key i; the whole-run draws, the
+geometry and the held-out pilot rows, take batch 0.  No Generator is
+carried from one batch to the next, so what a batch holds depends only on
+its key.
 
 A sweep runs one job per Monte-Carlo run (`run_single`), which serves
 every sweep point.  The run (`_Run`) builds the network once, and each
-tau_p of the sweep has a `_RunState`: its pilot rows, its true-covariance
-filters and its held-out despread vectors.  The points of one tau_p
-differ only in their training window T.  Every random draw is
-block-major, so the first T blocks of the longest window are the blocks a
-run of window T alone receives, bit for bit: each shorter window takes a
-prefix of the batch it ends in, and a T sweep synthesizes only its
-longest window.
+tau_p of the sweep has a `_RunState`: its held-out and fixed pilot rows,
+its true-covariance filters and its held-out despread vectors.  The
+points of one tau_p differ only in their training window T.  Every random
+draw is block-major, so the first T blocks of the longest window are the
+blocks a run of window T alone receives, bit for bit: each shorter window
+takes a prefix of the batch it ends in, and a T sweep synthesizes only
+its longest window.
 
 Training keeps sums, not samples.  The estimates of a window need two
 sums of per-block Grams per tau_p (`AllCovAccumulator`): one over all
@@ -66,13 +68,13 @@ blocks, not on the chunks that split them.
 
 A batch task makes one set of buffers (`mimoce.buffers`) when it starts
 and drops it when it returns: a chunk's channels, their normals, its
-noise, data symbols and phases, and its receive samples.  Every set of a
-run is one allocation of the same size, fitted to its largest chunk
-(`_slot_sizes`); below glibc's 32 MiB mmap ceiling, the allocator hands a
-freed set whole to the next task.  A thread runs one task at a time, so
-at most `workers` sets exist at once.  A task copies out what it keeps (held-out
-despread vectors and channels, sums), so nothing it returns points into
-a buffer.
+noise and data symbols, and its receive samples.  Every set of a run is
+one allocation of the same size, fitted to its largest chunk and to the
+width of its trimmed factors (`_slot_sizes`); below glibc's 32 MiB mmap
+ceiling, the allocator hands a freed set whole to the next task.  A
+thread runs one task at a time, so at most `workers` sets exist at once.
+A task copies out what it keeps (held-out despread vectors and channels,
+sums), so nothing it returns points into a buffer.
 """
 
 from __future__ import annotations
@@ -239,9 +241,10 @@ class _Run:
     """One Monte-Carlo run: its keyed streams, its network (covariances,
     their factors without the columns that are zero in all of them, noise
     covariance and factor, and the network-wide covariance at the center
-    BS), which no sweep variable changes, and the center-cell channels
-    (K, E, N) of its held-out blocks.  Each of its batch tasks receives its
-    blocks in chunks of at most `chunk` blocks into a buffer set of its own."""
+    BS), which no sweep variable changes, and, when an estimator is scored
+    on them, the center-cell channels (K, E, N) of its held-out blocks.
+    Each of its batch tasks receives its blocks in chunks of at most `chunk`
+    blocks into a buffer set of its own."""
 
     def __init__(self, config: ExperimentConfig, run_seed):
         self.config = config
@@ -274,12 +277,20 @@ class _Run:
         self.noise_factor = psd_factor(self.r_nn) if jammer else math.sqrt(sysc.noise_power)
         self.total_cov = self.power * np.einsum("lkij->ij", self.covs)
         self.factors = trim_factors(covariance_factors(self.covs))
-        self.h_center = _block_major(config.eval_blocks, sysc.ues_per_cell, sysc.antennas)
+        # Every estimator but the exact FIXED_KINDS is scored on held-out blocks.
+        self.scores_held_out = bool(self.kinds - FIXED_KINDS)
+        if self.scores_held_out:
+            self.h_center = _block_major(config.eval_blocks, sysc.ues_per_cell, sysc.antennas)
 
     def _rng(self, stream: str, batch: int = 0) -> np.random.Generator:
         """A fresh Generator of batch `batch` of one of the run's streams;
         whole-run draws take batch 0."""
         return derive_rng(*self.keys, _STREAMS[stream], batch)
+
+    def _buffers(self, states: list[_RunState]) -> BatchBuffers:
+        """A buffer set of a batch task, of the same sizes for every task."""
+        systems = [state.system for state in states]
+        return BatchBuffers(_slot_sizes(self.config, systems, self.factors.shape[-1]))
 
     def _chunks(self, blocks: slice, cuts=()) -> list[slice]:
         """Batch `blocks` in consecutive chunks of at most `chunk` blocks,
@@ -302,18 +313,17 @@ class _Run:
         Returns, per state, the two sums of each training window
         (ascending, the last one the states' `system.blocks`): that of all
         samples of its first T blocks, the pilot phase under the state's
-        rows and the data phase, and that of the state's despread vectors
-        of the same blocks.  The stops of each training task, in batch
-        order, are merged onto the sums of the batches before it, so no
-        sum depends on which worker ran which task.  Without a data-driven
-        estimator nothing is trained, and no window has sums.
+        training rows and the data phase, and that of the state's despread
+        vectors of the same blocks.  The stops of each training task, in
+        batch order, are merged onto the sums of the batches before it, so
+        no sum depends on which worker ran which task.  Without a
+        data-driven estimator nothing is trained, and no window has sums;
+        with only FIXED_KINDS, no held-out batch is received either.
         """
         training = _batches(windows[-1]) if self.kinds & DATA_DRIVEN_KINDS else []
+        held_out = _batches(self.config.eval_blocks) if self.scores_held_out else []
         tasks = [partial(self._train, states, windows, *batch) for batch in training]
-        tasks += [
-            partial(self._held_out, states, *batch)
-            for batch in _batches(self.config.eval_blocks)
-        ]
+        tasks += [partial(self._held_out, states, *batch) for batch in held_out]
         results = _fan_out(pool, tasks)
         combined: list[list] = [[] for _ in states]
         running = self._sums(states)  # the sums of the batches before this one
@@ -333,23 +343,26 @@ class _Run:
     def _train(
         self, states: list[_RunState], windows: list[int], batch: int, blocks: slice
     ) -> dict[int, list[AllCovAccumulator]]:
-        """Receive training batch `batch`, blocks `blocks`, under the rows
-        of every state, in chunks that end at each of `windows` inside the
-        batch.  The pilot noise comes from the batch's `est_signals` key
-        and the data phase, synthesized with the first state's pilot
-        phase, from its `data` and `data_noise` keys.  Each chunk's
-        channels are drawn once and scaled by the UEs' amplitudes, and
-        each receive's samples and despread vectors are added to the
-        batch's running sums before the next receive.
+        """Receive training batch `batch`, blocks `blocks`, under the pilot
+        rows that every state draws for it from the batch's `est_alloc` key,
+        in chunks that end at each of `windows` inside the batch.  The pilot
+        noise comes from the batch's `est_signals` key and the data phase,
+        synthesized with the first state's pilot phase, from its `data` and
+        `data_noise` keys.  Each chunk's channels are drawn once and scaled
+        by the UEs' amplitudes, and each receive's samples and despread
+        vectors are added to the batch's running sums before the next
+        receive.
 
         Returns, at each stop (each window that ends inside the batch, and
         the batch end), a copy of every sum of `_sums` over the batch's
         blocks before it.
         """
         sysc = self.config.system
-        buffers = BatchBuffers(_slot_sizes(self.config, [state.system for state in states]))
+        buffers = self._buffers(states)
         sums = self._sums(states)
         stops = {}
+        size = blocks.stop - blocks.start
+        rows = [state.random_rows("est_alloc", batch, size) for state in states]
         # One Generator per stream for the whole batch, continued from
         # chunk to chunk.
         channels = self._rng("est_channels", batch)
@@ -359,9 +372,11 @@ class _Run:
             h = sample_channels(self.factors, channels, chunk.stop - chunk.start, buffers=buffers)
             h *= self.amplitudes
             data_phase = (sysc.tau_u, *data_streams)
-            for state, noise, pilot, despread in zip(states, pilot_noise, sums[1::2], sums[2::2]):
+            in_batch = slice(chunk.start - blocks.start, chunk.stop - blocks.start)
+            received = zip(states, rows, pilot_noise, sums[1::2], sums[2::2])
+            for state, state_rows, noise, pilot, despread in received:
                 pilot_rx, data_rx, d = state._receive(
-                    h, state.rows[chunk], noise, *data_phase, buffers=buffers
+                    h, state_rows[in_batch], noise, *data_phase, buffers=buffers
                 )
                 if data_phase:
                     sums[0].add(data_rx)
@@ -377,7 +392,7 @@ class _Run:
         held-out rows of every state, and write the center-cell channels and
         each state's despread vectors of it.  The states see the same channel
         draws; each takes its pilot noise from `eval_signals_random`."""
-        buffers = BatchBuffers(_slot_sizes(self.config, [state.system for state in states]))
+        buffers = self._buffers(states)
         channels = self._rng("eval_channels", batch)
         pilot_noise = [self._rng("eval_signals_random", batch) for _ in states]
         for chunk in self._chunks(blocks):
@@ -390,29 +405,35 @@ class _Run:
 
 
 class _RunState:
-    """One tau_p of a Monte-Carlo run: its pilot book, its training,
-    held-out and fixed cyclic pilot rows, its true-covariance filters and
-    the despread vectors of its held-out blocks."""
+    """One tau_p of a Monte-Carlo run: its pilot book, its held-out and
+    fixed cyclic pilot rows, its true-covariance filters and the despread
+    vectors of its held-out blocks.  Its training rows are drawn per batch
+    (`random_rows`), so no array it keeps grows with the window."""
 
     def __init__(self, run: _Run, system: SystemConfig):
         self.run = run
         self.config = config = run.config
         self.system = sysc = system  # its blocks are the longest training window
         self.book = make_pilot_book(sysc.tau_p)
-        # Pilot rows of the network: training (T, L, K), held-out (E, L, K)
-        # and fixed cyclic (L, K).
+        # Pilot rows of the network: held-out (E, L, K), drawn whole, and
+        # fixed cyclic (L, K).
         net = (sysc.cells, sysc.ues_per_cell, sysc.tau_p)
-        self.rows = None
-        if run.kinds & DATA_DRIVEN_KINDS:
-            self.rows = allocate_pilots(sysc.blocks, *net, "random", run._rng("est_alloc"))
-        self.eval_rows = allocate_pilots(config.eval_blocks, *net, "random", run._rng("eval_alloc"))
         self.fixed_row = allocate_pilots(1, *net, "fixed_cyclic")[0]
-        self.held_out = _block_major(config.eval_blocks, sysc.ues_per_cell, sysc.antennas)
+        if run.scores_held_out:
+            self.eval_rows = self.random_rows("eval_alloc", 0, config.eval_blocks)
+            self.held_out = _block_major(config.eval_blocks, sysc.ues_per_cell, sysc.antennas)
         self.static_filters: dict[str, np.ndarray] = {
             spec.label: self._true_covariance_filters(spec.kind)
             for spec in config.estimators
             if spec.kind not in DATA_DRIVEN_KINDS
         }
+
+    def random_rows(self, stream: str, batch: int, blocks: int) -> np.ndarray:
+        """Pilot rows (blocks, L, K) under random allocation, drawn from
+        batch `batch` of the run's stream `stream`."""
+        sysc = self.system
+        net = (sysc.cells, sysc.ues_per_cell, sysc.tau_p)
+        return allocate_pilots(blocks, *net, "random", self.run._rng(stream, batch))
 
     def pilot_cov_true(self) -> np.ndarray:
         """Despread-signal covariances (K, N, N) of the center UEs under random allocation."""
@@ -506,7 +527,6 @@ class _RunState:
         """The contribution, NMSE and fallbacks, of each data-driven estimator
         with the estimates of `window`, or without one of each true-covariance
         estimator: mean NMSE over the held-out blocks, or exact for FIXED_KINDS."""
-        h_center = self.run.h_center
         total = self.config.eval_blocks * self.system.ues_per_cell
         out = {}
         for spec in self.config.estimators:
@@ -524,7 +544,7 @@ class _RunState:
             else:
                 filters = self.static_filters if window is None else window.filters
                 h_hat = self.held_out @ filters[spec.label].conj()
-            err = float(nmse(h_center, h_hat, self.run.covs[0][:, None]).sum()) / total
+            err = float(nmse(self.run.h_center, h_hat, self.run.covs[0][:, None]).sum()) / total
             out[spec.label] = RunContribution(spec.label, err, fallbacks)
         return out
 
@@ -577,29 +597,32 @@ def _chunk_blocks(system: SystemConfig) -> int:
     return max(1, CHUNK_BYTES // (system.cells * system.ues_per_cell * system.antennas * 16))
 
 
-def _slot_sizes(config: ExperimentConfig, systems: list[SystemConfig]) -> list[int]:
+def _slot_sizes(
+    config: ExperimentConfig, systems: list[SystemConfig], width: int | None = None
+) -> list[int]:
     """Bytes of the slots of a buffer set that fits every array that the
-    batch tasks of a run at sweep points `systems` request."""
+    batch tasks of a run at sweep points `systems` request, when its
+    trimmed channel factors have `width` columns (at most, and by default,
+    the antenna count)."""
     sysc = config.system
     links, n = sysc.cells * sysc.ues_per_cell, sysc.antennas
-    tau_ps = {system.tau_p for system in systems}
-    trains = bool({spec.kind for spec in config.estimators} & DATA_DRIVEN_KINDS)
+    kinds = {spec.kind for spec in config.estimators}
+    trains = bool(kinds & DATA_DRIVEN_KINDS)
     train_batch = min(BATCH_BLOCKS, max(system.blocks for system in systems)) if trains else 0
     chunk = _chunk_blocks(sysc)
     train_chunk = min(chunk, train_batch)
-    eval_chunk = min(chunk, BATCH_BLOCKS, config.eval_blocks)
-    tau_p, tau_u = max(tau_ps), sysc.tau_u if trains else 0
-    # complex128 takes 16 bytes, float64 8; sample_channels draws at least
-    # two blocks.
-    channels = max(train_chunk, eval_chunk, 2) * links * n * 16
-    pilot = max(train_chunk, eval_chunk) * n * tau_p * 16
+    eval_chunk = min(chunk, BATCH_BLOCKS, config.eval_blocks) if kinds - FIXED_KINDS else 0
+    tau_p, tau_u = max(system.tau_p for system in systems), sysc.tau_u if trains else 0
+    # complex128 takes 16 bytes; sample_channels draws at least two blocks.
+    drawn = max(train_chunk, eval_chunk)
+    link_blocks = (max(drawn, 2) if drawn else 0) * links
+    pilot = drawn * n * tau_p * 16
     return slot_bytes(
         {
-            "normals": channels,
-            "channels": channels,
+            "normals": link_blocks * (width or n) * 16,
+            "channels": link_blocks * n * 16,
             "pilot_noise": pilot,
             "pilot_rx": pilot,
-            "phases": train_chunk * links * tau_u * 8,
             "symbols": train_chunk * links * tau_u * 16,
             "data_noise": train_chunk * n * tau_u * 16,
             "data_rx": train_chunk * n * tau_u * 16,
@@ -609,7 +632,8 @@ def _slot_sizes(config: ExperimentConfig, systems: list[SystemConfig]) -> list[i
 
 def thread_buffer_bytes(config: ExperimentConfig) -> int:
     """Bytes of the buffer set of a batch task of `run_sweep`, the most
-    that a worker thread holds at once."""
+    that a worker thread holds at once: an upper bound, which sizes the
+    channel normals for square factors."""
     systems = [config.system_for(value) for value in config.sweep.values]
     return sum(_slot_sizes(config, systems))
 
@@ -660,10 +684,12 @@ def run_single(
 def simulated_blocks(config: ExperimentConfig) -> int:
     """Blocks a sweep passes to simulate_blocks: each run receives the
     training batches of its longest window, where a data-driven estimator
-    trains, and its held-out batches once, under every tau_p of the sweep."""
+    trains, and its held-out batches once, where an estimator other than
+    FIXED_KINDS is scored on them, under every tau_p of the sweep."""
     systems = [config.system_for(value) for value in config.sweep.values]
-    trains = {spec.kind for spec in config.estimators} & DATA_DRIVEN_KINDS
-    per_tau_p = (max(system.blocks for system in systems) if trains else 0) + config.eval_blocks
+    kinds = {spec.kind for spec in config.estimators}
+    per_tau_p = max(system.blocks for system in systems) if kinds & DATA_DRIVEN_KINDS else 0
+    per_tau_p += config.eval_blocks if kinds - FIXED_KINDS else 0
     return per_tau_p * len({system.tau_p for system in systems}) * config.monte_carlo_runs
 
 

@@ -5,9 +5,10 @@ a single master seed with explicit integer keys, so that runs are
 reproducible and independent of thread scheduling.  The sweep harness
 uses one layout: every value is drawn from a fresh
 derive_rng(master seed, run, stream id, batch).  Batch i of a batched
-stream draws from key i, and whole-run draws take batch 0, so no
-Generator outlives the batch it draws and what a batch holds depends on
-its key alone, never on what was drawn before it.
+stream draws from key i, and the whole-run draws (the geometry and the
+held-out pilot rows) take batch 0, so no Generator outlives the batch it
+draws and what a batch holds depends on its key alone, never on what was
+drawn before it.
 
 Samplers draw block-major: the values of block 0 come first, then those
 of block 1, and so on, each complex value as a (real, imaginary) pair.

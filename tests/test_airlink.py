@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mimoce.airlink import (
-    _unit_symbols,
+    PSK_ORDER,
+    PSK_SYMBOLS,
     allocate_pilots,
     despread_batch,
     make_noise_covariance,
@@ -153,9 +154,27 @@ class TestDespreading:
 
 class TestSimulation:
     def test_data_symbols_are_the_complex_exponential_bitwise(self):
-        phases = ensure_rng(4).uniform(0.0, 2.0 * np.pi, size=(64, 35, 40))
-        expected = np.exp(1j * phases)
-        assert np.array_equal(_unit_symbols(phases).view(float), expected.view(float))
+        # One UE with a unit channel on one antenna and no noise receives
+        # its data symbols as they are: exp(2 pi i k / 256) of the uint32
+        # indices k that the data stream draws, block-major.
+        blocks, tau_u = 64, 40
+        _, data_rx = simulate_blocks(
+            np.ones((blocks, 1, 1, 1), dtype=complex), np.zeros((blocks, 1, 1), dtype=int),
+            make_pilot_book(2), None, 0.0, ensure_rng(0), tau_u, ensure_rng(4), ensure_rng(5),
+        )
+        k = ensure_rng(4).integers(0, 256, (blocks, 1, tau_u), dtype=np.uint32)
+        expected = np.exp(2j * np.pi * k / 256)
+        assert np.array_equal(data_rx.view(float), expected.view(float))
+
+    def test_psk_table_moments(self):
+        # As for a uniformly random phase: unit modulus, the first two
+        # moments of a uniformly drawn symbol vanish and E|s|^4 = 1.
+        assert PSK_SYMBOLS.shape == (PSK_ORDER,) == (256,)
+        assert np.allclose(np.abs(PSK_SYMBOLS), 1.0, rtol=0, atol=1e-15)
+        assert abs(PSK_SYMBOLS.sum()) < 1e-12
+        assert abs((PSK_SYMBOLS**2).sum()) < 1e-12
+        assert abs((np.abs(PSK_SYMBOLS) ** 4).mean() - 1.0) < 1e-14
+        assert len(np.unique(np.round(PSK_SYMBOLS, 12))) == PSK_ORDER
 
     def test_zero_channels_zero_noise_limit(self):
         book = make_pilot_book(2)

@@ -27,7 +27,6 @@ def plain_sizes(blocks, links, antennas, tau_p, tau_u):
             "channels": channels,
             "pilot_rx": pilot,
             "pilot_noise": pilot,
-            "phases": blocks * links * tau_u * 8,
             "symbols": blocks * links * tau_u * 16,
             "data_rx": data,
             "data_noise": data,
@@ -94,7 +93,7 @@ def simulate(channels, seed, noise_factor, tau_u, tau_p, buffers=None):
         (3, 2, 6, 0, False),
         (3, 2, 6, 7, False),
         (3, 2, 6, 7, True),
-        (7, 5, 4, 7, False),  # L*K = 35 > 2N: the phases outgrow the data receive
+        (7, 5, 4, 7, False),  # L*K = 35 > 2N: the symbols outgrow the data noise
     ],
     ids=["tau_u_0", "white", "coloured", "links_over_2n"],
 )
@@ -153,12 +152,37 @@ def test_chunks_into_strided_views_same_bits(coloured):
     assert bits(np.ascontiguousarray(pilot), np.ascontiguousarray(data)) == bits(*expected)
 
 
-def test_data_phases_are_the_uniform_draw():
-    # simulate_blocks scales random() by 2 pi in place of uniform(0, 2 pi).
-    expected = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, size=(4, 35, 40))
-    got = np.random.default_rng(3).random(size=(4, 35, 40))
-    got *= 2.0 * np.pi
-    assert bits(got) == bits(expected)
+def test_data_phase_in_odd_chunks_is_one_draw():
+    # L*K*tau_u = 21 symbol indices per block: chunks of 3, 1 and 5 blocks
+    # that continue one data generator draw 63, 21 and 105 of them, none a
+    # multiple of 4.  uint32 indices keep the generator's spare half-word
+    # from call to call, so the chunks hold the bits of one draw; uint8 and
+    # uint16 indices drop the spare bytes of each call, and would not.
+    cells, ues, n, tau_p, tau_u, blocks = 3, 1, 4, 2, 7, 9
+    h = sample_channels(factors(cells, ues, n), np.random.default_rng(1), blocks)
+    indices = np.zeros((blocks, cells, ues), dtype=int)
+    book = make_pilot_book(tau_p)
+    chunks = (slice(0, 3), slice(3, 4), slice(4, 9))
+
+    def data_phase(pieces):
+        pilot_rng, data_rng, noise_rng = (np.random.default_rng(seed) for seed in (2, 3, 4))
+        received = [
+            simulate_blocks(
+                h[piece], indices[piece], book, None, 0.3, pilot_rng, tau_u, data_rng, noise_rng
+            )[1]
+            for piece in pieces
+        ]
+        return np.concatenate(received)
+
+    assert bits(data_phase(chunks)) == bits(data_phase([slice(0, blocks)]))
+
+    def index_draw(dtype, sizes):
+        rng = np.random.default_rng(3)
+        return np.concatenate([rng.integers(0, 256, size * 21, dtype=dtype) for size in sizes])
+
+    assert bits(index_draw(np.uint32, [3, 1, 5])) == bits(index_draw(np.uint32, [9]))
+    for dtype in (np.uint8, np.uint16):
+        assert bits(index_draw(dtype, [3, 1, 5])) != bits(index_draw(dtype, [9]))
 
 
 @pytest.mark.parametrize("case", ["batch", "prefix", "matrix", "strided", "stored_prefix"])

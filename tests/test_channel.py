@@ -23,6 +23,7 @@ from mimoce.channel import (
 from mimoce.cli import parse_config
 from mimoce.harness import _Run
 from mimoce.linalg import psd_factor
+from mimoce.seeding import complex_normal
 
 SHIPPED = ["configs/desk_scale.yaml", "configs/full_scale.yaml"]
 
@@ -229,7 +230,8 @@ class TestSampling:
 
 class TestTrimmedFactors:
     # The leading zero columns that psd_factor leaves for the clamped
-    # eigenvalues can be dropped from every draw without changing a bit.
+    # eigenvalues are dropped, and a draw from the r columns left takes r
+    # normals per link, not N.
 
     @pytest.mark.parametrize("seed", [1, 7])
     @pytest.mark.parametrize("path", SHIPPED)
@@ -255,13 +257,25 @@ class TestTrimmedFactors:
     @pytest.mark.parametrize("seed", [1, 7])
     @pytest.mark.parametrize("path", SHIPPED)
     def test_trimmed_draw_same_bits(self, path, seed, blocks):
-        # A one-block draw (blocks 1 or None) is the GEMM with a zero
-        # second row, whose first row must not change either.
-        factors = shipped_factors(path, seed)
-        expected = sample_channels(factors, np.random.default_rng(seed), blocks=blocks)
-        got = sample_channels(trim_factors(factors), np.random.default_rng(seed), blocks=blocks)
-        assert got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes()
+        # A draw of `blocks` blocks is, bit for bit, the first blocks of a
+        # 256-block draw, also for one block (blocks 1 or None), the GEMM
+        # with a zero second row.  It takes the first b L K r normals of the
+        # stream, block-major, and is F z for those to rounding.
+        factors = trim_factors(shipped_factors(path, seed))
+        cells, ues, n, r = factors.shape
+        b = 1 if blocks is None else blocks
+        whole = sample_channels(factors, np.random.default_rng(seed), blocks=256)
+        rng = np.random.default_rng(seed)
+        got = sample_channels(factors, rng, blocks=blocks)
+        assert got.shape == ((cells, ues, n) if blocks is None else (b, cells, ues, n))
+        assert got.tobytes() == whole[:b].tobytes()
+        reference = np.random.default_rng(seed)
+        z = complex_normal(reference, (b, cells, ues, r))
+        assert rng.standard_normal() == reference.standard_normal()
+        expected = np.einsum("lknr,blkr->blkn", factors, z)
+        assert np.linalg.norm(got.reshape(expected.shape) - expected) <= 1e-12 * np.linalg.norm(
+            expected
+        )
 
     def test_consecutive_draws_are_one_draw(self):
         factors = trim_factors(shipped_factors(SHIPPED[0], 1))

@@ -186,6 +186,13 @@ class TestValidate:
         # added to the Gram sums as they arrive.
         assert "batch buffers per worker thread: 11.0 MiB" in report
 
+    def test_fixed_rows_alone_simulate_no_block(self):
+        # ls_fixed scores its exact NMSE: nothing is trained or held out.
+        config = parse_config("configs/desk_scale.yaml", ["estimators=[{kind: ls_fixed}]"])
+        report = validate_config(config)
+        assert "simulated blocks per sweep: 0" in report
+        assert "batch buffers per worker thread: 0.0 MiB" in report
+
     def test_unsupported_layout_flagged(self):
         config = ExperimentConfig(system=SystemConfig(cells=3))
         report = validate_config(config)

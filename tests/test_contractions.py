@@ -35,8 +35,9 @@ def simulate_blocks_reference(
     )
     if tau_u == 0:
         return pilot_rx, np.zeros((b_blocks, n, 0), dtype=complex)
-    phases = data_rng.uniform(0.0, 2.0 * np.pi, size=(b_blocks, cells * ues, tau_u))
-    data_rx = np.einsum("bun,but->bnt", weighted, np.exp(1j * phases))
+    # 256-PSK symbols from uint32 indices, the table computed here anew.
+    k = data_rng.integers(0, 256, size=(b_blocks, cells * ues, tau_u), dtype=np.uint32)
+    data_rx = np.einsum("bun,but->bnt", weighted, np.exp(2j * np.pi * k / 256))
     data_rx += np.einsum(
         "nm,bmt->bnt", noise_factor, complex_normal(data_noise_rng, (b_blocks, n, tau_u))
     )

@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 from mimoce import buffers, covest, harness
-from mimoce.airlink import despread_batch, simulate_blocks
+from mimoce.airlink import allocate_pilots, despread_batch, simulate_blocks
 from mimoce.cli import parse_config
 from mimoce.config import FIXED_KINDS, EstimatorSpec, ExperimentConfig, SweepSpec, SystemConfig
 from mimoce.estimators import approx_mmse_filter, improved_mmse_filter, ls_estimate
-from mimoce.channel import covariance_factors, sample_channels
+from mimoce.channel import sample_channels
 from mimoce.covest import AllCovAccumulator
 from mimoce.harness import (
     _STREAMS,
@@ -273,6 +273,38 @@ def test_fixed_rows_match_monte_carlo(case):
         assert abs(d.mean()) <= 3 * se, (label, d.mean(), se)
 
 
+@pytest.mark.parametrize(
+    "kinds", [["ls_fixed"], ["mmse_fixed"], ["ls_fixed", "mmse_fixed"]], ids=["ls", "mmse", "both"]
+)
+def test_fixed_rows_alone_receive_no_block(monkeypatch, kinds):
+    # ls_fixed and mmse_fixed score their exact NMSE, so a run of these
+    # alone receives no training or held-out block, keeps no held-out
+    # array and needs no buffers; its rows are those of a run with every
+    # estimator, bit for bit.
+    full = small_config()
+    (every,) = run_single(full, [30], (5, 0))
+    expected = [c for c in every if c.estimator in kinds]
+    config = small_config(estimators=[EstimatorSpec(kind) for kind in kinds])
+    made = []
+
+    class Recorded(_Run):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    def no_receive(*args, **kwargs):
+        raise AssertionError("simulate_blocks called")
+
+    monkeypatch.setattr(harness, "_Run", Recorded)
+    monkeypatch.setattr(harness, "simulate_blocks", no_receive)
+    (got,) = run_single(config, [30], (5, 0))
+    assert got == expected
+    (run,) = made
+    assert not hasattr(run, "h_center")
+    assert harness.simulated_blocks(config) == 0
+    assert harness.thread_buffer_bytes(config) == 0
+
+
 def test_stream_ids_are_distinct():
     # Training and evaluation draw from disjoint streams: every stream id is
     # used once, and no two (stream, batch) keys of a run give one stream.
@@ -305,9 +337,10 @@ def test_stream_layout_is_pinned():
 
 def test_every_draw_comes_from_its_batch_key(monkeypatch):
     # Every random value of a run is drawn from a fresh
-    # derive_rng(master_seed, run, stream id, batch): channels, pilot noise
-    # and data phase of training batch i, channels and pilot noise of
-    # held-out batch i, and batch 0 for the geometry and the allocations.
+    # derive_rng(master_seed, run, stream id, batch): pilot rows, channels,
+    # pilot noise and data phase of training batch i, channels and pilot
+    # noise of held-out batch i, and batch 0 for the geometry and the
+    # held-out pilot rows.
     # Batches of 8 blocks: 5 training batches and 4 held-out ones.
     monkeypatch.setattr(harness, "BATCH_BLOCKS", 8)
     config = small_config(eval_blocks=25)
@@ -351,7 +384,7 @@ def test_every_draw_comes_from_its_batch_key(monkeypatch):
         return sample_channels(state.run.factors, rng, blocks=size).tobytes()
 
     assert geometry == [key_state("geometry")]
-    assert allocations == [key_state("est_alloc"), key_state("eval_alloc")]
+    assert allocations == [key_state("eval_alloc")] + [key_state("est_alloc", i) for i in range(5)]
     training, held_out = received[:5], received[5:]
     for i, (h, states) in enumerate(training):
         assert h.tobytes() == channels("est_channels", i, 8)
@@ -417,9 +450,9 @@ class TestRunSingle:
         assert together == [run_single(config, [value], (5, 0))[0] for value in values]
 
     def test_no_kept_array_grows_with_the_window(self, monkeypatch):
-        # Training keeps sums, not samples: a run of T = 400 keeps the same
-        # array bytes as one of T = 40, but for its pilot rows (T, L, K),
-        # which the run draws whole from one key.  Batches of 8 blocks.
+        # Training keeps sums, not samples, and draws its pilot rows per
+        # batch: a run of T = 400 keeps the same array bytes as one of
+        # T = 40.  Batches of 8 blocks.
         monkeypatch.setattr(harness, "BATCH_BLOCKS", 8)
         made = []
 
@@ -450,7 +483,7 @@ class TestRunSingle:
             run, state = made
             kept[blocks] = [
                 kept_bytes(list(vars(run).values())),
-                kept_bytes(list(vars(state).values())) - state.rows.nbytes,
+                kept_bytes(list(vars(state).values())),
             ]
         assert kept[40] == kept[400]
 
@@ -761,11 +794,12 @@ class TestBuffers:
         [SweepSpec(variable="T", values=[20, 8, 40]), SweepSpec(variable="tau_p", values=[4, 2, 9])],
         ids=["T", "tau_p"],
     )
-    @pytest.mark.parametrize("antennas", [8, 3], ids=["n8", "links_over_2n"])
+    @pytest.mark.parametrize("antennas", [8, 3, 32], ids=["n8", "links_over_2n", "n32"])
     def test_slots_fit_the_largest_array(self, monkeypatch, sweep, antennas):
         # Every set of a run is made at the same slot_bytes: no request
         # outgrows its slot, and each slot's size is some request's, so
-        # none is larger than needed.
+        # none is larger than needed.  At N = 32 the factors keep 16
+        # columns, and in the T sweep the normals fill their slot.
         monkeypatch.setattr(harness, "BATCH_BLOCKS", 8)
         config = small_config(sweep=sweep)
         config = dataclasses.replace(
@@ -792,10 +826,9 @@ class TestBuffers:
 
 
 class TestChunks:
-    # A batch task receives its blocks in chunks of run.chunk blocks, from
-    # trimmed factors, with the channels scaled once per chunk; every
-    # chunking gives the bits of the batch received by the plain functions
-    # from the square factors in one piece.
+    # A batch task receives its blocks in chunks of run.chunk blocks, with
+    # the channels scaled once per chunk; every chunking gives the bits of
+    # the batch received by the plain functions in one piece.
 
     @staticmethod
     def run_and_states():
@@ -838,7 +871,6 @@ class TestChunks:
         data phase's sums, then each state's pilot-phase and despread
         sums."""
         run, states = self.run_and_states()
-        factors = covariance_factors(run.covs)
         blocks, tau_u = slice(15, 30), run.config.system.tau_u
 
         def receive(state, h, rows, noise_stream, *data_phase):
@@ -853,18 +885,17 @@ class TestChunks:
                 acc.add(samples[: stop - 15])
             return accs
 
-        h = sample_channels(factors, run._rng("est_channels", 1), 15)
+        h = sample_channels(run.factors, run._rng("est_channels", 1), 15)
         data_phase = (tau_u, run._rng("data", 1), run._rng("data_noise", 1))
         parts = []
         for state in states:
-            pilot_rx, data_rx, d = receive(
-                state, h, state.rows[blocks], run._rng("est_signals", 1), *data_phase
-            )
+            rows = allocate_pilots(15, 7, 2, state.system.tau_p, "random", run._rng("est_alloc", 1))
+            pilot_rx, data_rx, d = receive(state, h, rows, run._rng("est_signals", 1), *data_phase)
             if not parts:
                 parts.append(sums(data_rx))
             parts += [sums(pilot_rx), sums(d[..., None], d.shape[1])]
             data_phase = (0,)
-        h = sample_channels(factors, run._rng("eval_channels", 1), 15)
+        h = sample_channels(run.factors, run._rng("eval_channels", 1), 15)
         run.h_center[:, blocks] = h[:, 0].transpose(1, 0, 2)
         for state in states:
             noise = run._rng("eval_signals_random", 1)
