@@ -597,13 +597,10 @@ def _chunk_blocks(system: SystemConfig) -> int:
     return max(1, CHUNK_BYTES // (system.cells * system.ues_per_cell * system.antennas * 16))
 
 
-def _slot_sizes(
-    config: ExperimentConfig, systems: list[SystemConfig], width: int | None = None
-) -> list[int]:
+def _slot_sizes(config: ExperimentConfig, systems: list[SystemConfig], width: int) -> list[int]:
     """Bytes of the slots of a buffer set that fits every array that the
     batch tasks of a run at sweep points `systems` request, when its
-    trimmed channel factors have `width` columns (at most, and by default,
-    the antenna count)."""
+    trimmed channel factors have `width` columns."""
     sysc = config.system
     links, n = sysc.cells * sysc.ues_per_cell, sysc.antennas
     kinds = {spec.kind for spec in config.estimators}
@@ -619,7 +616,7 @@ def _slot_sizes(
     pilot = drawn * n * tau_p * 16
     return slot_bytes(
         {
-            "normals": link_blocks * (width or n) * 16,
+            "normals": link_blocks * width * 16,
             "channels": link_blocks * n * 16,
             "pilot_noise": pilot,
             "pilot_rx": pilot,
@@ -635,7 +632,7 @@ def thread_buffer_bytes(config: ExperimentConfig) -> int:
     that a worker thread holds at once: an upper bound, which sizes the
     channel normals for square factors."""
     systems = [config.system_for(value) for value in config.sweep.values]
-    return sum(_slot_sizes(config, systems))
+    return sum(_slot_sizes(config, systems, config.system.antennas))
 
 
 def run_single(
